@@ -49,6 +49,10 @@ LOWERING = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 # radially projected back onto the sphere
 BALL_TOL = 1e-6
 
+# the checked coefficient functions reject states further out than this,
+# so no projection tolerance may exceed it
+MAX_BALL_TOL = 1e-3
+
 # the counting unraveling resets here on every detection event
 GROUND_STATE = np.array([0.0, 0.0, -1.0])
 
@@ -146,7 +150,7 @@ def _as_bloch(p, check_ball: bool = True) -> np.ndarray:
     _check_finite(p, "Bloch vector")
     if check_ball:
         norms = np.linalg.norm(p, axis=-1)
-        if np.any(norms > 1.0 + 1e-3):
+        if np.any(norms > 1.0 + MAX_BALL_TOL):
             raise ValueError(f"Bloch vector outside unit ball: |p| up to {norms.max()}")
     return p
 
@@ -165,12 +169,74 @@ def project_to_ball(p, ball_tol: float = BALL_TOL) -> np.ndarray:
     States inside the tolerance band are returned unchanged.  Vectorized
     over leading axes.
     """
-    p = np.asarray(p, dtype=float)
-    norms = np.linalg.norm(p, axis=-1, keepdims=True)
+    p = np.array(p, dtype=float)
+    _project_xyz(_xyz(p), ball_tol)
+    return p
+
+
+def _xyz(a) -> np.ndarray:
+    """Components-first view of an array with a trailing axis."""
+    a = np.asarray(a, dtype=float)
+    return a.transpose(a.ndim - 1, *range(a.ndim - 1))
+
+
+def _stack_last(components) -> np.ndarray:
+    """Stack broadcast-compatible components along a new trailing axis."""
+    return np.stack(np.broadcast_arrays(*components), axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# unchecked encodings of the filter coefficients, one per formula.  They
+# take components (px, py, pz, u_plus, u_minus) as separate arrays, so a
+# caller holding a (3, n) state reads contiguous rows.  The public
+# functions below validate and then call these; the step kernels in
+# `trajectories` call them directly on states the engine has validated.
+
+
+def _project_xyz(xyz: np.ndarray, ball_tol: float) -> np.ndarray:
+    """Radial projection, in place, of a (3, ...) array of components.
+
+    The squared norm is summed in the order np.linalg.norm uses on a
+    trailing axis, so both layouts project the same states bit for bit.
+    """
+    px, py, pz = xyz
+    norms = np.sqrt((px * px + py * py) + pz * pz)
     outside = norms > 1.0 + ball_tol
-    if not np.any(outside):
-        return p
-    return np.where(outside, p / np.where(outside, norms, 1.0), p)
+    if outside.any():
+        np.divide(xyz, norms, out=xyz, where=outside)
+    return xyz
+
+
+def _diffusive_drift_xyz(px, py, pz, u_plus, u_minus):
+    two_up = 2.0 * u_plus
+    two_um = 2.0 * u_minus
+    return (
+        -0.5 * px - two_up * pz,
+        -0.5 * py + two_um * pz,
+        -(1.0 + pz) + two_up * px - two_um * py,
+    )
+
+
+def _diffusive_diffusion_xyz(px, py, pz, kappa_s: float):
+    neg_px = -px
+    one_pz = 1.0 + pz
+    return (
+        kappa_s * (one_pz - px * px),
+        kappa_s * (neg_px * py),
+        kappa_s * (neg_px * one_pz),
+    )
+
+
+def _jump_intensity_z(pz, kappa_s_sq: float):
+    return 0.5 * kappa_s_sq * (1.0 + pz)
+
+
+def _counting_drift_xyz(px, py, pz, u_plus, u_minus, lam):
+    """Between-jump drift given the jump intensity ``lam`` at the state."""
+    base = _diffusive_drift_xyz(px, py, pz, u_plus, u_minus)
+    return tuple(
+        b + lam * (c - g) for b, c, g in zip(base, (px, py, pz), GROUND_STATE)
+    )
 
 
 def bloch_to_density(p) -> np.ndarray:
@@ -260,24 +326,13 @@ def diffusive_drift(p, u) -> np.ndarray:
     """
     p = _as_bloch(p)
     u = _as_control(u)
-    px, py, pz = p[..., 0], p[..., 1], p[..., 2]
-    u_plus, u_minus = u[..., 0], u[..., 1]
-    out = np.empty(np.broadcast_shapes(p.shape[:-1], u.shape[:-1]) + (3,))
-    out[..., 0] = -0.5 * px - 2.0 * u_plus * pz
-    out[..., 1] = -0.5 * py + 2.0 * u_minus * pz
-    out[..., 2] = -(1.0 + pz) + 2.0 * u_plus * px - 2.0 * u_minus * py
-    return out
+    return _stack_last(_diffusive_drift_xyz(*_xyz(p), *_xyz(u)))
 
 
 def diffusive_diffusion(p, params: ModelParams) -> np.ndarray:
     """Diffusion (noise) vector of the homodyne filtering equation."""
     p = _as_bloch(p)
-    px, py, pz = p[..., 0], p[..., 1], p[..., 2]
-    out = np.empty(p.shape)
-    out[..., 0] = 1.0 + pz - px * px
-    out[..., 1] = -px * py
-    out[..., 2] = -px * (1.0 + pz)
-    return params.kappa_s * out
+    return _stack_last(_diffusive_diffusion_xyz(*_xyz(p), params.kappa_s))
 
 
 def observation_drift(p, params: ModelParams) -> np.ndarray:
@@ -293,15 +348,15 @@ def counting_drift(p, u, params: ModelParams) -> np.ndarray:
     the compensator of the reset-to-ground jumps.
     """
     p = _as_bloch(p)
-    base = diffusive_drift(p, u)
-    lam = jump_intensity(p, params)
-    return base + lam[..., None] * (p - GROUND_STATE)
+    u = _as_control(u)
+    lam = _jump_intensity_z(p[..., 2], params.kappa_s_sq)
+    return _stack_last(_counting_drift_xyz(*_xyz(p), *_xyz(u), lam))
 
 
 def jump_intensity(p, params: ModelParams) -> np.ndarray:
     """Detection rate of the counting unraveling: (kappa_s^2/2)(1 + pz)."""
     p = _as_bloch(p)
-    return 0.5 * params.kappa_s_sq * (1.0 + p[..., 2])
+    return _jump_intensity_z(p[..., 2], params.kappa_s_sq)
 
 
 def jump_target(p=None) -> np.ndarray:

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import os
-import tempfile
+
+_CREATE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+    # created with mode 0o666 minus the umask, as open() creates a new file;
+    # tempfile.mkstemp would leave every written file at 0o600
+    fd = os.open(tmp, _CREATE_FLAGS, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

@@ -16,7 +16,17 @@ Reproducibility: path i of a batch draws its noise from the substream
 ``SeedSequence((seed, i))``, so results are independent of chunking, thread
 count, and evaluation order, and two batches with the same seed see
 identical noise (common random numbers).  ``simulate`` is path 0 of its
-seed.
+seed.  Each path's noise is drawn in blocks of ``NOISE_BLOCK`` = 256 steps
+into one reused buffer, so the engine's memory is about
+chunk_size * 256 * 8 bytes per chunk in flight, whatever the horizon.
+Block-wise draws are the same numbers as one draw over the horizon, so
+fixed-seed results are unchanged bit for bit by the blocking.
+
+Validation happens at the API boundary: ``simulate``, ``run_batch`` and
+``ensemble_means`` check x0, dt and ball_tol once; the policy's output is
+checked for shape and finiteness on every step, and the state for
+finiteness at the end of every noise block.  The step kernels themselves
+do no checking.
 """
 
 from __future__ import annotations
@@ -29,15 +39,18 @@ import numpy as np
 
 from .filters import (
     BALL_TOL,
+    GROUND_STATE,
+    MAX_BALL_TOL,
     AngleState,
     ModelParams,
-    counting_drift,
-    diffusive_drift,
-    diffusive_diffusion,
+    _counting_drift_xyz,
+    _diffusive_diffusion_xyz,
+    _diffusive_drift_xyz,
+    _jump_intensity_z,
+    _project_xyz,
+    _xyz,
     jump_intensity,
-    jump_target,
     observation_drift,
-    project_to_ball,
 )
 from . import lq
 
@@ -56,7 +69,9 @@ def wrap_angle(theta):
 
 
 # ---------------------------------------------------------------------------
-# policies: callables (t, state) -> control, vectorized over leading axes
+# policies: callables (t, state) -> control, vectorized over leading axes;
+# the engine requires one control per path: shape (n,) for the angle model,
+# (n, 2) for the qubit models
 
 
 def zero_policy(model: str):
@@ -94,19 +109,35 @@ def _check_model(model: str) -> None:
 # single Euler steps
 
 
+# The qubit kernels work on components, so a state handed in as the (n, 3)
+# transpose of a (3, n) array reads contiguous rows, and they return that
+# same layout.  They do no checking (see the module docstring).
+
+
+def _projected(components, ball_tol: float) -> np.ndarray:
+    """Stack new components, project them into the ball, return (..., 3).
+
+    The components share one shape: each is built from all of the step's
+    inputs.
+    """
+    xyz = np.stack(list(components))
+    _project_xyz(xyz, ball_tol)
+    return xyz.transpose(*range(1, xyz.ndim), 0)
+
+
 def step_diffusive(p, u, dt, dW, params: ModelParams, ball_tol: float = BALL_TOL):
     """One Euler-Maruyama step of the homodyne filter, then ball projection.
 
     ``dW`` is the Wiener increment over the step (scalar or batch-shaped).
+    Inputs are not validated; see the engine's boundary checks.
     """
-    p = np.asarray(p, dtype=float)
+    xyz = _xyz(p)
+    drift = _diffusive_drift_xyz(*xyz, *_xyz(u))
+    sigma = _diffusive_diffusion_xyz(*xyz, params.kappa_s)
     dW = np.asarray(dW, dtype=float)
-    out = (
-        p
-        + diffusive_drift(p, u) * dt
-        + diffusive_diffusion(p, params) * dW[..., None]
+    return _projected(
+        (c + d * dt + s * dW for c, d, s in zip(xyz, drift, sigma)), ball_tol
     )
-    return project_to_ball(out, ball_tol)
 
 
 def step_counting(p, u, dt, jumped, params: ModelParams, ball_tol: float = BALL_TOL):
@@ -114,17 +145,16 @@ def step_counting(p, u, dt, jumped, params: ModelParams, ball_tol: float = BALL_
 
     The compensated drift is applied first; paths flagged in ``jumped``
     are then reset to the ground state, so a jump lands exactly on
-    ``jump_target()`` regardless of dt.
+    ``jump_target()`` regardless of dt.  Inputs are not validated.
     """
-    p = np.asarray(p, dtype=float)
-    out = p + counting_drift(p, u, params) * dt
+    xyz = _xyz(p)
+    lam = _jump_intensity_z(xyz[2], params.kappa_s_sq)
+    drift = _counting_drift_xyz(*xyz, *_xyz(u), lam)
     jumped = np.asarray(jumped, dtype=bool)
-    if out.ndim == 1:
-        if jumped:
-            out = jump_target()
-    else:
-        out = np.where(jumped[..., None], jump_target(), out)
-    return project_to_ball(out, ball_tol)
+    return _projected(
+        (np.where(jumped, g, c + d * dt) for c, d, g in zip(xyz, drift, GROUND_STATE)),
+        ball_tol,
+    )
 
 
 def step_angle(theta, B, dt, dW, params: ModelParams):
@@ -283,14 +313,19 @@ class CostStatistics:
 # the engine
 
 
+# noise is drawn per path in blocks of this many steps, so a chunk's noise
+# buffer holds chunk * NOISE_BLOCK doubles whatever the horizon
+NOISE_BLOCK = 256
+
+
 def _path_rngs(seed, indices) -> list[np.random.Generator]:
     if seed is None:
         root = np.random.SeedSequence()
-        return [np.random.default_rng(child) for child in root.spawn(len(indices))]
-    return [
-        np.random.default_rng(np.random.SeedSequence((int(seed), int(i))))
-        for i in indices
-    ]
+        children = root.spawn(len(indices))
+    else:
+        children = (np.random.SeedSequence((int(seed), int(i))) for i in indices)
+    # what default_rng builds from a SeedSequence, minus its type dispatch
+    return [np.random.Generator(np.random.PCG64(child)) for child in children]
 
 
 def _n_steps(params: ModelParams, dt: float) -> int:
@@ -304,101 +339,132 @@ def _n_steps(params: ModelParams, dt: float) -> int:
     return n
 
 
-def _initial_states(model: str, x0, n_paths: int) -> np.ndarray:
+def _validated_start(model: str, x0, params: ModelParams, dt: float, ball_tol: float):
+    """Check a run's inputs once; return (n_steps, initial state of one path)."""
+    _check_model(model)
+    n_steps = _n_steps(params, dt)
+    if not 0.0 <= ball_tol <= MAX_BALL_TOL:
+        raise ValueError(f"ball_tol must lie in [0, {MAX_BALL_TOL}], got {ball_tol!r}")
+    if model == COUNTING and dt * params.kappa_s_sq >= 1.0:
+        raise ValueError(
+            "dt * max jump intensity >= 1; Bernoulli thinning needs a "
+            "smaller step"
+        )
     if model == ANGLE:
-        if isinstance(x0, AngleState):
-            theta0 = x0.theta
-        else:
-            theta0 = float(x0)
-        return np.full(n_paths, wrap_angle(theta0))
+        theta0 = x0.theta if isinstance(x0, AngleState) else float(x0)
+        if not np.isfinite(theta0):
+            raise ValueError("initial angle must be finite")
+        return n_steps, wrap_angle(theta0)
     p0 = np.asarray(x0, dtype=float)
     if p0.shape != (3,):
         raise ValueError("qubit models need a length-3 initial Bloch vector")
+    if not np.all(np.isfinite(p0)):
+        raise ValueError("initial Bloch vector must be finite")
     if np.linalg.norm(p0) > 1.0 + BALL_TOL:
         raise ValueError("initial state outside the unit ball")
-    return np.tile(p0, (n_paths, 1))
+    return n_steps, p0
+
+
+def _checked_control(u, shape) -> np.ndarray:
+    u = np.asarray(u, dtype=float)
+    if u.shape != shape:
+        raise ValueError(f"policy returned shape {u.shape}, expected {shape}")
+    if not np.isfinite(u).all():
+        raise ValueError("policy returned non-finite controls")
+    return u
 
 
 def _simulate_paths(
-    model, policy, x0, params, dt, rng_list, ball_tol, record, checkpoint_idx=None
+    model, policy, start, n_steps, params, dt, rng_list, ball_tol, record,
+    checkpoint_idx=None,
 ):
     """Advance len(rng_list) paths in lockstep; optionally record history.
 
-    ``checkpoint_idx`` (sorted time-node indices) requests state snapshots
-    without recording full histories.
+    ``start`` and the other inputs come from `_validated_start`.  Qubit
+    states are kept as a (3, n) array; the policy and the step kernels see
+    its (n, 3) transpose.  ``checkpoint_idx`` (sorted time-node indices)
+    requests state snapshots without recording full histories.
     """
-    n_steps = _n_steps(params, dt)
     n_paths = len(rng_list)
-    state = _initial_states(model, x0, n_paths)
+    if model == ANGLE:
+        state = np.full(n_paths, start)
+        ctrl_shape = (n_paths,)
+    else:
+        state = np.repeat(start[:, None], n_paths, axis=1)
+        ctrl_shape = (n_paths, 2)
     cost = np.zeros(n_paths)
 
     if checkpoint_idx is not None:
-        snaps = np.empty((len(checkpoint_idx),) + state.shape)
+        snaps = np.empty((len(checkpoint_idx),) + state.T.shape)
         snap_at = {int(node): j for j, node in enumerate(checkpoint_idx)}
         if 0 in snap_at:
-            snaps[snap_at[0]] = state
-
-    if model == COUNTING:
-        if dt * params.kappa_s_sq >= 1.0:
-            raise ValueError(
-                "dt * max jump intensity >= 1; Bernoulli thinning needs a "
-                "smaller step"
-            )
-        noise = np.stack([r.random(n_steps) for r in rng_list])
-    else:
-        noise = np.stack([r.standard_normal(n_steps) for r in rng_list]) * np.sqrt(dt)
+            snaps[snap_at[0]] = state.T
 
     if record:
-        states = np.empty((n_steps + 1,) + state.shape)
-        states[0] = state
-        ctrl_shape = (n_steps, n_paths) if model == ANGLE else (n_steps, n_paths, 2)
-        controls = np.empty(ctrl_shape)
+        states = np.empty((n_steps + 1,) + state.T.shape)
+        states[0] = state.T
+        controls = np.empty((n_steps,) + ctrl_shape)
         increments = np.empty((n_steps, n_paths))
         observations = None if model == ANGLE else np.empty((n_steps, n_paths))
         running = np.zeros((n_steps + 1, n_paths))
 
-    for k in range(n_steps):
-        t = k * dt
-        u = policy(t, state)
-        if model == ANGLE:
-            u = np.asarray(u, dtype=float)
-            cost += u * u * dt
-            dW = noise[:, k]
-            new_state = step_angle(state, u, dt, dW, params)
-            inc = dW
-        elif model == DIFFUSIVE:
-            u = np.asarray(u, dtype=float)
-            cost += (u * u).sum(axis=-1) * dt
-            dW = noise[:, k]
+    gen = np.random.Generator
+    draw = gen.random if model == COUNTING else gen.standard_normal
+    # row i holds path i's next block of draws: the same numbers, in the
+    # same order, as one draw of n_steps from its generator
+    draws = np.empty((n_paths, min(NOISE_BLOCK, n_steps)))
+    sqrt_dt = np.sqrt(dt)
+
+    for block_start in range(0, n_steps, NOISE_BLOCK):
+        block_len = min(NOISE_BLOCK, n_steps - block_start)
+        for row, r in zip(draws, rng_list):
+            draw(r, out=row[:block_len])
+        for j in range(block_len):
+            k = block_start + j
+            view = state.T
+            u = _checked_control(policy(k * dt, view), ctrl_shape)
+            if model == ANGLE:
+                cost += u * u * dt
+                dW = draws[:, j] * sqrt_dt
+                new_state = step_angle(view, u, dt, dW, params)
+                inc = dW
+            elif model == DIFFUSIVE:
+                u_plus, u_minus = u[:, 0], u[:, 1]
+                cost += (u_plus * u_plus + u_minus * u_minus) * dt
+                dW = draws[:, j] * sqrt_dt
+                if record:
+                    observations[k] = observation_drift(view, params) * dt + dW
+                new_state = step_diffusive(view, u, dt, dW, params, ball_tol)
+                inc = dW
+            else:
+                u_plus, u_minus = u[:, 0], u[:, 1]
+                cost += (u_plus * u_plus + u_minus * u_minus) * dt
+                lam = _jump_intensity_z(state[2], params.kappa_s_sq)
+                jumped = draws[:, j] < lam * dt
+                inc = jumped.astype(float)
+                if record:
+                    observations[k] = inc
+                new_state = step_counting(view, u, dt, jumped, params, ball_tol)
             if record:
-                observations[k] = observation_drift(state, params) * dt + dW
-            new_state = step_diffusive(state, u, dt, dW, params, ball_tol)
-            inc = dW
-        else:
-            u = np.asarray(u, dtype=float)
-            cost += (u * u).sum(axis=-1) * dt
-            lam = jump_intensity(state, params)
-            jumped = noise[:, k] < lam * dt
-            if record:
-                observations[k] = jumped.astype(float)
-            new_state = step_counting(state, u, dt, jumped, params, ball_tol)
-            inc = jumped.astype(float)
-        if record:
-            controls[k] = u
-            increments[k] = inc
-            running[k + 1] = cost
-            states[k + 1] = new_state
-        state = new_state
-        if checkpoint_idx is not None and (k + 1) in snap_at:
-            snaps[snap_at[k + 1]] = state
+                controls[k] = u
+                increments[k] = inc
+                running[k + 1] = cost
+                states[k + 1] = new_state
+            state = new_state.T
+            if checkpoint_idx is not None and (k + 1) in snap_at:
+                snaps[snap_at[k + 1]] = new_state
+        if not np.isfinite(state).all():
+            raise ValueError(
+                f"state became non-finite before t = {(block_start + block_len) * dt!r}"
+            )
 
     if model == ANGLE:
         terminal = wrap_angle(state) ** 2
     else:
-        terminal = 1.0 - state[:, 2]
+        terminal = 1.0 - state[2]
     total = cost + terminal
 
-    out = {"costs": total, "running": cost, "terminal": terminal, "state": state}
+    out = {"costs": total, "terminal": terminal}
     if checkpoint_idx is not None:
         out["snapshots"] = snaps
     if record:
@@ -411,6 +477,25 @@ def _simulate_paths(
             running_full=running,
         )
     return out
+
+
+def _run_chunks(n_paths: int, chunk_size: int, threads, seed, simulate_chunk):
+    """Apply ``simulate_chunk(rngs)`` to consecutive chunks of paths.
+
+    Returns an iterable of (start, stop, result) in chunk order; with
+    ``threads`` > 1 the chunks run on a thread pool.  Path i always gets
+    the substream of (seed, i), so results do not depend on the split.
+    """
+
+    def work(start: int):
+        stop = min(start + chunk_size, n_paths)
+        return start, stop, simulate_chunk(_path_rngs(seed, range(start, stop)))
+
+    starts = range(0, n_paths, chunk_size)
+    if threads is None or threads <= 1 or len(starts) == 1:
+        return map(work, starts)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(work, starts))
 
 
 def simulate(
@@ -428,16 +513,17 @@ def simulate(
     stream is the path-0 substream of ``seed``, so the realized cost equals
     the first per-path cost of ``run_batch`` with the same seed.
     """
-    _check_model(model)
+    n_steps, start = _validated_start(model, x0, params, dt, ball_tol)
     rngs = _path_rngs(seed, [0])
-    res = _simulate_paths(model, policy, x0, params, dt, rngs, ball_tol, record=True)
-    take = (lambda a: a[:, 0]) if model == ANGLE else (lambda a: a[:, 0, ...])
+    res = _simulate_paths(
+        model, policy, start, n_steps, params, dt, rngs, ball_tol, record=True
+    )
     return Trajectory(
         model=model,
         dt=dt,
         times=res["times"],
-        states=take(res["states"]),
-        controls=take(res["controls"]),
+        states=res["states"][:, 0],
+        controls=res["controls"][:, 0],
         increments=res["increments"][:, 0],
         observations=None if model == ANGLE else res["observations"][:, 0],
         running_cost=res["running_full"][:, 0],
@@ -467,29 +553,18 @@ def run_batch(
     on chunk size, thread count, or completion order.  Returns
     CostStatistics, or (CostStatistics, costs) with ``return_costs``.
     """
-    _check_model(model)
+    n_steps, start = _validated_start(model, x0, params, dt, ball_tol)
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    _n_steps(params, dt)  # validate before spawning workers
 
-    starts = list(range(0, n_paths, chunk_size))
+    def chunk_costs(rngs):
+        return _simulate_paths(
+            model, policy, start, n_steps, params, dt, rngs, ball_tol, record=False
+        )["costs"]
+
     costs = np.empty(n_paths)
-
-    def work(start: int):
-        stop = min(start + chunk_size, n_paths)
-        rngs = _path_rngs(seed, range(start, stop))
-        res = _simulate_paths(
-            model, policy, x0, params, dt, rngs, ball_tol, record=False
-        )
-        return start, stop, res["costs"]
-
-    if threads is None or threads <= 1 or len(starts) == 1:
-        results = map(work, starts)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, starts))
-    for start, stop, chunk_costs in results:
-        costs[start:stop] = chunk_costs
+    for lo, hi, chunk in _run_chunks(n_paths, chunk_size, threads, seed, chunk_costs):
+        costs[lo:hi] = chunk
 
     stats = CostStatistics.from_costs(costs)
     if return_costs:
@@ -519,10 +594,9 @@ def ensemble_means(
     (len(times),) for the angle model.  Same per-path substreams as
     ``run_batch``: results are independent of chunking and threading.
     """
-    _check_model(model)
+    n_steps, start = _validated_start(model, x0, params, dt, ball_tol)
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    n_steps = _n_steps(params, dt)
 
     times = np.atleast_1d(np.asarray(times, dtype=float))
     idx = np.rint(times / dt).astype(int)
@@ -540,23 +614,14 @@ def ensemble_means(
     state_dim = () if model == ANGLE else (3,)
     snaps = np.empty((len(times), n_paths) + state_dim)
 
-    def work(start: int):
-        stop = min(start + chunk_size, n_paths)
-        rngs = _path_rngs(seed, range(start, stop))
-        res = _simulate_paths(
-            model, policy, x0, params, dt, rngs, ball_tol,
+    def chunk_snaps(rngs):
+        return _simulate_paths(
+            model, policy, start, n_steps, params, dt, rngs, ball_tol,
             record=False, checkpoint_idx=sorted_idx,
-        )
-        return start, stop, res["snapshots"]
+        )["snapshots"]
 
-    starts = list(range(0, n_paths, chunk_size))
-    if threads is None or threads <= 1 or len(starts) == 1:
-        results = map(work, starts)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, starts))
-    for start, stop, chunk_snaps in results:
-        snaps[order, start:stop] = chunk_snaps
+    for lo, hi, chunk in _run_chunks(n_paths, chunk_size, threads, seed, chunk_snaps):
+        snaps[order, lo:hi] = chunk
 
     means = snaps.mean(axis=1)
     if n_paths == 1:

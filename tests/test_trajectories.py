@@ -1,6 +1,8 @@
 """Tests for the Euler-Maruyama trajectory engine."""
 
+import hashlib
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -320,3 +322,99 @@ def test_ensemble_means_rejects_off_grid_and_duplicates():
             tj.ANGLE, tj.zero_policy(tj.ANGLE), 1.0, ANGLE, 0.1, 4,
             times=[0.5, 0.5],
         )
+
+
+# ---------------------------------------------------------------------------
+# fixed-seed outputs, noise streaming and boundary validation
+
+
+# sha256 of run_batch's per-path costs (little-endian float64), recorded
+# from the engine that drew each chunk's whole noise buffer up front; the
+# block-streamed engine must reproduce them bit for bit.
+PINNED_COSTS = {
+    "diffusive_zero": (
+        dict(model=tj.DIFFUSIVE, policy=tj.zero_policy(tj.DIFFUSIVE), x0=[1.0, 0.0, 0.0],
+             params=ModelParams(kappa_s_sq=0.5, horizon_T=0.512), dt=1e-3,
+             n_paths=48, seed=2024),
+        "f8ff91ef5846dac11757374e6419f7300e83c38341e2a79b5cb6381d60d040a1",
+    ),
+    # about 8 % of these path-steps leave the ball and are projected back
+    "diffusive_projection": (
+        dict(model=tj.DIFFUSIVE, policy=tj.constant_policy(tj.DIFFUSIVE, (0.5, 0.0)),
+             x0=[1.0, 0.0, 0.0], params=ModelParams(kappa_s_sq=1.0, horizon_T=2.56),
+             dt=1e-2, n_paths=64, seed=7, chunk_size=24),
+        "a19f7bf341ca5ad09afd736c838018df1db43718fbc1ae68c81a023174853e04",
+    ),
+    "counting_constant": (
+        dict(model=tj.COUNTING, policy=tj.constant_policy(tj.COUNTING, (0.3, -0.2)),
+             x0=[0.0, 0.0, 1.0], params=ModelParams(kappa_s_sq=0.8, horizon_T=0.6),
+             dt=1e-3, n_paths=40, seed=11),
+        "0b3e3057a9a0866d8ba15e10a67d162ccf0c2712810b8775277601fc7d40cef6",
+    ),
+    # 300 steps: one full noise block and a partial one
+    "partial_block": (
+        dict(model=tj.DIFFUSIVE, policy=tj.constant_policy(tj.DIFFUSIVE, (0.2, 0.1)),
+             x0=[0.0, 0.6, 0.8], params=ModelParams(kappa_s_sq=0.5, horizon_T=0.3),
+             dt=1e-3, n_paths=30, seed=3, chunk_size=8, threads=2),
+        "75d7be13f4227505250acc28c0cb54ed97e3ae3f495ca29bdf7c230d943f83cb",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_COSTS))
+def test_run_batch_costs_are_pinned(case):
+    kwargs, digest = PINNED_COSTS[case]
+    _, costs = tj.run_batch(**kwargs, return_costs=True)
+    assert hashlib.sha256(costs.astype("<f8").tobytes()).hexdigest() == digest
+
+
+def test_noise_memory_is_flat_in_the_horizon():
+    def peak_bytes(horizon_T):
+        params = ModelParams(kappa_s_sq=0.5, horizon_T=horizon_T)
+        tracemalloc.start()
+        try:
+            tj.run_batch(tj.DIFFUSIVE, tj.zero_policy(tj.DIFFUSIVE), [1, 0, 0],
+                         params, 1e-3, 64, seed=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak_bytes(0.5)  # the first run also allocates one-time caches
+    short, long = peak_bytes(0.5), peak_bytes(5.0)
+    assert long <= 1.5 * short, (short, long)
+
+
+def _run(policy, x0=(0.0, 0.0, 1.0), **kw):
+    return tj.run_batch(tj.DIFFUSIVE, policy, x0, MIXED, 0.01, 6, seed=1, **kw)
+
+
+@pytest.mark.parametrize(
+    "policy, message",
+    [
+        (lambda t, s: np.full(s.shape[:-1] + (2,), np.nan), "non-finite controls"),
+        (lambda t, s: np.zeros(s.shape), "policy returned shape"),
+        (lambda t, s: np.zeros((s.shape[0] + 1, 2)), "policy returned shape"),
+    ],
+    ids=["nan", "trailing-3", "extra-row"],
+)
+def test_run_batch_rejects_bad_policy_output(policy, message):
+    with pytest.raises(ValueError, match=message):
+        _run(policy)
+
+
+def test_run_batch_rejects_bad_start_and_tolerance():
+    zero = tj.zero_policy(tj.DIFFUSIVE)
+    with pytest.raises(ValueError, match="outside the unit ball"):
+        _run(zero, x0=(0.6, 0.0, 0.9))
+    with pytest.raises(ValueError, match="must be finite"):
+        _run(zero, x0=(np.nan, 0.0, 0.0))
+    with pytest.raises(ValueError, match="ball_tol"):
+        _run(zero, ball_tol=1e-2)
+
+
+def test_run_batch_rejects_a_state_that_turns_non_finite():
+    # finite controls this large overflow the drift on the first step
+    huge = tj.constant_policy(tj.DIFFUSIVE, (1e308, 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="non-finite"):
+            _run(huge)
