@@ -36,7 +36,7 @@ from .trajectories import (
     simulate,
     zero_policy,
 )
-from .lq import LQSolution, g_term, hjb_residual, ode_check, optimal_B, riccati_f, value
+from .lq import g_term, hjb_residual, ode_check, optimal_B, riccati_f, value
 from .bellman import (
     CLOSED_FORM,
     EXHAUSTIVE,
@@ -65,7 +65,6 @@ __all__ = [
     "EXHAUSTIVE",
     "GROUND_STATE",
     "GridSpec",
-    "LQSolution",
     "MODELS",
     "ModelParams",
     "Trajectory",

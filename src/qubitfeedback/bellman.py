@@ -37,22 +37,24 @@ from .filters import (
     jump_intensity,
 )
 from .persist import atomic_write_bytes
-from .trajectories import ANGLE, COUNTING, DIFFUSIVE, MODELS
+from .trajectories import ANGLE, COUNTING, ModelRecord, model_from_id, model_record
 
 CLOSED_FORM = "closed-form"
 EXHAUSTIVE = "exhaustive"
 CONTROL_MODES = (CLOSED_FORM, EXHAUSTIVE)
 
-# public interchange names, used in files and on the command line
-MODEL_IDS = {DIFFUSIVE: "diffusive-qubit", COUNTING: "counting-qubit", ANGLE: "angle-lq"}
-MODEL_FROM_ID = {v: k for k, v in MODEL_IDS.items()}
-
 VGRID_VERSION = 1
-_HEADER_KEYS = (
-    "format", "version", "model", "bounds", "periodic", "n_nodes", "n_steps",
-    "delta", "horizon_T", "kappa_s_sq", "alpha", "control_mode",
-    "control_box", "control_resolution", "n_controls",
-)
+
+# the JSON type of each header field read as a value (JSON true/false are
+# never numbers); n_nodes is a list of int
+_HEADER_TYPES = {
+    "model": str, "n_nodes": int, "n_steps": int, "delta": int | float,
+    "horizon_T": int | float, "kappa_s_sq": int | float, "alpha": int | float,
+    "control_mode": str, "control_box": int | float | None,
+    "control_resolution": int | None,
+}
+# the fields fixed by the model record are checked against it
+_HEADER_KEYS = ("format", "version", "bounds", "periodic", "n_controls", *_HEADER_TYPES)
 
 # node is active when |p|^2 <= 1 + MASK_TOL; the slack absorbs rounding in
 # the squared norm of exact on-sphere nodes
@@ -81,8 +83,7 @@ class GridSpec:
     control_resolution: int | None = None
 
     def __post_init__(self):
-        if self.model not in MODELS:
-            raise ValueError(f"unknown model {self.model!r}, expected one of {MODELS}")
+        model_record(self.model)
         nodes = self.n_nodes
         if np.isscalar(nodes):
             nodes = (int(nodes),) * self.dim
@@ -117,12 +118,16 @@ class GridSpec:
             object.__setattr__(self, "control_resolution", res)
 
     @property
+    def record(self) -> ModelRecord:
+        return model_record(self.model)
+
+    @property
     def dim(self) -> int:
-        return 1 if self.model == ANGLE else 3
+        return len(self.record.bounds)
 
     @property
     def n_controls(self) -> int:
-        return 1 if self.model == ANGLE else 2
+        return self.record.n_controls
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -133,24 +138,28 @@ class GridSpec:
         return self.horizon_T / self.n_steps if self.n_steps else 0.0
 
     def axes(self) -> tuple[np.ndarray, ...]:
-        if self.model == ANGLE:
-            n = self.n_nodes[0]
-            return (-np.pi + 2.0 * np.pi * np.arange(n) / n,)
-        return tuple(np.linspace(-1.0, 1.0, n) for n in self.n_nodes)
+        """Node coordinates per axis; a periodic axis leaves out its upper end."""
+        periodic = self.record.periodic
+        return tuple(
+            lo + (hi - lo) * np.arange(n) / n if periodic else np.linspace(lo, hi, n)
+            for (lo, hi), n in zip(self.record.bounds, self.n_nodes)
+        )
 
     def spacings(self) -> tuple[float, ...]:
-        if self.model == ANGLE:
-            return (2.0 * np.pi / self.n_nodes[0],)
-        return tuple(2.0 / (n - 1) for n in self.n_nodes)
+        periodic = self.record.periodic
+        return tuple(
+            (hi - lo) / (n if periodic else n - 1)
+            for (lo, hi), n in zip(self.record.bounds, self.n_nodes)
+        )
 
     def points(self) -> np.ndarray:
         """Node coordinates: (n,) for the angle model, (*shape, 3) otherwise."""
-        if self.model == ANGLE:
-            return self.axes()[0]
-        return np.stack(np.meshgrid(*self.axes(), indexing="ij"), axis=-1)
+        pts = np.stack(np.meshgrid(*self.axes(), indexing="ij"), axis=-1)
+        return pts.reshape(self.shape + self.record.state_shape)
 
     def active_mask(self) -> np.ndarray:
-        if self.model == ANGLE:
+        """Nodes in the state space: the whole circle, or the closed unit ball."""
+        if self.record.periodic:
             return np.ones(self.shape, dtype=bool)
         pts = self.points()
         return np.sum(pts * pts, axis=-1) <= 1.0 + MASK_TOL
@@ -198,18 +207,10 @@ class ValueGrid:
     def save(self, path) -> None:
         """Write header + slices; atomic, byte-deterministic, loads bit-exactly."""
         spec = self.spec
-        if spec.model == ANGLE:
-            bounds = [[-float(np.pi), float(np.pi)]]
-            periodic = [True]
-        else:
-            bounds = [[-1.0, 1.0]] * 3
-            periodic = [False] * 3
         header = {
             "format": "vgrid",
             "version": VGRID_VERSION,
-            "model": MODEL_IDS[spec.model],
-            "bounds": bounds,
-            "periodic": periodic,
+            **_model_fields(spec.record),
             "n_nodes": list(spec.n_nodes),
             "n_steps": spec.n_steps,
             "delta": spec.delta,
@@ -219,7 +220,6 @@ class ValueGrid:
             "control_mode": self.control_mode,
             "control_box": spec.control_box,
             "control_resolution": spec.control_resolution,
-            "n_controls": spec.n_controls,
         }
         blob = (json.dumps(header, sort_keys=True) + "\n").encode("utf-8")
         payload = (
@@ -248,19 +248,32 @@ class ValueGrid:
         missing = [key for key in _HEADER_KEYS if key not in header]
         if missing:
             raise ValueError(f"{path}: header missing fields {missing}")
-        if header["model"] not in MODEL_FROM_ID:
-            raise ValueError(f"{path}: unknown model id {header['model']!r}")
+        for key, kind in _HEADER_TYPES.items():
+            value = header[key]
+            items = value if key == "n_nodes" else [value]
+            if not isinstance(items, list) or any(
+                isinstance(v, bool) or not isinstance(v, kind) for v in items
+            ):
+                raise ValueError(f"{path}: header field {key!r} has the wrong type: {value!r}")
+        try:
+            model = model_from_id(header["model"])
+        except ValueError as exc:
+            raise ValueError(f"{path}: header field 'model': {exc}") from None
+        for key, want in _model_fields(model_record(model)).items():
+            if header[key] != want:
+                raise ValueError(
+                    f"{path}: header field {key!r} is {header[key]!r}, but the "
+                    f"{header['model']} model has {want!r}"
+                )
         spec = GridSpec(
-            model=MODEL_FROM_ID[header["model"]],
+            model=model,
             n_nodes=tuple(header["n_nodes"]),
             n_steps=header["n_steps"],
             horizon_T=header["horizon_T"],
             control_box=header["control_box"],
             control_resolution=header["control_resolution"],
         )
-        if header["n_controls"] != spec.n_controls:
-            raise ValueError(f"{path}: n_controls inconsistent with model")
-        if abs(header["delta"] - spec.delta) > 1e-12 * max(spec.delta, 1.0):
+        if not abs(header["delta"] - spec.delta) <= 1e-12 * max(spec.delta, 1.0):
             raise ValueError(f"{path}: delta inconsistent with n_steps and horizon_T")
         n_nodes_total = int(np.prod(spec.shape))
         n_vals = (spec.n_steps + 1) * n_nodes_total
@@ -283,21 +296,27 @@ class ValueGrid:
         )
 
 
+def _model_fields(rec: ModelRecord) -> dict:
+    """The header fields that the model record fixes."""
+    return {
+        "model": rec.model_id,
+        "bounds": [list(b) for b in rec.bounds],
+        "periodic": [rec.periodic] * len(rec.bounds),
+        "n_controls": rec.n_controls,
+    }
+
+
 # ---------------------------------------------------------------------------
 # pointwise pieces of the backward equations
 
 
 def terminal_cost(model: str, state):
     """1 - pz for the qubit models, theta^2 for the angle model."""
-    if model not in MODELS:
-        raise ValueError(f"unknown model {model!r}, expected one of {MODELS}")
-    if model == ANGLE:
-        theta = np.asarray(state, dtype=float)
-        return theta * theta
-    p = np.asarray(state, dtype=float)
-    if p.shape[-1:] != (3,):
-        raise ValueError("qubit state must have trailing dimension 3")
-    return 1.0 - p[..., 2]
+    rec = model_record(model)
+    state = np.asarray(state, dtype=float)
+    if state.shape[state.ndim - len(rec.state_shape):] != rec.state_shape:
+        raise ValueError(f"{model} states must have trailing shape {rec.state_shape}")
+    return rec.terminal_cost(state)
 
 
 def optimal_controls_from_gradient(p, grad, control_box: float | None = None):
@@ -389,47 +408,35 @@ def _shift(values: np.ndarray, axis: int, offset: int) -> np.ndarray:
     return out
 
 
-def _gradient_best(values: np.ndarray, spacings) -> np.ndarray:
-    """Per-axis gradient: central where possible, one-sided inward at edges."""
-    grads = []
-    for axis, h in enumerate(spacings):
-        vp = _shift(values, axis, +1)
-        vm = _shift(values, axis, -1)
-        has_p = np.isfinite(vp)
-        has_m = np.isfinite(vm)
-        central = (vp - vm) / (2.0 * h)
-        fwd = (vp - values) / h
-        bwd = (values - vm) / h
-        grads.append(
-            np.where(has_p & has_m, central,
-                     np.where(has_p, fwd, np.where(has_m, bwd, 0.0)))
-        )
-    return np.stack(grads, axis=-1)
-
-
 def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(a * b > 0.0, np.sign(a) * np.minimum(np.abs(a), np.abs(b)), 0.0)
 
 
-def _gradient_minmod(values: np.ndarray, spacings) -> np.ndarray:
-    """Slope-limited gradient for control selection inside the DP recursion.
+def _gradient(values: np.ndarray, spacings, limited: bool = False) -> np.ndarray:
+    """Per-axis gradient, one-sided inward where a neighbor is masked.
 
-    The central estimate feeds oscillations back through the squared control
-    cost and can run away when the slice has a kink; the minmod limiter is
-    zero at local extrema, which breaks that loop, and costs only
-    O(slope error)^2 per step in the minimized objective.
+    Between two active neighbors it is the central difference, or with
+    ``limited`` the minmod of the one-sided ones, used for control selection
+    inside the DP recursion: the central estimate feeds oscillations back
+    through the squared control cost and can run away when the slice has a
+    kink; the minmod limiter is zero at local extrema, which breaks that
+    loop, and costs only O(slope error)^2 per step in the minimized
+    objective.
     """
     grads = []
     for axis, h in enumerate(spacings):
         vp = _shift(values, axis, +1)
         vm = _shift(values, axis, -1)
-        fwd = (vp - values) / h
-        bwd = (values - vm) / h
         has_p = np.isfinite(vp)
         has_m = np.isfinite(vm)
-        limited = _minmod(np.where(has_p, fwd, 0.0), np.where(has_m, bwd, 0.0))
+        fwd = (vp - values) / h
+        bwd = (values - vm) / h
+        if limited:
+            both = _minmod(np.where(has_p, fwd, 0.0), np.where(has_m, bwd, 0.0))
+        else:
+            both = (vp - vm) / (2.0 * h)
         one_sided = np.where(has_p, fwd, np.where(has_m, bwd, 0.0))
-        grads.append(np.where(has_p & has_m, limited, one_sided))
+        grads.append(np.where(has_p & has_m, both, one_sided))
     return np.stack(grads, axis=-1)
 
 
@@ -570,17 +577,49 @@ def _check_spec_params(spec: GridSpec, params: ModelParams) -> None:
         )
 
 
+def _require_stable(delta: float, bound: float) -> None:
+    if delta > bound:
+        raise ValueError(
+            f"time step {delta:.6g} violates the stability bound {bound:.6g}; "
+            "increase n_steps or coarsen the grid"
+        )
+
+
+def _angle_feedback(values_slice, h: float, box):
+    """Central slope of a periodic slice and the control -slope, boxed."""
+    grad = (np.roll(values_slice, -1) - np.roll(values_slice, 1)) / (2.0 * h)
+    return grad, -grad if box is None else np.clip(-grad, -box, box)
+
+
 def _slice_controls(values_slice, spec: GridSpec, mask=None, points=None):
     """Feedback stored with a slice: completed squares from its own gradient."""
     box = spec.control_box
     if spec.model == ANGLE:
-        h = spec.spacings()[0]
-        grad = (np.roll(values_slice, -1) - np.roll(values_slice, 1)) / (2.0 * h)
-        b = -grad if box is None else np.clip(-grad, -box, box)
-        return b[None, :]
-    grad = _gradient_best(values_slice, spec.spacings())
+        return _angle_feedback(values_slice, spec.spacings()[0], box)[1][None, :]
+    grad = _gradient(values_slice, spec.spacings())
     u = optimal_controls_from_gradient(points, grad, box)
     return np.where(mask, np.moveaxis(u, -1, 0), np.nan)
+
+
+def _terminal_slices(spec: GridSpec, mask, pts):
+    """(values, controls) of a sweep, NaN but for the terminal slice."""
+    n_steps = spec.n_steps
+    values = np.full((n_steps + 1,) + spec.shape, np.nan)
+    controls = np.full((n_steps + 1, spec.n_controls) + spec.shape, np.nan)
+    values[n_steps] = np.where(mask, terminal_cost(spec.model, pts), np.nan)
+    controls[n_steps] = _slice_controls(values[n_steps], spec, mask, pts)
+    return values, controls
+
+
+def _value_grid(spec, params: ModelParams, mode: str, values, controls) -> ValueGrid:
+    return ValueGrid(
+        spec=spec,
+        kappa_s_sq=params.kappa_s_sq,
+        alpha=params.alpha,
+        control_mode=mode,
+        values=values,
+        controls=controls,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -598,129 +637,93 @@ def solve_backward(spec: GridSpec, params: ModelParams) -> ValueGrid:
     node, if a non-finite value appears anyway.
     """
     _check_spec_params(spec, params)
-    if spec.model == ANGLE:
-        return _solve_fd_angle(spec, params)
-    return _solve_fd_qubit(spec, params)
+    mask, pts = spec.active_mask(), spec.points()
+    sweep = _solve_fd_angle if spec.model == ANGLE else _solve_fd_qubit
+    values, controls = sweep(spec, params, mask, pts)
+    controls[0] = _slice_controls(values[0], spec, mask, pts)
+    return _value_grid(spec, params, CLOSED_FORM, values, controls)
 
 
-def _solve_fd_angle(spec: GridSpec, params: ModelParams) -> ValueGrid:
-    (theta,) = spec.axes()
+# the sweeps check stability before allocating, then return (values,
+# controls) with every slice but controls[0] filled
+
+
+def _solve_fd_angle(spec: GridSpec, params: ModelParams, mask, pts):
     h = spec.spacings()[0]
     n_steps, delta = spec.n_steps, spec.delta
     diffusion = 2.0 * params.alpha**2
-    if n_steps > 0 and diffusion > 0.0:
-        bound = CFL_SAFETY * h * h / diffusion
-        if delta > bound:
-            raise ValueError(
-                f"time step {delta:.6g} violates the stability bound {bound:.6g}; "
-                "increase n_steps or coarsen the grid"
-            )
-    box = spec.control_box
-    values = np.empty((n_steps + 1, theta.size))
-    controls = np.empty((n_steps + 1, 1, theta.size))
-    values[n_steps] = theta * theta
+    if diffusion > 0.0:
+        _require_stable(delta, CFL_SAFETY * h * h / diffusion)
+    values, controls = _terminal_slices(spec, mask, pts)
     for k in range(n_steps, 0, -1):
         v = values[k]
-        grad = (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * h)
-        b = -grad if box is None else np.clip(-grad, -box, box)
+        grad, b = _angle_feedback(v, h, spec.control_box)
         controls[k, 0] = b
         second = (np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) / (h * h)
         new = v + delta * (b * b + 2.0 * b * grad + diffusion * second)
         _require_finite(new, k - 1)
         values[k - 1] = new
-    controls[0] = _slice_controls(values[0], spec)
-    return ValueGrid(
-        spec=spec,
-        kappa_s_sq=params.kappa_s_sq,
-        alpha=params.alpha,
-        control_mode=CLOSED_FORM,
-        values=values,
-        controls=controls,
-    )
+    return values, controls
 
 
-def _solve_fd_qubit(spec: GridSpec, params: ModelParams) -> ValueGrid:
+def _solve_fd_qubit(spec: GridSpec, params: ModelParams, mask, pts):
     axes = spec.axes()
     spacings = spec.spacings()
-    mask = spec.active_mask()
-    pts = spec.points()
     flat = pts[mask]
     n_steps, delta = spec.n_steps, spec.delta
     box = spec.control_box
-    counting = spec.model == COUNTING
-
-    sigma = np.zeros(spec.shape + (3,))
-    lam = np.zeros(spec.shape)
-    if counting:
-        lam[mask] = jump_intensity(flat, params)
-    else:
-        sigma[mask] = diffusive_diffusion(flat, params)
-
-    if n_steps > 0:
-        if counting:
-            # monotone load of the drift/jump stepping, worst-case controls
-            u_max = box if box is not None else 0.0
-            b0 = counting_drift(flat, np.zeros((flat.shape[0], 2)), params)
-            swing = 2.0 * u_max * np.stack(
-                [np.abs(flat[:, 2]), np.abs(flat[:, 2]),
-                 np.abs(flat[:, 0]) + np.abs(flat[:, 1])],
-                axis=-1,
-            )
-            load = np.sum((np.abs(b0) + swing) / np.asarray(spacings), axis=-1)
-            load += jump_intensity(flat, params)
-            worst = float(load.max())
-            if worst > 0.0 and delta > CFL_SAFETY / worst:
-                raise ValueError(
-                    f"time step {delta:.6g} violates the stability bound "
-                    f"{CFL_SAFETY / worst:.6g}; increase n_steps or coarsen the grid"
-                )
-        else:
-            max_diffusion = float((0.5 * np.sum(sigma[mask] ** 2, axis=-1)).max())
-            if max_diffusion > 0.0:
-                bound = CFL_SAFETY * min(spacings) ** 2 / max_diffusion
-                if delta > bound:
-                    raise ValueError(
-                        f"time step {delta:.6g} violates the stability bound "
-                        f"{bound:.6g}; increase n_steps or coarsen the grid"
-                    )
-
-    values = np.full((n_steps + 1,) + spec.shape, np.nan)
-    controls = np.full((n_steps + 1, 2) + spec.shape, np.nan)
-    values[n_steps] = np.where(mask, 1.0 - pts[..., 2], np.nan)
-
     drift_full = np.zeros(spec.shape + (3,))
-    running = np.zeros(spec.shape)
-    for k in range(n_steps, 0, -1):
-        v = values[k]
-        grad = _gradient_best(v, spacings)
-        u_flat = optimal_controls_from_gradient(flat, grad[mask], box)
-        controls[k, 0][mask] = u_flat[:, 0]
-        controls[k, 1][mask] = u_flat[:, 1]
-        if counting:
+
+    if spec.model == COUNTING:
+        lam = np.zeros(spec.shape)
+        lam[mask] = jump_intensity(flat, params)
+        # monotone load of the drift/jump stepping, worst-case controls
+        u_max = box if box is not None else 0.0
+        b0 = counting_drift(flat, np.zeros((flat.shape[0], 2)), params)
+        swing = 2.0 * u_max * np.stack(
+            [np.abs(flat[:, 2]), np.abs(flat[:, 2]),
+             np.abs(flat[:, 0]) + np.abs(flat[:, 1])],
+            axis=-1,
+        )
+        load = np.sum((np.abs(b0) + swing) / np.asarray(spacings), axis=-1)
+        load += jump_intensity(flat, params)
+        worst = float(load.max())
+        if worst > 0.0:
+            _require_stable(delta, CFL_SAFETY / worst)
+
+        def rhs(v, u_flat):
             drift_full[mask] = counting_drift(flat, u_flat, params)
             j_ground = float(
                 _interp_box(_fill_inactive(v), axes, np.asarray(GROUND_STATE, float))
             )
-            rhs = _advection_upwind(v, drift_full, spacings) + lam * (j_ground - v)
-        else:
+            return _advection_upwind(v, drift_full, spacings) + lam * (j_ground - v)
+
+    else:
+        sigma = np.zeros(spec.shape + (3,))
+        sigma[mask] = diffusive_diffusion(flat, params)
+        max_diffusion = float((0.5 * np.sum(sigma[mask] ** 2, axis=-1)).max())
+        if max_diffusion > 0.0:
+            _require_stable(delta, CFL_SAFETY * min(spacings) ** 2 / max_diffusion)
+
+        def rhs(v, u_flat):
             drift_full[mask] = diffusive_drift(flat, u_flat)
-            rhs = _advection_upwind(v, drift_full, spacings) + _diffusion_term(
+            return _advection_upwind(v, drift_full, spacings) + _diffusion_term(
                 v, sigma, spacings
             )
+
+    values, controls = _terminal_slices(spec, mask, pts)
+    running = np.zeros(spec.shape)
+    for k in range(n_steps, 0, -1):
+        v = values[k]
+        grad = _gradient(v, spacings)
+        u_flat = optimal_controls_from_gradient(flat, grad[mask], box)
+        controls[k][:, mask] = u_flat.T
+        step = rhs(v, u_flat)
         running[mask] = np.sum(u_flat * u_flat, axis=-1)
-        new = np.where(mask, v + delta * (rhs + running), np.nan)
+        new = np.where(mask, v + delta * (step + running), np.nan)
         _require_finite(new, k - 1, mask)
         values[k - 1] = new
-
-    controls[0] = _slice_controls(values[0], spec, mask, pts)
-    return ValueGrid(
-        spec=spec,
-        kappa_s_sq=params.kappa_s_sq,
-        alpha=params.alpha,
-        control_mode=CLOSED_FORM,
-        values=values,
-        controls=controls,
-    )
+    return values, controls
 
 
 # ---------------------------------------------------------------------------
@@ -757,12 +760,12 @@ def dp_recursion_step(
         raise ValueError(f"slice must have shape {spec.shape}, got {values.shape}")
     if mode == EXHAUSTIVE and spec.control_values() is None:
         raise ValueError("exhaustive mode needs control_box and control_resolution")
-    if spec.model == ANGLE:
-        return _dp_step_angle(values, spec, params, mode, return_controls)
-    return _dp_step_qubit(values, spec, params, mode, return_controls)
+    step = _dp_step_angle if spec.model == ANGLE else _dp_step_qubit
+    new, ctrl = step(values, spec, params, mode)
+    return (new, ctrl) if return_controls else new
 
 
-def _dp_step_angle(v, spec, params, mode, return_controls):
+def _dp_step_angle(v, spec, params, mode):
     (theta,) = spec.axes()
     delta = spec.delta
     kick = 2.0 * params.alpha * np.sqrt(delta)
@@ -789,42 +792,41 @@ def _dp_step_angle(v, spec, params, mode, return_controls):
         if spec.control_box is not None:
             best_b = np.clip(best_b, -spec.control_box, spec.control_box)
         best = objective(best_b)
-    if return_controls:
-        return best, best_b[None, :]
-    return best
+    return best, best_b[None, :]
 
 
-def _dp_step_qubit(v, spec, params, mode, return_controls):
+def _dp_step_qubit(v, spec, params, mode):
     axes = spec.axes()
     mask = spec.active_mask()
     flat = spec.points()[mask]
     delta = spec.delta
     filled = _fill_inactive(v)
-    counting = spec.model == COUNTING
 
-    if counting:
+    if spec.model == COUNTING:
         lam = jump_intensity(flat, params)
         if delta * float(lam.max()) >= 1.0:
             raise ValueError("delta * max jump intensity >= 1; increase n_steps")
         j_ground = float(_interp_box(filled, axes, np.asarray(GROUND_STATE, float)))
-    else:
-        sigma = diffusive_diffusion(flat, params)
-        kick = sigma * np.sqrt(delta)
 
-    def objective(u):
-        effort = np.sum(np.asarray(u) ** 2, axis=-1)
-        if counting:
+        def mean_next(u):
             drifted = np.clip(flat + counting_drift(flat, u, params) * delta, -1.0, 1.0)
             jump_prob = lam * delta
-            mean_next = (1.0 - jump_prob) * _interp_box(filled, axes, drifted)
-            mean_next += jump_prob * j_ground
-        else:
+            out = (1.0 - jump_prob) * _interp_box(filled, axes, drifted)
+            out += jump_prob * j_ground
+            return out
+
+    else:
+        kick = diffusive_diffusion(flat, params) * np.sqrt(delta)
+
+        def mean_next(u):
             drifted = flat + diffusive_drift(flat, u) * delta
-            mean_next = 0.5 * (
+            return 0.5 * (
                 _interp_box(filled, axes, np.clip(drifted + kick, -1.0, 1.0))
                 + _interp_box(filled, axes, np.clip(drifted - kick, -1.0, 1.0))
             )
-        return effort * delta + mean_next
+
+    def objective(u):
+        return np.sum(np.asarray(u) ** 2, axis=-1) * delta + mean_next(u)
 
     m = flat.shape[0]
     if mode == EXHAUSTIVE:
@@ -838,50 +840,30 @@ def _dp_step_qubit(v, spec, params, mode, return_controls):
                 best[better] = val[better]
                 best_u[better] = (u_plus, u_minus)
     else:
-        grad = _gradient_minmod(v, spec.spacings())[mask]
+        grad = _gradient(v, spec.spacings(), limited=True)[mask]
         best_u = optimal_controls_from_gradient(flat, grad, spec.control_box)
         best = objective(best_u)
 
     new = np.full(spec.shape, np.nan)
     new[mask] = best
-    if return_controls:
-        ctrl = np.full((2,) + spec.shape, np.nan)
-        ctrl[0][mask] = best_u[:, 0]
-        ctrl[1][mask] = best_u[:, 1]
-        return new, ctrl
-    return new
+    ctrl = np.full((2,) + spec.shape, np.nan)
+    ctrl[:, mask] = best_u.T
+    return new, ctrl
 
 
 def solve_dp(spec: GridSpec, params: ModelParams, mode: str = CLOSED_FORM) -> ValueGrid:
     """Full backward dynamic-programming sweep (see dp_recursion_step)."""
     _check_spec_params(spec, params)
-    if mode not in CONTROL_MODES:
-        raise ValueError(f"mode must be one of {CONTROL_MODES}")
     mask = spec.active_mask()
-    pts = spec.points()
-    n_steps = spec.n_steps
-    values = np.full((n_steps + 1,) + spec.shape, np.nan)
-    controls = np.full((n_steps + 1, spec.n_controls) + spec.shape, np.nan)
-    if spec.model == ANGLE:
-        values[n_steps] = terminal_cost(ANGLE, pts)
-    else:
-        values[n_steps] = np.where(mask, terminal_cost(spec.model, pts), np.nan)
-    controls[n_steps] = _slice_controls(values[n_steps], spec, mask, pts)
-    for k in range(n_steps, 0, -1):
+    values, controls = _terminal_slices(spec, mask, spec.points())
+    for k in range(spec.n_steps, 0, -1):
         new, ctrl = dp_recursion_step(
             values[k], spec, params, mode, return_controls=True
         )
-        _require_finite(new, k - 1, None if spec.model == ANGLE else mask)
+        _require_finite(new, k - 1, mask)
         values[k - 1] = new
         controls[k - 1] = ctrl
-    return ValueGrid(
-        spec=spec,
-        kappa_s_sq=params.kappa_s_sq,
-        alpha=params.alpha,
-        control_mode=mode,
-        values=values,
-        controls=controls,
-    )
+    return _value_grid(spec, params, mode, values, controls)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,6 @@ from . import lq
 from .bellman import (
     CLOSED_FORM,
     CONTROL_MODES,
-    MODEL_FROM_ID,
-    MODEL_IDS,
     GridSpec,
     ValueGrid,
     _interp_periodic,
@@ -36,9 +34,12 @@ from .filters import ModelParams
 from .persist import atomic_write_text
 from .trajectories import (
     ANGLE,
+    MODEL_RECORDS,
     MODELS,
     constant_policy,
     lq_policy,
+    model_from_id,
+    model_record,
     run_batch,
     simulate,
     zero_policy,
@@ -59,13 +60,20 @@ class ConfigError(ValueError):
 
 def _parse_model(text: str) -> str:
     text = text.strip()
-    if text in MODEL_FROM_ID:
-        return MODEL_FROM_ID[text]
     if text in MODELS:
         return text
-    raise ConfigError(
-        f"unknown model {text!r}; expected one of {sorted(MODEL_FROM_ID)}"
-    )
+    try:
+        return model_from_id(text)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _check_grid_model(vg: ValueGrid, path: str, model: str) -> None:
+    if vg.spec.model != model:
+        raise ConfigError(
+            f"model mismatch: {path} holds {vg.spec.record.model_id}, "
+            f"the run uses {model_record(model).model_id}"
+        )
 
 
 def _parse_method(text: str) -> str:
@@ -228,15 +236,14 @@ def _parse_x0(cfg: dict, model: str):
     return np.array(vals)
 
 
-def _parse_n_nodes(text: str, model: str):
+def _parse_n_nodes(text: str):
+    """One count (GridSpec applies it to every axis) or one per axis."""
     parts = [p for p in str(text).split(",") if p.strip()]
     try:
         counts = tuple(int(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"n_nodes must be integers, got {text!r}") from exc
-    if len(counts) == 1 and model != ANGLE:
-        counts = counts * 3
-    return counts
+    return counts[0] if len(counts) == 1 else counts
 
 
 def _make_policy(policy_text: str, model: str, params: ModelParams):
@@ -253,21 +260,17 @@ def _make_policy(policy_text: str, model: str, params: ModelParams):
             numbers = [float(v) for v in vals.split(",")]
         except ValueError as exc:
             raise ConfigError(f"bad constant policy {text!r}") from exc
-        if model == ANGLE:
-            if len(numbers) != 1:
-                raise ConfigError("constant policy for the angle model takes one value")
-            return constant_policy(model, numbers[0])
-        if len(numbers) != 2:
-            raise ConfigError("constant policy for qubit models takes 'u_plus,u_minus'")
-        return constant_policy(model, numbers)
+        rec = model_record(model)
+        if len(numbers) != rec.n_controls:
+            raise ConfigError(
+                f"constant policy for the {rec.model_id} model takes "
+                f"{rec.n_controls} value(s), got {len(numbers)}"
+            )
+        return constant_policy(model, np.reshape(numbers, rec.control_shape))
     if text.startswith("grid:"):
         path = text[len("grid:"):]
         vg = ValueGrid.load(path)
-        if vg.spec.model != model:
-            raise ConfigError(
-                f"model mismatch: policy grid {path} holds "
-                f"{MODEL_IDS[vg.spec.model]}, the run uses {MODEL_IDS[model]}"
-            )
+        _check_grid_model(vg, path, model)
         return extract_policy(vg)
     raise ConfigError(
         f"unknown policy {policy_text!r}; expected zero, constant:<values>, "
@@ -288,19 +291,34 @@ def _emit_json(summary: dict, cfg: dict) -> None:
         sys.stdout.write(blob)
 
 
-def _emit_table(rows, dest=None) -> None:
+def _emit_table(rows) -> None:
     """Aligned key/value or columnar report on stderr."""
-    stream = dest if dest is not None else sys.stderr
     widths = [max(len(str(r[i])) for r in rows) for i in range(len(rows[0]))]
     for row in rows:
         line = "  ".join(str(c).ljust(w) for c, w in zip(row, widths))
-        stream.write(line.rstrip() + "\n")
+        sys.stderr.write(line.rstrip() + "\n")
 
 
-def _stat_summary(command: str, cfg: dict, model: str, stats, extra=None) -> dict:
+def _emit_stats(rows, stats) -> None:
+    _emit_table(rows + [
+        ("mean_cost", f"{stats.mean:.6g}"),
+        ("stderr", f"{stats.stderr:.3g}"),
+        ("n_paths", stats.n),
+    ])
+
+
+def _monte_carlo(cfg: dict, model: str, policy, x0, params: ModelParams):
+    return run_batch(
+        model, policy, x0, params, cfg["dt"], cfg["n_paths"],
+        seed=cfg["seed"], threads=cfg["threads"],
+    )
+
+
+def _stat_summary(command: str, cfg: dict, model: str, x0, stats, extra) -> dict:
     summary = {
         "command": command,
-        "model": MODEL_IDS[model],
+        "model": model_record(model).model_id,
+        "x0": list(np.atleast_1d(np.asarray(x0, dtype=float))),
         "mean_cost": stats.mean,
         "stderr": stats.stderr,
         "n_paths": stats.n,
@@ -308,8 +326,7 @@ def _stat_summary(command: str, cfg: dict, model: str, stats, extra=None) -> dic
         "dt": cfg["dt"],
         "horizon_T": cfg["horizon_T"],
     }
-    if extra:
-        summary.update(extra)
+    summary.update(extra)
     return summary
 
 
@@ -324,26 +341,16 @@ def cmd_simulate(cfg: dict) -> dict:
     policy_text = cfg.get("policy", "zero")
     policy = _make_policy(policy_text, model, params)
     t0 = time.perf_counter()
-    stats = run_batch(
-        model, policy, x0, params, cfg["dt"], cfg["n_paths"],
-        seed=cfg["seed"], threads=cfg["threads"],
-    )
-    extra = {"policy": policy_text,
-             "x0": list(np.atleast_1d(np.asarray(x0, dtype=float)))}
+    stats = _monte_carlo(cfg, model, policy, x0, params)
+    extra = {"policy": policy_text}
     if cfg.get("csv"):
         traj = simulate(model, policy, x0, params, cfg["dt"], seed=cfg["seed"])
         traj.to_csv(cfg["csv"])
         extra["csv"] = cfg["csv"]
-    summary = _stat_summary("simulate", cfg, model, stats, extra)
+    summary = _stat_summary("simulate", cfg, model, x0, stats, extra)
     if cfg["timings"]:
         summary["wall_time_s"] = time.perf_counter() - t0
-    _emit_table([
-        ("model", summary["model"]),
-        ("policy", policy_text),
-        ("mean_cost", f"{stats.mean:.6g}"),
-        ("stderr", f"{stats.stderr:.3g}"),
-        ("n_paths", stats.n),
-    ])
+    _emit_stats([("model", summary["model"]), ("policy", policy_text)], stats)
     return summary
 
 
@@ -351,7 +358,7 @@ def cmd_solve(cfg: dict) -> dict:
     model = _require(cfg, "model", "solve")
     params = _model_params(cfg)
     grid_path = _require(cfg, "grid", "solve")
-    n_nodes = _parse_n_nodes(_require(cfg, "n_nodes", "solve"), model)
+    n_nodes = _parse_n_nodes(_require(cfg, "n_nodes", "solve"))
     spec = GridSpec(
         model=model,
         n_nodes=n_nodes,
@@ -369,7 +376,7 @@ def cmd_solve(cfg: dict) -> dict:
     vg.save(grid_path)
     summary = {
         "command": "solve",
-        "model": MODEL_IDS[model],
+        "model": model_record(model).model_id,
         "method": cfg["method"],
         "control_mode": vg.control_mode,
         "grid": grid_path,
@@ -398,11 +405,8 @@ def cmd_evaluate(cfg: dict) -> dict:
     vg = ValueGrid.load(grid_path)
     model = vg.spec.model
     given = cfg["_given"]
-    if "model" in given and cfg["model"] != model:
-        raise ConfigError(
-            f"model mismatch: config says {MODEL_IDS[cfg['model']]}, "
-            f"{grid_path} holds {MODEL_IDS[model]}"
-        )
+    if "model" in given:
+        _check_grid_model(vg, grid_path, cfg["model"])
     for key, stored in (("kappa_s_sq", vg.kappa_s_sq), ("alpha", vg.alpha),
                         ("horizon_T", vg.spec.horizon_T)):
         if key in given and abs(cfg[key] - stored) > 1e-12:
@@ -410,29 +414,17 @@ def cmd_evaluate(cfg: dict) -> dict:
                 f"{key} mismatch: config says {cfg[key]!r}, "
                 f"{grid_path} was solved with {stored!r}"
             )
-    params = ModelParams(kappa_s_sq=vg.kappa_s_sq, alpha=vg.alpha,
-                         horizon_T=vg.spec.horizon_T)
     cfg = dict(cfg, kappa_s_sq=vg.kappa_s_sq, alpha=vg.alpha,
                horizon_T=vg.spec.horizon_T)
+    params = _model_params(cfg)
     x0 = _parse_x0(cfg, model)
     policy = extract_policy(vg)
     t0 = time.perf_counter()
-    stats = run_batch(
-        model, policy, x0, params, cfg["dt"], cfg["n_paths"],
-        seed=cfg["seed"], threads=cfg["threads"],
-    )
-    extra = {"grid": grid_path,
-             "x0": list(np.atleast_1d(np.asarray(x0, dtype=float)))}
-    summary = _stat_summary("evaluate", cfg, model, stats, extra)
+    stats = _monte_carlo(cfg, model, policy, x0, params)
+    summary = _stat_summary("evaluate", cfg, model, x0, stats, {"grid": grid_path})
     if cfg["timings"]:
         summary["wall_time_s"] = time.perf_counter() - t0
-    _emit_table([
-        ("grid", grid_path),
-        ("model", summary["model"]),
-        ("mean_cost", f"{stats.mean:.6g}"),
-        ("stderr", f"{stats.stderr:.3g}"),
-        ("n_paths", stats.n),
-    ])
+    _emit_stats([("grid", grid_path), ("model", summary["model"])], stats)
     return summary
 
 
@@ -448,10 +440,7 @@ def cmd_compare(cfg: dict) -> dict | None:
     for text in texts:
         policy = _make_policy(text, model, params)
         # common random numbers: every policy sees the same seed
-        stats = run_batch(
-            model, policy, x0, params, cfg["dt"], cfg["n_paths"],
-            seed=cfg["seed"], threads=cfg["threads"],
-        )
+        stats = _monte_carlo(cfg, model, policy, x0, params)
         rows.append((text, stats.mean, stats.stderr, stats.n))
     rows.sort(key=lambda r: r[1])
     buf = io.StringIO()
@@ -466,7 +455,7 @@ def cmd_compare(cfg: dict) -> dict | None:
         atomic_write_text(cfg["table"], csv_blob)
         summary = {
             "command": "compare",
-            "model": MODEL_IDS[model],
+            "model": model_record(model).model_id,
             "table": cfg["table"],
             "policies": [r[0] for r in rows],
             "best": rows[0][0],
@@ -533,7 +522,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 def _add_model(sub: argparse.ArgumentParser, with_model=True) -> None:
     if with_model:
-        sub.add_argument("--model", help="diffusive-qubit | counting-qubit | angle-lq")
+        sub.add_argument("--model", help=" | ".join(
+            rec.model_id for rec in MODEL_RECORDS.values()))
     sub.add_argument("--kappa-s-sq", dest="kappa_s_sq", type=float,
                      help="observed-channel decay rate squared (default 0.5)")
     sub.add_argument("--alpha", type=float, help="angle-model noise gain (default 0.5)")

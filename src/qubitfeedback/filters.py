@@ -24,7 +24,8 @@ master equation, which `lindblad` evaluates in the density-matrix picture.
 A third, exactly solvable model is included for benchmarking: a qubit under
 a dephasing-type measurement of strength alpha and a z-rotation control B.
 There the radius and pz are conserved and the dynamics reduce to the phase
-angle on a circle, d(theta) = 2*B*dt + 2*alpha*dW (`angle_coefficients`).
+angle on a circle, d(theta) = 2*B*dt + 2*alpha*dW; its Euler step is
+`trajectories.step_angle` and its closed-form solution lives in `lq`.
 
 All coefficient functions are vectorized over leading axes: states may be
 arrays of shape (..., 3) and controls arrays of shape (..., 2).
@@ -107,20 +108,6 @@ class ModelParams:
         return float(np.sqrt(self.kappa_f_sq))
 
 
-@dataclasses.dataclass(frozen=True)
-class AngleState:
-    """State of the dephasing model: phase angle and conserved radius."""
-
-    theta: float
-    r: float = 1.0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.theta) and np.isfinite(self.r)):
-            raise ValueError("angle state must be finite")
-        if not 0.0 <= self.r <= 1.0 + BALL_TOL:
-            raise ValueError(f"radius must lie in [0, 1], got {self.r!r}")
-
-
 def warn_if_controls_unusable(params: ModelParams, control_box=None) -> None:
     """Warn when controls are configured but the feedback mode is closed.
 
@@ -143,15 +130,14 @@ def _check_finite(arr: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} contains non-finite entries")
 
 
-def _as_bloch(p, check_ball: bool = True) -> np.ndarray:
+def _as_bloch(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.shape[-1:] != (3,):
         raise ValueError(f"Bloch vector must have trailing dimension 3, got shape {p.shape}")
     _check_finite(p, "Bloch vector")
-    if check_ball:
-        norms = np.linalg.norm(p, axis=-1)
-        if np.any(norms > 1.0 + MAX_BALL_TOL):
-            raise ValueError(f"Bloch vector outside unit ball: |p| up to {norms.max()}")
+    norms = np.linalg.norm(p, axis=-1)
+    if np.any(norms > 1.0 + MAX_BALL_TOL):
+        raise ValueError(f"Bloch vector outside unit ball: |p| up to {norms.max()}")
     return p
 
 
@@ -366,13 +352,3 @@ def jump_target(p=None) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     return np.broadcast_to(GROUND_STATE, p.shape).copy()
 
-
-def angle_coefficients(B, params: ModelParams):
-    """Drift and diffusion coefficients of the phase angle.
-
-    d(theta) = 2*B*dt + 2*alpha*dW, so this returns (2*B, 2*alpha).  The
-    diffusion coefficient is state- and control-independent.
-    """
-    B = np.asarray(B, dtype=float)
-    _check_finite(B, "control B")
-    return 2.0 * B, 2.0 * params.alpha

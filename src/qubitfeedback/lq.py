@@ -19,8 +19,6 @@ backward with RK4 and reports the gap to the formulas.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 
@@ -108,34 +106,3 @@ def ode_check(T: float, alpha: float, dt: float = 1e-4) -> float:
         )
     return worst
 
-
-@dataclasses.dataclass(frozen=True)
-class LQSolution:
-    """The closed-form solution bundled with its parameters."""
-
-    T: float
-    alpha: float
-
-    def __post_init__(self):
-        if self.T <= 0.0:
-            raise ValueError("horizon must be positive")
-        if self.alpha < 0.0:
-            raise ValueError("alpha must be nonnegative")
-
-    def f(self, t):
-        return riccati_f(t, self.T)
-
-    def g(self, t):
-        return g_term(t, self.T, self.alpha)
-
-    def value(self, t, theta):
-        return value(t, theta, self.T, self.alpha)
-
-    def optimal_B(self, t, theta):
-        return optimal_B(t, theta, self.T)
-
-    def hjb_residual(self, t, theta, h: float = 1e-4):
-        return hjb_residual(t, theta, self.T, self.alpha, h)
-
-    def ode_check(self, dt: float = 1e-4) -> float:
-        return ode_check(self.T, self.alpha, dt)

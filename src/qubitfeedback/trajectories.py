@@ -22,26 +22,33 @@ chunk_size * 256 * 8 bytes per chunk in flight, whatever the horizon.
 Block-wise draws are the same numbers as one draw over the horizon, so
 fixed-seed results are unchanged bit for bit by the blocking.
 
+What differs between the models is data in one frozen `ModelRecord` per
+model (`MODEL_RECORDS`): the CLI and ``.vgrid`` id, state and control
+shapes, noise kind, CSV header, grid bounds and terminal cost.  The
+engine, the policy factories, the CSV writer, the grid solvers and the
+CLI all read it; only the step kernel itself is chosen per model.
+
 Validation happens at the API boundary: ``simulate``, ``run_batch`` and
-``ensemble_means`` check x0, dt and ball_tol once; the policy's output is
-checked for shape and finiteness on every step, and the state for
-finiteness at the end of every noise block.  The step kernels themselves
-do no checking.
+``ensemble_means`` check x0 and dt once; the policy's output is checked
+for shape and finiteness on every step, and the state for finiteness at
+the end of every noise block.  States are projected back into the unit
+ball when they leave it by more than ``filters.BALL_TOL``.  The step
+kernels themselves do no checking.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import io
+import math
 from concurrent.futures import ThreadPoolExecutor
+from typing import Callable
 
 import numpy as np
 
 from .filters import (
     BALL_TOL,
     GROUND_STATE,
-    MAX_BALL_TOL,
-    AngleState,
     ModelParams,
     _counting_drift_xyz,
     _diffusive_diffusion_xyz,
@@ -57,15 +64,73 @@ from . import lq
 DIFFUSIVE = "diffusive"
 COUNTING = "counting"
 ANGLE = "angle"
-MODELS = (DIFFUSIVE, COUNTING, ANGLE)
-
-QUBIT_CSV_HEADER = "t,px,py,pz,u_plus,u_minus,dW_or_dN,dY,running_cost"
-ANGLE_CSV_HEADER = "t,theta,B,dW,running_cost"
 
 
 def wrap_angle(theta):
     """Wrap angles into [-pi, pi)."""
     return np.mod(np.asarray(theta, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
+
+
+@dataclasses.dataclass(frozen=True)
+class ModelRecord:
+    """What distinguishes one model, as data.
+
+    ``model_id`` is the public name on the command line and in ``.vgrid``
+    headers.  Shapes are per path (``()`` for the scalar angle model).
+    ``noise`` names the ``numpy.random.Generator`` method drawing each
+    step's noise; ``observed`` says whether paths carry a measurement
+    record (the dY or dN column).  ``bounds`` and ``periodic`` describe the
+    value-grid axes.  ``terminal_cost`` maps states (trailing axes
+    ``state_shape``) to the cost at the horizon; angle states are kept
+    wrapped, so theta^2 is taken of the wrapped angle.
+    """
+
+    model_id: str
+    state_shape: tuple[int, ...]
+    control_shape: tuple[int, ...]
+    noise: str
+    observed: bool
+    csv_header: str
+    bounds: tuple[tuple[float, float], ...]
+    periodic: bool
+    terminal_cost: Callable[[np.ndarray], np.ndarray]
+
+    @property
+    def n_controls(self) -> int:
+        return math.prod(self.control_shape)
+
+
+_QUBIT = dict(
+    state_shape=(3,), control_shape=(2,), observed=True,
+    csv_header="t,px,py,pz,u_plus,u_minus,dW_or_dN,dY,running_cost",
+    bounds=((-1.0, 1.0),) * 3, periodic=False, terminal_cost=lambda p: 1.0 - p[..., 2],
+)
+MODEL_RECORDS = {
+    DIFFUSIVE: ModelRecord("diffusive-qubit", noise="standard_normal", **_QUBIT),
+    COUNTING: ModelRecord("counting-qubit", noise="random", **_QUBIT),
+    ANGLE: ModelRecord(
+        "angle-lq", state_shape=(), control_shape=(), noise="standard_normal",
+        observed=False, csv_header="t,theta,B,dW,running_cost", bounds=((-np.pi, np.pi),),
+        periodic=True, terminal_cost=lambda theta: theta * theta,
+    ),
+}
+MODELS = tuple(MODEL_RECORDS)
+
+
+def model_record(model: str) -> ModelRecord:
+    """The record of a model given by its library name."""
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}, expected one of {MODELS}")
+    return MODEL_RECORDS[model]
+
+
+def model_from_id(model_id) -> str:
+    """Library name of the model with CLI / ``.vgrid`` id ``model_id``."""
+    for name, rec in MODEL_RECORDS.items():
+        if rec.model_id == model_id:
+            return name
+    ids = sorted(rec.model_id for rec in MODEL_RECORDS.values())
+    raise ValueError(f"unknown model id {model_id!r}; expected one of {ids}")
 
 
 # ---------------------------------------------------------------------------
@@ -74,35 +139,34 @@ def wrap_angle(theta):
 # (n, 2) for the qubit models
 
 
+def _control_shape(rec: ModelRecord, state) -> tuple[int, ...]:
+    """Shape of the controls for a batch of states: path axes + control axes."""
+    shape = np.shape(state)
+    return shape[: len(shape) - len(rec.state_shape)] + rec.control_shape
+
+
 def zero_policy(model: str):
     """No actuation; running cost is identically zero."""
-    _check_model(model)
-    if model == ANGLE:
-        return lambda t, state: np.zeros(np.shape(state))
-    return lambda t, state: np.zeros(np.shape(state)[:-1] + (2,))
+    rec = model_record(model)
+    return lambda t, state: np.zeros(_control_shape(rec, state))
 
 
 def constant_policy(model: str, value):
     """Hold a fixed control: (u_plus, u_minus) for qubit models, B for angle."""
-    _check_model(model)
-    if model == ANGLE:
-        value = float(value)
-        return lambda t, state: np.full(np.shape(state), value)
+    rec = model_record(model)
     value = np.asarray(value, dtype=float)
-    if value.shape != (2,):
-        raise ValueError("qubit models need a (u_plus, u_minus) pair")
-    return lambda t, state: np.broadcast_to(value, np.shape(state)[:-1] + (2,)).copy()
+    if value.shape != rec.control_shape:
+        raise ValueError(
+            f"the {model} model needs a control of shape {rec.control_shape}, "
+            f"got {value.shape}"
+        )
+    return lambda t, state: np.broadcast_to(value, _control_shape(rec, state)).copy()
 
 
 def lq_policy(params: ModelParams):
     """Closed-form optimal feedback for the angle model."""
     T = params.horizon_T
     return lambda t, state: lq.optimal_B(t, state, T)
-
-
-def _check_model(model: str) -> None:
-    if model not in MODELS:
-        raise ValueError(f"unknown model {model!r}, expected one of {MODELS}")
 
 
 # ---------------------------------------------------------------------------
@@ -219,37 +283,13 @@ class Trajectory:
 
     def _write(self, fh) -> None:
         n = len(self.times) - 1
-        if self.model == ANGLE:
-            fh.write(ANGLE_CSV_HEADER + "\n")
-            for k in range(n + 1):
-                step = (
-                    (self.controls[k], self.increments[k]) if k < n else (0.0, 0.0)
-                )
-                fh.write(
-                    _row(self.times[k], self.states[k], *step, self.running_cost[k])
-                )
-        else:
-            fh.write(QUBIT_CSV_HEADER + "\n")
-            for k in range(n + 1):
-                if k < n:
-                    step = (
-                        self.controls[k, 0],
-                        self.controls[k, 1],
-                        self.increments[k],
-                        self.observations[k],
-                    )
-                else:
-                    step = (0.0, 0.0, 0.0, 0.0)
-                fh.write(
-                    _row(
-                        self.times[k],
-                        self.states[k, 0],
-                        self.states[k, 1],
-                        self.states[k, 2],
-                        *step,
-                        self.running_cost[k],
-                    )
-                )
+        fh.write(model_record(self.model).csv_header + "\n")
+        per_step = (self.controls, self.increments, self.observations)
+        step = np.column_stack([a.reshape(n, -1) for a in per_step if a is not None])
+        step = np.vstack([step, np.zeros_like(step[:1])])
+        states = self.states.reshape(n + 1, -1)
+        for k in range(n + 1):
+            fh.write(_row(self.times[k], *states[k], *step[k], self.running_cost[k]))
 
 
 def _row(*values) -> str:
@@ -339,30 +379,30 @@ def _n_steps(params: ModelParams, dt: float) -> int:
     return n
 
 
-def _validated_start(model: str, x0, params: ModelParams, dt: float, ball_tol: float):
+def _validated_start(model: str, x0, params: ModelParams, dt: float, n_paths: int = 1):
     """Check a run's inputs once; return (n_steps, initial state of one path)."""
-    _check_model(model)
+    rec = model_record(model)
     n_steps = _n_steps(params, dt)
-    if not 0.0 <= ball_tol <= MAX_BALL_TOL:
-        raise ValueError(f"ball_tol must lie in [0, {MAX_BALL_TOL}], got {ball_tol!r}")
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
     if model == COUNTING and dt * params.kappa_s_sq >= 1.0:
         raise ValueError(
             "dt * max jump intensity >= 1; Bernoulli thinning needs a "
             "smaller step"
         )
-    if model == ANGLE:
-        theta0 = x0.theta if isinstance(x0, AngleState) else float(x0)
-        if not np.isfinite(theta0):
-            raise ValueError("initial angle must be finite")
-        return n_steps, wrap_angle(theta0)
-    p0 = np.asarray(x0, dtype=float)
-    if p0.shape != (3,):
-        raise ValueError("qubit models need a length-3 initial Bloch vector")
-    if not np.all(np.isfinite(p0)):
-        raise ValueError("initial Bloch vector must be finite")
-    if np.linalg.norm(p0) > 1.0 + BALL_TOL:
+    start = np.asarray(x0, dtype=float)
+    if start.shape != rec.state_shape:
+        raise ValueError(
+            f"the {model} model needs an initial state of shape {rec.state_shape}, "
+            f"got {start.shape}"
+        )
+    if not np.all(np.isfinite(start)):
+        raise ValueError("initial state must be finite")
+    if rec.periodic:
+        return n_steps, wrap_angle(start)
+    if np.linalg.norm(start) > 1.0 + BALL_TOL:
         raise ValueError("initial state outside the unit ball")
-    return n_steps, p0
+    return n_steps, start
 
 
 def _checked_control(u, shape) -> np.ndarray:
@@ -374,9 +414,14 @@ def _checked_control(u, shape) -> np.ndarray:
     return u
 
 
+def _effort(u: np.ndarray) -> np.ndarray:
+    """|u|^2 per path, summed over the control components column by column."""
+    squares = (u * u).reshape(len(u), -1).T
+    return sum(squares[1:], squares[0])
+
+
 def _simulate_paths(
-    model, policy, start, n_steps, params, dt, rng_list, ball_tol, record,
-    checkpoint_idx=None,
+    model, policy, start, n_steps, params, dt, rng_list, record, checkpoint_idx=None,
 ):
     """Advance len(rng_list) paths in lockstep; optionally record history.
 
@@ -385,13 +430,10 @@ def _simulate_paths(
     its (n, 3) transpose.  ``checkpoint_idx`` (sorted time-node indices)
     requests state snapshots without recording full histories.
     """
+    rec = MODEL_RECORDS[model]
     n_paths = len(rng_list)
-    if model == ANGLE:
-        state = np.full(n_paths, start)
-        ctrl_shape = (n_paths,)
-    else:
-        state = np.repeat(start[:, None], n_paths, axis=1)
-        ctrl_shape = (n_paths, 2)
+    state = np.repeat(np.asarray(start)[..., None], n_paths, axis=-1)
+    ctrl_shape = (n_paths,) + rec.control_shape
     cost = np.zeros(n_paths)
 
     if checkpoint_idx is not None:
@@ -405,11 +447,10 @@ def _simulate_paths(
         states[0] = state.T
         controls = np.empty((n_steps,) + ctrl_shape)
         increments = np.empty((n_steps, n_paths))
-        observations = None if model == ANGLE else np.empty((n_steps, n_paths))
+        observations = np.empty((n_steps, n_paths)) if rec.observed else None
         running = np.zeros((n_steps + 1, n_paths))
 
-    gen = np.random.Generator
-    draw = gen.random if model == COUNTING else gen.standard_normal
+    draw = getattr(np.random.Generator, rec.noise)
     # row i holds path i's next block of draws: the same numbers, in the
     # same order, as one draw of n_steps from its generator
     draws = np.empty((n_paths, min(NOISE_BLOCK, n_steps)))
@@ -423,28 +464,21 @@ def _simulate_paths(
             k = block_start + j
             view = state.T
             u = _checked_control(policy(k * dt, view), ctrl_shape)
+            cost += _effort(u) * dt
             if model == ANGLE:
-                cost += u * u * dt
-                dW = draws[:, j] * sqrt_dt
-                new_state = step_angle(view, u, dt, dW, params)
-                inc = dW
+                inc = draws[:, j] * sqrt_dt
+                new_state = step_angle(view, u, dt, inc, params)
             elif model == DIFFUSIVE:
-                u_plus, u_minus = u[:, 0], u[:, 1]
-                cost += (u_plus * u_plus + u_minus * u_minus) * dt
-                dW = draws[:, j] * sqrt_dt
+                inc = draws[:, j] * sqrt_dt
                 if record:
-                    observations[k] = observation_drift(view, params) * dt + dW
-                new_state = step_diffusive(view, u, dt, dW, params, ball_tol)
-                inc = dW
+                    observations[k] = observation_drift(view, params) * dt + inc
+                new_state = step_diffusive(view, u, dt, inc, params)
             else:
-                u_plus, u_minus = u[:, 0], u[:, 1]
-                cost += (u_plus * u_plus + u_minus * u_minus) * dt
-                lam = _jump_intensity_z(state[2], params.kappa_s_sq)
-                jumped = draws[:, j] < lam * dt
+                jumped = draws[:, j] < _jump_intensity_z(state[2], params.kappa_s_sq) * dt
                 inc = jumped.astype(float)
                 if record:
                     observations[k] = inc
-                new_state = step_counting(view, u, dt, jumped, params, ball_tol)
+                new_state = step_counting(view, u, dt, jumped, params)
             if record:
                 controls[k] = u
                 increments[k] = inc
@@ -458,10 +492,7 @@ def _simulate_paths(
                 f"state became non-finite before t = {(block_start + block_len) * dt!r}"
             )
 
-    if model == ANGLE:
-        terminal = wrap_angle(state) ** 2
-    else:
-        terminal = 1.0 - state[2]
+    terminal = rec.terminal_cost(state.T)
     total = cost + terminal
 
     out = {"costs": total, "terminal": terminal}
@@ -505,7 +536,6 @@ def simulate(
     params: ModelParams,
     dt: float,
     seed: int | None = None,
-    ball_tol: float = BALL_TOL,
 ) -> Trajectory:
     """Simulate one path and return its full record.
 
@@ -513,11 +543,9 @@ def simulate(
     stream is the path-0 substream of ``seed``, so the realized cost equals
     the first per-path cost of ``run_batch`` with the same seed.
     """
-    n_steps, start = _validated_start(model, x0, params, dt, ball_tol)
+    n_steps, start = _validated_start(model, x0, params, dt)
     rngs = _path_rngs(seed, [0])
-    res = _simulate_paths(
-        model, policy, start, n_steps, params, dt, rngs, ball_tol, record=True
-    )
+    res = _simulate_paths(model, policy, start, n_steps, params, dt, rngs, record=True)
     return Trajectory(
         model=model,
         dt=dt,
@@ -525,7 +553,7 @@ def simulate(
         states=res["states"][:, 0],
         controls=res["controls"][:, 0],
         increments=res["increments"][:, 0],
-        observations=None if model == ANGLE else res["observations"][:, 0],
+        observations=None if res["observations"] is None else res["observations"][:, 0],
         running_cost=res["running_full"][:, 0],
         terminal_cost=float(res["terminal"][0]),
         total_cost=float(res["costs"][0]),
@@ -543,7 +571,6 @@ def run_batch(
     seed: int | None = None,
     threads: int | None = None,
     chunk_size: int = 4096,
-    ball_tol: float = BALL_TOL,
     return_costs: bool = False,
 ):
     """Monte Carlo over n_paths independent trajectories.
@@ -553,13 +580,11 @@ def run_batch(
     on chunk size, thread count, or completion order.  Returns
     CostStatistics, or (CostStatistics, costs) with ``return_costs``.
     """
-    n_steps, start = _validated_start(model, x0, params, dt, ball_tol)
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
+    n_steps, start = _validated_start(model, x0, params, dt, n_paths)
 
     def chunk_costs(rngs):
         return _simulate_paths(
-            model, policy, start, n_steps, params, dt, rngs, ball_tol, record=False
+            model, policy, start, n_steps, params, dt, rngs, record=False
         )["costs"]
 
     costs = np.empty(n_paths)
@@ -583,7 +608,6 @@ def ensemble_means(
     seed: int | None = None,
     threads: int | None = None,
     chunk_size: int = 4096,
-    ball_tol: float = BALL_TOL,
 ):
     """Monte Carlo mean state at the requested times.
 
@@ -594,9 +618,7 @@ def ensemble_means(
     (len(times),) for the angle model.  Same per-path substreams as
     ``run_batch``: results are independent of chunking and threading.
     """
-    n_steps, start = _validated_start(model, x0, params, dt, ball_tol)
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
+    n_steps, start = _validated_start(model, x0, params, dt, n_paths)
 
     times = np.atleast_1d(np.asarray(times, dtype=float))
     idx = np.rint(times / dt).astype(int)
@@ -611,13 +633,12 @@ def ensemble_means(
     order = np.argsort(idx)
     sorted_idx = idx[order]
 
-    state_dim = () if model == ANGLE else (3,)
-    snaps = np.empty((len(times), n_paths) + state_dim)
+    snaps = np.empty((len(times), n_paths) + MODEL_RECORDS[model].state_shape)
 
     def chunk_snaps(rngs):
         return _simulate_paths(
-            model, policy, start, n_steps, params, dt, rngs, ball_tol,
-            record=False, checkpoint_idx=sorted_idx,
+            model, policy, start, n_steps, params, dt, rngs, record=False,
+            checkpoint_idx=sorted_idx,
         )["snapshots"]
 
     for lo, hi, chunk in _run_chunks(n_paths, chunk_size, threads, seed, chunk_snaps):

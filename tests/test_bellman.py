@@ -1,5 +1,7 @@
 """Tests for the grid solvers: pointwise formulas, stencils, sweeps, files."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -263,6 +265,83 @@ def test_vgrid_rejects_corruption(tmp_path):
     partial.write_bytes(json.dumps(header).encode() + raw[raw.find(b"\n"):])
     with pytest.raises(ValueError, match="kappa_s_sq"):
         bm.ValueGrid.load(partial)
+
+    # fields of the wrong JSON type, and geometry that contradicts the model
+    for key, value in MALFORMED_HEADER_FIELDS:
+        header = json.loads(raw[: raw.find(b"\n")])
+        header[key] = value
+        malformed = tmp_path / f"malformed-{key}.vgrid"
+        malformed.write_bytes(json.dumps(header).encode() + raw[raw.find(b"\n"):])
+        with pytest.raises(ValueError, match=key):
+            bm.ValueGrid.load(malformed)
+
+
+MALFORMED_HEADER_FIELDS = (
+    ("horizon_T", None),
+    ("n_nodes", 16),
+    ("n_nodes", [5, "5", 5]),
+    ("delta", None),
+    ("delta", float("nan")),
+    ("kappa_s_sq", None),
+    ("n_steps", None),
+    ("n_steps", True),
+    ("model", ["x"]),
+    ("control_box", "2"),
+    ("bounds", [[-2.0, 2.0]] * 3),
+    ("periodic", [True] * 3),
+    ("n_controls", 1),
+)
+
+
+# sha256 of the .vgrid bytes of every solver on one small grid per model,
+# recorded before the per-model record replaced the model branches in the
+# solvers and the file header.
+PINNED_VGRID_CASES = {
+    "diffusive": (
+        dict(n_nodes=7, n_steps=10, horizon_T=0.1, control_box=1.0,
+             control_resolution=3),
+        ModelParams(kappa_s_sq=0.5, horizon_T=0.1),
+    ),
+    "counting": (
+        dict(n_nodes=(7, 6, 7), n_steps=10, horizon_T=0.1, control_box=1.0,
+             control_resolution=3),
+        ModelParams(kappa_s_sq=0.8, horizon_T=0.1),
+    ),
+    "angle": (
+        dict(n_nodes=32, n_steps=20, horizon_T=0.2, control_box=2.0,
+             control_resolution=9),
+        ModelParams(alpha=0.5, horizon_T=0.2),
+    ),
+}
+
+PINNED_VGRIDS = {
+    ("diffusive", "fd"): "a5ff7503cfe61293c712d9cce0ca0bc2c9cec549d15bc651f93c38bbb24f7559",
+    ("diffusive", "closed-form"): "14fa4d65c95c3915cbcd17d2a7caf2a1e692a84db8becba4a6e49e841f1a362f",
+    ("diffusive", "exhaustive"): "a41188b91044382843e84435b416321fd69da3517af5b72cc22e25fc5c2bcc1f",
+    ("counting", "fd"): "b6baa82574a993b3dd71ba5de64d7947a4248fbcf99f3c116196b9bce5cdc16e",
+    ("counting", "closed-form"): "508906f76f9e85eb06d03dd3cc27835699479df10ec4bcb8479a08d882e6d790",
+    ("counting", "exhaustive"): "15a2ee12b9f9eebbcc4629bad8a5d4afaed439d24d873a5c2326a6c7b1fe32c0",
+    ("angle", "fd"): "3b885976fc314cc2d95fe58d863f877dba9b6c0b0fd9a944271c88c3f7a7b19e",
+    ("angle", "closed-form"): "1076ee1ea12afbaeec940ad1897aa024e295d9942d7297d28b5e4d9ad87b0c10",
+    ("angle", "exhaustive"): "a64d8bfb1a009ff9635fb123d2cc499e83e137f9fd8ddf8b8a1659f2d4eabd1e",
+}
+
+
+def _vgrid_digest(tmp_path, model, solver):
+    spec_kwargs, params = PINNED_VGRID_CASES[model]
+    spec = bm.GridSpec(model=model, **spec_kwargs)
+    if solver == "fd":
+        vg = bm.solve_backward(spec, params)
+    else:
+        vg = bm.solve_dp(spec, params, mode=solver)
+    path = tmp_path / f"{model}-{solver}.vgrid"
+    vg.save(path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("model, solver", sorted(PINNED_VGRIDS))
+def test_vgrid_bytes_are_pinned(tmp_path, model, solver):
+    assert _vgrid_digest(tmp_path, model, solver) == PINNED_VGRIDS[model, solver]
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,24 @@ def test_evaluate_rejects_zero_paths(tmp_path, capsys):
     assert "n_paths" in err
 
 
+def test_evaluate_rejects_malformed_grid_header(tmp_path, capsys):
+    grid = tmp_path / "angle.vgrid"
+    run_cli(capsys, "solve", "--model", "angle-lq", "--n-nodes", "51",
+            "--n-steps", "200", "--grid", str(grid), "--no-timings")
+    raw = grid.read_bytes()
+    newline = raw.find(b"\n")
+    for key, value in (("horizon_T", None), ("n_nodes", 16), ("delta", None),
+                       ("kappa_s_sq", None), ("n_steps", None), ("model", ["x"]),
+                       ("bounds", [[-1.0, 1.0]]), ("periodic", [False])):
+        header = json.loads(raw[:newline])
+        header[key] = value
+        bad = tmp_path / f"bad-{key}.vgrid"
+        bad.write_bytes(json.dumps(header).encode() + raw[newline:])
+        code, _, err = run_cli(capsys, "evaluate", "--grid", str(bad))
+        assert code == 2, (key, err)
+        assert key in err
+
+
 def test_missing_grid_file_is_a_runtime_error(capsys):
     code, _, err = run_cli(capsys, "evaluate", "--grid", "/nonexistent/x.vgrid")
     assert code == 1

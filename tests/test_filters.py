@@ -8,7 +8,6 @@ from qubitfeedback.filters import (
     GROUND_STATE,
     LOWERING,
     ModelParams,
-    angle_coefficients,
     bloch_to_density,
     counting_drift,
     density_to_bloch,
@@ -264,26 +263,3 @@ def test_jump_target_is_constant():
     p = random_ball_points(rng, 50)
     assert jump_target(p).shape == p.shape
     assert np.all(jump_target(p) == GROUND_STATE)
-
-
-# ---------------------------------------------------------------------------
-# angle model
-
-
-def test_angle_coefficients():
-    drift, diff = angle_coefficients(1.0, ModelParams(alpha=0.5))
-    assert drift == pytest.approx(2.0)
-    assert diff == pytest.approx(1.0)
-    drift, diff = angle_coefficients(-3.0, ModelParams(alpha=1.0))
-    assert drift == pytest.approx(-6.0)
-    assert diff == pytest.approx(2.0)
-    drift, _ = angle_coefficients(np.array([0.5, -0.5]), ModelParams(alpha=0.2))
-    np.testing.assert_allclose(drift, [1.0, -1.0])
-
-
-def test_angle_state_validation():
-    filters.AngleState(theta=0.3)
-    with pytest.raises(ValueError):
-        filters.AngleState(theta=np.nan)
-    with pytest.raises(ValueError):
-        filters.AngleState(theta=0.0, r=1.5)

@@ -86,16 +86,3 @@ def test_ode_check_is_order_four():
     ratios = [gaps[i] / gaps[i + 1] for i in range(2)]
     for r in ratios:
         assert 12.0 <= r <= 20.0, f"expected ~16x error drop per halving, got {r}"
-
-
-def test_lq_solution_bundle():
-    sol = lq.LQSolution(T=1.0, alpha=0.5)
-    assert sol.value(0.0, 1.0) == pytest.approx(lq.value(0.0, 1.0, 1.0, 0.5))
-    assert sol.optimal_B(0.5, -2.0) == pytest.approx(lq.optimal_B(0.5, -2.0, 1.0))
-    assert sol.f(0.0) == pytest.approx(0.2)
-    assert sol.g(1.0) == pytest.approx(0.0)
-    assert sol.ode_check(dt=1e-2) <= 1e-4
-    with pytest.raises(ValueError):
-        lq.LQSolution(T=-1.0, alpha=0.5)
-    with pytest.raises(ValueError):
-        lq.LQSolution(T=1.0, alpha=-0.1)

@@ -227,7 +227,7 @@ def test_qubit_csv_round_trip():
     buf = io.StringIO()
     traj.to_csv(buf)
     lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == tj.QUBIT_CSV_HEADER
+    assert lines[0] == tj.MODEL_RECORDS[tj.DIFFUSIVE].csv_header
     assert len(lines) == 1 + len(traj.times)
     data = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
     np.testing.assert_array_equal(data[:, 0], traj.times)
@@ -244,7 +244,7 @@ def test_angle_csv_round_trip(tmp_path):
     out = tmp_path / "angle.csv"
     traj.to_csv(out)
     lines = out.read_text().strip().split("\n")
-    assert lines[0] == tj.ANGLE_CSV_HEADER
+    assert lines[0] == tj.MODEL_RECORDS[tj.ANGLE].csv_header
     data = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
     assert data.shape == (5, 5)
     np.testing.assert_array_equal(data[:, 1], traj.states)
@@ -358,6 +358,11 @@ PINNED_COSTS = {
              dt=1e-3, n_paths=30, seed=3, chunk_size=8, threads=2),
         "75d7be13f4227505250acc28c0cb54ed97e3ae3f495ca29bdf7c230d943f83cb",
     ),
+    "angle_lq": (
+        dict(model=tj.ANGLE, policy=tj.lq_policy(ANGLE), x0=1.0, params=ANGLE,
+             dt=1e-2, n_paths=32, seed=5),
+        "41ad346932bfd71c7a1046cd13ad38ff4cf277d6ccdb004e9beb1394ff4ec023",
+    ),
 }
 
 
@@ -408,8 +413,6 @@ def test_run_batch_rejects_bad_start_and_tolerance():
         _run(zero, x0=(0.6, 0.0, 0.9))
     with pytest.raises(ValueError, match="must be finite"):
         _run(zero, x0=(np.nan, 0.0, 0.0))
-    with pytest.raises(ValueError, match="ball_tol"):
-        _run(zero, ball_tol=1e-2)
 
 
 def test_run_batch_rejects_a_state_that_turns_non_finite():
@@ -418,3 +421,67 @@ def test_run_batch_rejects_a_state_that_turns_non_finite():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="non-finite"):
             _run(huge)
+
+
+# sha256 of full trajectory records and ensemble means, one case per model,
+# recorded before the per-model record replaced the model branches in the
+# engine, the policy factories and the CSV writer.
+PINNED_CSV = {
+    tj.DIFFUSIVE: (
+        dict(policy=tj.constant_policy(tj.DIFFUSIVE, (0.1, 0.2)), x0=[1.0, 0.0, 0.0],
+             params=MIXED, dt=0.05, seed=23),
+        "109a9de16eeeb2406840a42c73bd7476d760e7b90814af6044c06f2d2f9fdc6a",
+    ),
+    tj.COUNTING: (
+        dict(policy=tj.constant_policy(tj.COUNTING, (0.3, -0.2)), x0=[0.0, 0.0, 1.0],
+             params=QUBIT, dt=0.01, seed=0),
+        "355a6e5ce82fb71703b8aec8eba8a93322ea75ddd91a7bf1a2c16c388d76e930",
+    ),
+    tj.ANGLE: (
+        dict(policy=tj.lq_policy(ANGLE), x0=1.0, params=ANGLE, dt=0.05, seed=29),
+        "426a965a8aa6b33f5fa86fe759ba28e2e677a478cb0b73c706ce45b14539312d",
+    ),
+}
+
+PINNED_MEANS = {
+    tj.DIFFUSIVE: (
+        dict(policy=tj.constant_policy(tj.DIFFUSIVE, (0.2, -0.1)), x0=[1.0, 0.0, 0.0],
+             params=MIXED, dt=0.01, n_paths=40, times=[0.0, 0.3, 1.0], seed=4,
+             chunk_size=16),
+        "7022628d61d6603507d500cd36d2bf50bdd7ea7a4075c69d44379e850f3225c6",
+    ),
+    tj.COUNTING: (
+        dict(policy=tj.zero_policy(tj.COUNTING), x0=[0.6, 0.0, 0.8], params=QUBIT,
+             dt=0.01, n_paths=40, times=[1.0, 0.5], seed=8),
+        "8c2e26e05e2354831d2919a8fb8c38ca3a62fed22e2d1d0e0a90366126ffb84c",
+    ),
+    tj.ANGLE: (
+        dict(policy=tj.lq_policy(ANGLE), x0=1.0, params=ANGLE, dt=0.01, n_paths=40,
+             times=[0.2, 1.0], seed=6),
+        "91997e1dee109dcb7055ec5a5276b673de3cf25a2c4aeee4e7ce336fb98cd463",
+    ),
+}
+
+
+def _csv_digest(model, kwargs):
+    buf = io.StringIO()
+    tj.simulate(model, **kwargs).to_csv(buf)
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+def _means_digest(model, kwargs):
+    means, stderrs = tj.ensemble_means(model, **kwargs)
+    blob = np.concatenate([means.ravel(), stderrs.ravel()]).astype("<f8").tobytes()
+    return hashlib.sha256(blob).hexdigest()
+
+
+@pytest.mark.parametrize("model", tj.MODELS)
+def test_simulate_csv_bytes_are_pinned(model):
+    kwargs, digest = PINNED_CSV[model]
+    assert _csv_digest(model, kwargs) == digest
+
+
+@pytest.mark.parametrize("model", tj.MODELS)
+def test_ensemble_means_are_pinned(model):
+    kwargs, digest = PINNED_MEANS[model]
+    assert _means_digest(model, kwargs) == digest
