@@ -13,7 +13,6 @@ import argparse
 import configparser
 import io
 import json
-import os
 import sys
 import time
 
@@ -44,8 +43,6 @@ from .trajectories import (
     simulate,
     zero_policy,
 )
-
-THREADS_ENV = "QUBITFEEDBACK_THREADS"
 
 FLOAT_FMT = "%.17g"
 
@@ -115,7 +112,6 @@ _SCHEMA = {
         "seed": _typed(int, "integer for run.seed"),
         "policy": str.strip,
         "policies": str.strip,
-        "threads": _typed(int, "integer for run.threads"),
     },
     "grid": {
         "n_nodes": str.strip,
@@ -181,7 +177,7 @@ def _resolve(args: argparse.Namespace) -> dict:
     if getattr(args, "config", None):
         given.update(_read_ini(args.config))
     for key in ("model", "kappa_s_sq", "alpha", "horizon_T", "x0", "dt",
-                "n_paths", "seed", "policy", "threads", "n_nodes", "n_steps",
+                "n_paths", "seed", "policy", "n_nodes", "n_steps",
                 "control_box", "control_resolution", "method", "mode",
                 "json", "csv", "table", "grid"):
         val = getattr(args, key, None)
@@ -192,12 +188,6 @@ def _resolve(args: argparse.Namespace) -> dict:
     cfg = dict(_DEFAULTS)
     cfg.update(given)
     cfg["_given"] = frozenset(given)
-    if "threads" not in cfg:
-        env = os.environ.get(THREADS_ENV)
-        if env is not None:
-            cfg["threads"] = _typed(int, f"integer in {THREADS_ENV}")(env)
-        else:
-            cfg["threads"] = None
     cfg["timings"] = not getattr(args, "no_timings", False)
     return cfg
 
@@ -250,7 +240,7 @@ def _make_policy(policy_text: str, model: str, params: ModelParams):
     text = policy_text.strip()
     if text == "zero":
         return zero_policy(model)
-    if text in ("lq-closed-form", "lq"):
+    if text == "lq-closed-form":
         if model != ANGLE:
             raise ConfigError("policy 'lq-closed-form' applies to the angle model only")
         return lq_policy(params)
@@ -309,8 +299,7 @@ def _emit_stats(rows, stats) -> None:
 
 def _monte_carlo(cfg: dict, model: str, policy, x0, params: ModelParams):
     return run_batch(
-        model, policy, x0, params, cfg["dt"], cfg["n_paths"],
-        seed=cfg["seed"], threads=cfg["threads"],
+        model, policy, x0, params, cfg["dt"], cfg["n_paths"], seed=cfg["seed"],
     )
 
 
@@ -479,13 +468,17 @@ def _parse_mesh(text: str, label: str) -> np.ndarray:
                      _typed(int, label)(parts[2]))
         if n < 1:
             raise ConfigError(f"{label} mesh needs at least one point")
-        return np.linspace(lo, hi, n)
-    return np.array([_typed(float, label)(v) for v in text.split(",")])
+        mesh = np.linspace(lo, hi, n)
+    else:
+        mesh = np.array([_typed(float, label)(v) for v in text.split(",")])
+    if not np.isfinite(mesh).all():
+        raise ConfigError(f"{label} mesh points must be finite, got {text!r}")
+    return mesh
 
 
 def cmd_lq(cfg: dict, t_text: str, theta_text: str) -> None:
-    T = cfg["horizon_T"]
-    alpha = cfg["alpha"]
+    params = _model_params(cfg)
+    T = params.horizon_T
     ts = _parse_mesh(t_text, "t")
     thetas = _parse_mesh(theta_text, "theta")
     if (ts > T).any() or (ts < 0.0).any():
@@ -493,7 +486,7 @@ def cmd_lq(cfg: dict, t_text: str, theta_text: str) -> None:
     buf = io.StringIO()
     buf.write("t,theta,value,control\n")
     for t in ts:
-        vals = lq.value(t, thetas, T, alpha)
+        vals = lq.value(t, thetas, T, params.alpha)
         ctrls = lq.optimal_B(t, thetas, T)
         for theta, v, b in zip(thetas, vals, ctrls):
             buf.write(
@@ -516,8 +509,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="write the JSON summary here instead of stdout")
     sub.add_argument("--no-timings", action="store_true",
                      help="omit wall-time fields for byte-stable output")
-    sub.add_argument("--threads", type=int,
-                     help=f"worker threads (default: ${THREADS_ENV} or none)")
 
 
 def _add_model(sub: argparse.ArgumentParser, with_model=True) -> None:

@@ -13,12 +13,13 @@ B^2) integrated with a left-endpoint rule, plus terminal cost 1 - pz (or
 theta^2).
 
 Reproducibility: path i of a batch draws its noise from the substream
-``SeedSequence((seed, i))``, so results are independent of chunking, thread
-count, and evaluation order, and two batches with the same seed see
-identical noise (common random numbers).  ``simulate`` is path 0 of its
-seed.  Each path's noise is drawn in blocks of ``NOISE_BLOCK`` = 256 steps
-into one reused buffer, so the engine's memory is about
-chunk_size * 256 * 8 bytes per chunk in flight, whatever the horizon.
+``SeedSequence((seed, i))``, so results are independent of how the paths
+are split into chunks, and two batches with the same seed see identical
+noise (common random numbers).  ``simulate`` is path 0 of its seed.  Paths
+run serially in chunks of ``CHUNK_PATHS`` = 4096; each path's noise is
+drawn in blocks of ``NOISE_BLOCK`` = 256 steps into one reused buffer, so
+the engine's noise memory is about 4096 * 256 * 8 bytes whatever the
+horizon.
 Block-wise draws are the same numbers as one draw over the horizon, so
 fixed-seed results are unchanged bit for bit by the blocking.
 
@@ -41,7 +42,6 @@ from __future__ import annotations
 import dataclasses
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
@@ -328,33 +328,15 @@ class CostStatistics:
             maximum=float(costs.max()),
         )
 
-    def merge(self, other: "CostStatistics") -> "CostStatistics":
-        """Combine two disjoint batches (parallel variance formula)."""
-        n = self.n + other.n
-        delta = other.mean - self.mean
-        mean = self.mean + delta * other.n / n
-        m2 = (
-            self.std**2 * max(self.n - 1, 0)
-            + other.std**2 * max(other.n - 1, 0)
-            + delta**2 * self.n * other.n / n
-        )
-        std = float(np.sqrt(m2 / (n - 1))) if n > 1 else 0.0
-        return CostStatistics(
-            n=n,
-            mean=mean,
-            std=std,
-            stderr=std / np.sqrt(n),
-            minimum=min(self.minimum, other.minimum),
-            maximum=max(self.maximum, other.maximum),
-        )
-
 
 # ---------------------------------------------------------------------------
 # the engine
 
 
-# noise is drawn per path in blocks of this many steps, so a chunk's noise
-# buffer holds chunk * NOISE_BLOCK doubles whatever the horizon
+# paths are advanced in lockstep in chunks of this many; noise is drawn per
+# path in blocks of NOISE_BLOCK steps, so a chunk's noise buffer holds
+# CHUNK_PATHS * NOISE_BLOCK doubles whatever the horizon
+CHUNK_PATHS = 4096
 NOISE_BLOCK = 256
 
 
@@ -510,23 +492,15 @@ def _simulate_paths(
     return out
 
 
-def _run_chunks(n_paths: int, chunk_size: int, threads, seed, simulate_chunk):
-    """Apply ``simulate_chunk(rngs)`` to consecutive chunks of paths.
+def _run_chunks(n_paths: int, seed, simulate_chunk):
+    """Yield (start, stop, ``simulate_chunk(rngs)``) per chunk of paths.
 
-    Returns an iterable of (start, stop, result) in chunk order; with
-    ``threads`` > 1 the chunks run on a thread pool.  Path i always gets
-    the substream of (seed, i), so results do not depend on the split.
+    Chunks of ``CHUNK_PATHS`` paths run one after another.  Path i always
+    gets the substream of (seed, i), so results do not depend on the split.
     """
-
-    def work(start: int):
-        stop = min(start + chunk_size, n_paths)
-        return start, stop, simulate_chunk(_path_rngs(seed, range(start, stop)))
-
-    starts = range(0, n_paths, chunk_size)
-    if threads is None or threads <= 1 or len(starts) == 1:
-        return map(work, starts)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(work, starts))
+    for start in range(0, n_paths, CHUNK_PATHS):
+        stop = min(start + CHUNK_PATHS, n_paths)
+        yield start, stop, simulate_chunk(_path_rngs(seed, range(start, stop)))
 
 
 def simulate(
@@ -569,16 +543,14 @@ def run_batch(
     dt: float,
     n_paths: int,
     seed: int | None = None,
-    threads: int | None = None,
-    chunk_size: int = 4096,
     return_costs: bool = False,
 ):
     """Monte Carlo over n_paths independent trajectories.
 
     Paths are advanced in vectorized chunks; path i always consumes the
     substream ``SeedSequence((seed, i))``, so the estimate does not depend
-    on chunk size, thread count, or completion order.  Returns
-    CostStatistics, or (CostStatistics, costs) with ``return_costs``.
+    on the chunk size.  Returns CostStatistics, or (CostStatistics, costs)
+    with ``return_costs``.
     """
     n_steps, start = _validated_start(model, x0, params, dt, n_paths)
 
@@ -588,7 +560,7 @@ def run_batch(
         )["costs"]
 
     costs = np.empty(n_paths)
-    for lo, hi, chunk in _run_chunks(n_paths, chunk_size, threads, seed, chunk_costs):
+    for lo, hi, chunk in _run_chunks(n_paths, seed, chunk_costs):
         costs[lo:hi] = chunk
 
     stats = CostStatistics.from_costs(costs)
@@ -606,8 +578,6 @@ def ensemble_means(
     n_paths: int,
     times,
     seed: int | None = None,
-    threads: int | None = None,
-    chunk_size: int = 4096,
 ):
     """Monte Carlo mean state at the requested times.
 
@@ -616,7 +586,7 @@ def ensemble_means(
     Lindblad flow.  Each requested time must sit on the step grid.  Returns
     ``(means, stderrs)`` with shape (len(times), 3) for the qubit models and
     (len(times),) for the angle model.  Same per-path substreams as
-    ``run_batch``: results are independent of chunking and threading.
+    ``run_batch``: results are independent of chunking.
     """
     n_steps, start = _validated_start(model, x0, params, dt, n_paths)
 
@@ -641,7 +611,7 @@ def ensemble_means(
             checkpoint_idx=sorted_idx,
         )["snapshots"]
 
-    for lo, hi, chunk in _run_chunks(n_paths, chunk_size, threads, seed, chunk_snaps):
+    for lo, hi, chunk in _run_chunks(n_paths, seed, chunk_snaps):
         snaps[order, lo:hi] = chunk
 
     means = snaps.mean(axis=1)

@@ -64,13 +64,18 @@ def test_simulate_deterministic_output(tmp_path, capsys):
     assert first.startswith(b"t,px,py,pz,u_plus,u_minus,dW_or_dN,dY,running_cost\n")
 
 
-def test_threads_do_not_change_results(capsys, monkeypatch):
-    argv = ("simulate", "--model", "diffusive-qubit", "--n-paths", "64",
-            "--dt", "0.05", "--seed", "3", "--no-timings")
-    _, plain, _ = run_cli(capsys, *argv)
-    monkeypatch.setenv("QUBITFEEDBACK_THREADS", "2")
-    _, threaded, _ = run_cli(capsys, *argv)
-    assert plain == threaded
+@pytest.mark.parametrize("command", ["simulate", "solve", "evaluate", "compare", "lq"])
+def test_threads_flag_is_rejected(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_unknown_policy_alias_is_rejected(capsys):
+    code, _, err = run_cli(capsys, "simulate", "--model", "angle-lq", "--policy", "lq")
+    assert code == 2
+    assert "unknown policy 'lq'" in err
 
 
 # ---------------------------------------------------------------------------
@@ -96,10 +101,12 @@ def test_ini_config_with_flag_override(tmp_path, capsys):
 
 def test_ini_rejects_unknown_keys(tmp_path, capsys):
     ini = tmp_path / "bad.ini"
-    ini.write_text("[model]\nmodle = angle-lq\n")
-    code, _, err = run_cli(capsys, "simulate", "--config", str(ini))
-    assert code == 2
-    assert "modle" in err
+    for text, key in (("[model]\nmodle = angle-lq\n", "modle"),
+                      ("[run]\nthreads = 2\n", "threads")):
+        ini.write_text(text)
+        code, _, err = run_cli(capsys, "simulate", "--config", str(ini))
+        assert code == 2
+        assert key in err
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +322,22 @@ def test_lq_mesh_csv(capsys):
     assert b == pytest.approx(lq.optimal_B(0.0, -1.0, 1.0))
 
 
-def test_lq_rejects_time_outside_horizon(capsys):
-    code, _, err = run_cli(capsys, "lq", "--t", "2.0", "--theta", "0")
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--t", "2.0", "--theta", "0"], "inside"),
+        (["--t", "0", "--theta=0:1:2", "--alpha", "nan"], "alpha"),
+        (["--t", "0", "--theta=0:1:2", "--alpha", "-1"], "alpha"),
+        (["--t", "0", "--theta=0:1:2", "--horizon-t", "inf"], "horizon_T"),
+        (["--t", "nan", "--theta=0:1:2"], "t mesh points must be finite"),
+        (["--t", "0", "--theta", "nan"], "theta mesh points must be finite"),
+    ],
+    ids=["t-outside", "alpha-nan", "alpha-negative", "horizon-inf", "t-nan", "theta-nan"],
+)
+def test_lq_rejects_time_outside_horizon(capsys, argv, message):
+    code, _, err = run_cli(capsys, "lq", *argv)
     assert code == 2
-    assert "inside" in err
+    assert message in err
 
 
 def test_module_entry_point_subprocess():

@@ -2,6 +2,8 @@
 
 import hashlib
 import io
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -162,13 +164,12 @@ def test_simulate_equals_batch_path_zero():
     assert stats.n == 8
 
 
-def test_batch_is_chunk_and_thread_invariant():
+def test_batch_is_chunk_invariant(monkeypatch):
     kw = dict(seed=13, return_costs=True)
-    _, a = tj.run_batch(tj.DIFFUSIVE, tj.zero_policy(tj.DIFFUSIVE), [1, 0, 0], MIXED, 0.02, 30, chunk_size=7, **kw)
-    _, b = tj.run_batch(tj.DIFFUSIVE, tj.zero_policy(tj.DIFFUSIVE), [1, 0, 0], MIXED, 0.02, 30, chunk_size=1000, **kw)
-    _, c = tj.run_batch(tj.DIFFUSIVE, tj.zero_policy(tj.DIFFUSIVE), [1, 0, 0], MIXED, 0.02, 30, chunk_size=7, threads=3, **kw)
+    _, a = tj.run_batch(tj.DIFFUSIVE, tj.zero_policy(tj.DIFFUSIVE), [1, 0, 0], MIXED, 0.02, 30, **kw)
+    monkeypatch.setattr(tj, "CHUNK_PATHS", 7)
+    _, b = tj.run_batch(tj.DIFFUSIVE, tj.zero_policy(tj.DIFFUSIVE), [1, 0, 0], MIXED, 0.02, 30, **kw)
     np.testing.assert_array_equal(a, b)
-    np.testing.assert_array_equal(a, c)
 
 
 def test_common_random_numbers_share_noise():
@@ -190,25 +191,13 @@ def test_lq_policy_monte_carlo_sanity():
     assert abs(stats.mean - target) <= 5.0 * stats.stderr + 0.01
 
 
-def test_cost_statistics_from_costs_and_merge():
+def test_cost_statistics_from_costs():
     costs = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     direct = tj.CostStatistics.from_costs(costs)
     assert direct.mean == pytest.approx(3.5)
     assert direct.std == pytest.approx(np.std(costs, ddof=1))
     assert direct.stderr == pytest.approx(direct.std / np.sqrt(6))
     assert (direct.minimum, direct.maximum) == (1.0, 6.0)
-    merged = tj.CostStatistics.from_costs(costs[:2]).merge(
-        tj.CostStatistics.from_costs(costs[2:])
-    )
-    assert merged.n == direct.n
-    assert merged.mean == pytest.approx(direct.mean, abs=1e-12)
-    assert merged.std == pytest.approx(direct.std, abs=1e-12)
-    # order independence
-    swapped = tj.CostStatistics.from_costs(costs[2:]).merge(
-        tj.CostStatistics.from_costs(costs[:2])
-    )
-    assert swapped.mean == pytest.approx(merged.mean, abs=1e-12)
-    assert swapped.std == pytest.approx(merged.std, abs=1e-12)
 
 
 def test_cost_statistics_single_path_convention():
@@ -282,14 +271,14 @@ def test_ensemble_means_matches_noise_off_euler():
     np.testing.assert_array_less(np.abs(means - dead), 3.0 * errs + 1e-12)
 
 
-def test_ensemble_means_chunk_and_thread_invariant():
+def test_ensemble_means_chunk_invariant(monkeypatch):
     kw = dict(times=[0.0, 0.4, 1.0], seed=9)
     a = tj.ensemble_means(
         tj.COUNTING, tj.zero_policy(tj.COUNTING), [1, 0, 0], QUBIT, 0.02, 300, **kw
     )
+    monkeypatch.setattr(tj, "CHUNK_PATHS", 7)
     b = tj.ensemble_means(
-        tj.COUNTING, tj.zero_policy(tj.COUNTING), [1, 0, 0], QUBIT, 0.02, 300,
-        chunk_size=7, threads=3, **kw
+        tj.COUNTING, tj.zero_policy(tj.COUNTING), [1, 0, 0], QUBIT, 0.02, 300, **kw
     )
     np.testing.assert_array_equal(a[0], b[0])
     np.testing.assert_array_equal(a[1], b[1])
@@ -330,7 +319,8 @@ def test_ensemble_means_rejects_off_grid_and_duplicates():
 
 # sha256 of run_batch's per-path costs (little-endian float64), recorded
 # from the engine that drew each chunk's whole noise buffer up front; the
-# block-streamed engine must reproduce them bit for bit.
+# block-streamed engine must reproduce them bit for bit.  ``chunk_paths``,
+# where given, is set as tj.CHUNK_PATHS so the run crosses chunk boundaries.
 PINNED_COSTS = {
     "diffusive_zero": (
         dict(model=tj.DIFFUSIVE, policy=tj.zero_policy(tj.DIFFUSIVE), x0=[1.0, 0.0, 0.0],
@@ -342,7 +332,7 @@ PINNED_COSTS = {
     "diffusive_projection": (
         dict(model=tj.DIFFUSIVE, policy=tj.constant_policy(tj.DIFFUSIVE, (0.5, 0.0)),
              x0=[1.0, 0.0, 0.0], params=ModelParams(kappa_s_sq=1.0, horizon_T=2.56),
-             dt=1e-2, n_paths=64, seed=7, chunk_size=24),
+             dt=1e-2, n_paths=64, seed=7, chunk_paths=24),
         "a19f7bf341ca5ad09afd736c838018df1db43718fbc1ae68c81a023174853e04",
     ),
     "counting_constant": (
@@ -355,7 +345,7 @@ PINNED_COSTS = {
     "partial_block": (
         dict(model=tj.DIFFUSIVE, policy=tj.constant_policy(tj.DIFFUSIVE, (0.2, 0.1)),
              x0=[0.0, 0.6, 0.8], params=ModelParams(kappa_s_sq=0.5, horizon_T=0.3),
-             dt=1e-3, n_paths=30, seed=3, chunk_size=8, threads=2),
+             dt=1e-3, n_paths=30, seed=3, chunk_paths=8),
         "75d7be13f4227505250acc28c0cb54ed97e3ae3f495ca29bdf7c230d943f83cb",
     ),
     "angle_lq": (
@@ -366,11 +356,26 @@ PINNED_COSTS = {
 }
 
 
+def _with_chunk(monkeypatch, kwargs):
+    """``kwargs`` minus ``chunk_paths``, which is set as tj.CHUNK_PATHS."""
+    kwargs = dict(kwargs)
+    monkeypatch.setattr(tj, "CHUNK_PATHS", kwargs.pop("chunk_paths", tj.CHUNK_PATHS))
+    return kwargs
+
+
 @pytest.mark.parametrize("case", sorted(PINNED_COSTS))
-def test_run_batch_costs_are_pinned(case):
+def test_run_batch_costs_are_pinned(case, monkeypatch):
     kwargs, digest = PINNED_COSTS[case]
-    _, costs = tj.run_batch(**kwargs, return_costs=True)
+    _, costs = tj.run_batch(**_with_chunk(monkeypatch, kwargs), return_costs=True)
     assert hashlib.sha256(costs.astype("<f8").tobytes()).hexdigest() == digest
+
+
+def test_package_import_leaves_out_concurrent_futures():
+    # the engine runs its chunks serially and needs no executor
+    code = "import sys, qubitfeedback; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_noise_memory_is_flat_in_the_horizon():
@@ -447,7 +452,7 @@ PINNED_MEANS = {
     tj.DIFFUSIVE: (
         dict(policy=tj.constant_policy(tj.DIFFUSIVE, (0.2, -0.1)), x0=[1.0, 0.0, 0.0],
              params=MIXED, dt=0.01, n_paths=40, times=[0.0, 0.3, 1.0], seed=4,
-             chunk_size=16),
+             chunk_paths=16),
         "7022628d61d6603507d500cd36d2bf50bdd7ea7a4075c69d44379e850f3225c6",
     ),
     tj.COUNTING: (
@@ -482,6 +487,6 @@ def test_simulate_csv_bytes_are_pinned(model):
 
 
 @pytest.mark.parametrize("model", tj.MODELS)
-def test_ensemble_means_are_pinned(model):
+def test_ensemble_means_are_pinned(model, monkeypatch):
     kwargs, digest = PINNED_MEANS[model]
-    assert _means_digest(model, kwargs) == digest
+    assert _means_digest(model, _with_chunk(monkeypatch, kwargs)) == digest
