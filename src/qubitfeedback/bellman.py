@@ -31,6 +31,10 @@ import numpy as np
 from .filters import (
     GROUND_STATE,
     ModelParams,
+    _counting_drift_xyz,
+    _diffusive_diffusion_xyz,
+    _diffusive_drift_xyz,
+    _jump_intensity_z,
     counting_drift,
     diffusive_diffusion,
     diffusive_drift,
@@ -62,6 +66,11 @@ MASK_TOL = 1e-12
 
 # explicit stepping keeps a factor-4 margin under the monotonicity limit
 CFL_SAFETY = 0.25
+
+# exhaustive DP evaluates this many control candidates per interpolation
+# call: enough to amortize the per-call overhead, few enough that the
+# queries stay a small multiple of the slice in memory
+DP_BLOCK = 3
 
 
 @dataclass(frozen=True)
@@ -496,55 +505,118 @@ def _diffusion_term(values: np.ndarray, sigma: np.ndarray, spacings) -> np.ndarr
     return total
 
 
+# fill plans kept by _fill_inactive, least recently used first; every slice
+# of a solve shares one NaN pattern, so a few entries suffice
+FILL_PLAN_CACHE_SIZE = 4
+_fill_plans: dict = {}
+
+
 def _fill_inactive(values: np.ndarray) -> np.ndarray:
     """Extend a masked slice over NaN nodes by repeated neighbor averaging.
 
     Gives interpolation something sane to read just outside the ball; the
-    extension is never treated as a solution value.
+    extension is never treated as a solution value.  Each sweep sets every
+    NaN node that has a finite axis neighbor to the mean of those
+    neighbors, read before the sweep.  Which nodes a sweep reads and writes
+    depends only on where the slice is NaN (and, should it hold any, where
+    it is infinite), so the sweep plan is cached under that pattern; the
+    slice's values never enter the key.  The neighbors are summed in the
+    order of the whole-array sweep (axis by axis, +1 before -1), so the
+    result matches it bit for bit.
     """
-    filled = np.array(values, dtype=float, copy=True)
-    missing = np.isnan(filled)
+    filled = np.asarray(values, dtype=float)
+    nan = np.isnan(filled)
+    inf = np.isinf(filled)
+    key = (filled.shape, nan.tobytes(), inf.tobytes() if inf.any() else b"")
+    plan = _fill_plans.pop(key, None)
+    if plan is None:
+        plan = _fill_plan(nan, ~(nan | inf))
+        if len(_fill_plans) >= FILL_PLAN_CACHE_SIZE:
+            del _fill_plans[next(iter(_fill_plans))]
+    _fill_plans[key] = plan
+    # one trailing 0.0 stands in for every neighbor a sweep does not count
+    ext = np.zeros(filled.size + 1)
+    ext[:-1] = filled.ravel()
+    for targets, neighbors, counts in plan:
+        acc = np.zeros(targets.size)
+        for slot in neighbors:
+            acc += ext.take(slot)
+        ext[targets] = acc / counts
+    return ext[:-1].reshape(filled.shape)
+
+
+def _fill_plan(missing: np.ndarray, good: np.ndarray) -> list:
+    """Per sweep: target nodes, their neighbor slots and the neighbor counts.
+
+    Flat indices; a slot whose neighbor is off the grid or not yet finite
+    points at the sentinel one past the last node.
+    """
+    shape = missing.shape
+    size = missing.size
+    strides = np.cumprod((1,) + shape[:0:-1])[::-1]
+    missing = missing.ravel().copy()
+    good = np.append(good.ravel(), False)
+    plan = []
     while missing.any():
-        acc = np.zeros_like(filled)
-        cnt = np.zeros(filled.shape)
-        for axis in range(filled.ndim):
+        cand = np.flatnonzero(missing)
+        coords = np.unravel_index(cand, shape)
+        slots = []
+        for axis, n in enumerate(shape):
             for off in (+1, -1):
-                s = _shift(filled, axis, off)
-                good = np.isfinite(s)
-                acc += np.where(good, s, 0.0)
-                cnt += good
-        newly = missing & (cnt > 0)
+                inside = (coords[axis] + off >= 0) & (coords[axis] + off < n)
+                nb = np.where(inside, cand + off * strides[axis], size)
+                slots.append(np.where(good[nb], nb, size))
+        slots = np.stack(slots)
+        counts = np.count_nonzero(slots < size, axis=0)
+        newly = counts > 0
         if not newly.any():
             raise ValueError("cannot extend an all-NaN slice")
-        filled[newly] = acc[newly] / cnt[newly]
-        missing = np.isnan(filled)
-    return filled
+        targets = cand[newly]
+        plan.append((targets, np.ascontiguousarray(slots[:, newly]), counts[newly].astype(float)))
+        missing[targets] = False
+        good[targets] = True
+    return plan
 
 
 def _interp_box(filled: np.ndarray, axes, pts: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation on a uniform box grid; queries are clamped."""
+    """Multilinear interpolation on a uniform box grid; queries are clamped.
+
+    The corners are read through one flat index per query.  The weights
+    are multiplied in axis order and the corners summed in the order of
+    their bits, so the result matches a read with one index array per axis
+    bit for bit.
+    """
     pts = np.asarray(pts, dtype=float)
     d = len(axes)
     lead = pts.shape[:-1]
     q = pts.reshape(-1, d)
-    base = []
-    frac = []
-    for ax in range(d):
+    flat = filled.ravel()
+    lin = 0
+    stride = 1
+    offsets = []
+    weights = []
+    for ax in reversed(range(d)):
         nodes = axes[ax]
         h = nodes[1] - nodes[0]
         f = (np.clip(q[:, ax], nodes[0], nodes[-1]) - nodes[0]) / h
         i0 = np.clip(np.floor(f).astype(int), 0, nodes.size - 2)
-        base.append(i0)
-        frac.append(np.clip(f - i0, 0.0, 1.0))
+        frac = np.clip(f - i0, 0.0, 1.0)
+        lin = lin + i0 * stride
+        offsets.insert(0, stride)
+        weights.insert(0, (1.0 - frac, frac))
+        stride *= nodes.size
+    # corner c has bit ax set when it sits at the upper node of axis ax;
+    # grow the (weight, offset) table one axis at a time, low bits first
+    corners = [(None, 0)]
+    for ax in range(d):
+        corners = [
+            (weights[ax][bit] if w is None else w * weights[ax][bit], off + bit * offsets[ax])
+            for bit in (0, 1)
+            for w, off in corners
+        ]
     out = np.zeros(q.shape[0])
-    for corner in range(1 << d):
-        weight = np.ones(q.shape[0])
-        idx = []
-        for ax in range(d):
-            bit = (corner >> ax) & 1
-            idx.append(base[ax] + bit)
-            weight = weight * (frac[ax] if bit else 1.0 - frac[ax])
-        out += weight * filled[tuple(idx)]
+    for weight, off in corners:
+        out += weight * flat.take(lin + off)
     return out.reshape(lead)
 
 
@@ -760,6 +832,8 @@ def dp_recursion_step(
         raise ValueError(f"slice must have shape {spec.shape}, got {values.shape}")
     if mode == EXHAUSTIVE and spec.control_values() is None:
         raise ValueError("exhaustive mode needs control_box and control_resolution")
+    if not np.isfinite(values[spec.active_mask()]).all():
+        raise ValueError("slice must be finite on the active nodes")
     step = _dp_step_angle if spec.model == ANGLE else _dp_step_qubit
     new, ctrl = step(values, spec, params, mode)
     return (new, ctrl) if return_controls else new
@@ -799,46 +873,65 @@ def _dp_step_qubit(v, spec, params, mode):
     axes = spec.axes()
     mask = spec.active_mask()
     flat = spec.points()[mask]
+    px, py, pz = flat.T.copy()
     delta = spec.delta
     filled = _fill_inactive(v)
 
+    # the grid nodes and the controls are valid by construction, so the
+    # coefficients come from the unchecked component encodings; u_plus and
+    # u_minus broadcast against the (m,) node components
     if spec.model == COUNTING:
-        lam = jump_intensity(flat, params)
+        lam = _jump_intensity_z(pz, params.kappa_s_sq)
         if delta * float(lam.max()) >= 1.0:
             raise ValueError("delta * max jump intensity >= 1; increase n_steps")
+        jump_prob = lam * delta
         j_ground = float(_interp_box(filled, axes, np.asarray(GROUND_STATE, float)))
 
-        def mean_next(u):
-            drifted = np.clip(flat + counting_drift(flat, u, params) * delta, -1.0, 1.0)
-            jump_prob = lam * delta
-            out = (1.0 - jump_prob) * _interp_box(filled, axes, drifted)
+        def mean_next(u_plus, u_minus):
+            drift = _counting_drift_xyz(px, py, pz, u_plus, u_minus, lam)
+            q = np.empty((3,) + drift[2].shape)
+            for c, (p, b) in enumerate(zip((px, py, pz), drift)):
+                np.add(p, b * delta, out=q[c])
+            np.clip(q, -1.0, 1.0, out=q)
+            out = (1.0 - jump_prob) * _interp_box(filled, axes, np.moveaxis(q, 0, -1))
             out += jump_prob * j_ground
             return out
 
     else:
-        kick = diffusive_diffusion(flat, params) * np.sqrt(delta)
+        sqrt_delta = np.sqrt(delta)
+        kick = [s * sqrt_delta for s in _diffusive_diffusion_xyz(px, py, pz, params.kappa_s)]
 
-        def mean_next(u):
-            drifted = flat + diffusive_drift(flat, u) * delta
-            return 0.5 * (
-                _interp_box(filled, axes, np.clip(drifted + kick, -1.0, 1.0))
-                + _interp_box(filled, axes, np.clip(drifted - kick, -1.0, 1.0))
-            )
+        def mean_next(u_plus, u_minus):
+            drift = _diffusive_drift_xyz(px, py, pz, u_plus, u_minus)
+            # (3, 2, ...): both kicks of each component, read in one call
+            q = np.empty((3, 2) + drift[2].shape)
+            for c, (p, b, k) in enumerate(zip((px, py, pz), drift, kick)):
+                drifted = p + b * delta
+                np.add(drifted, k, out=q[c, 0])
+                np.subtract(drifted, k, out=q[c, 1])
+            np.clip(q, -1.0, 1.0, out=q)
+            r = _interp_box(filled, axes, np.moveaxis(q, 0, -1))
+            return 0.5 * (r[0] + r[1])
 
     def objective(u):
-        return np.sum(np.asarray(u) ** 2, axis=-1) * delta + mean_next(u)
+        return np.sum(u**2, axis=-1) * delta + mean_next(u[..., 0], u[..., 1])
 
     m = flat.shape[0]
     if mode == EXHAUSTIVE:
         grid = spec.control_values()
+        cands = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
         best = np.full(m, np.inf)
-        best_u = np.zeros((m, 2))
-        for u_plus in grid:
-            for u_minus in grid:
-                val = objective(np.array([u_plus, u_minus]))
-                better = val < best
-                best[better] = val[better]
-                best_u[better] = (u_plus, u_minus)
+        best_k = np.zeros(m, dtype=int)
+        better = np.empty(m, dtype=bool)
+        # candidates in (u_plus, u_minus) order, DP_BLOCK at a time; the
+        # strict < keeps the first of equal values
+        for start in range(0, len(cands), DP_BLOCK):
+            vals = objective(cands[start : start + DP_BLOCK, None, :])
+            for k, val in enumerate(vals, start):
+                np.less(val, best, out=better)
+                np.copyto(best, val, where=better)
+                np.copyto(best_k, k, where=better)
+        best_u = cands[best_k]
     else:
         grad = _gradient(v, spec.spacings(), limited=True)[mask]
         best_u = optimal_controls_from_gradient(flat, grad, spec.control_box)

@@ -468,7 +468,10 @@ def _parse_mesh(text: str, label: str) -> np.ndarray:
                      _typed(int, label)(parts[2]))
         if n < 1:
             raise ConfigError(f"{label} mesh needs at least one point")
-        mesh = np.linspace(lo, hi, n)
+        # the ends are checked first: linspace warns on an infinite end
+        mesh = np.array([lo, hi])
+        if np.isfinite(mesh).all():
+            mesh = np.linspace(lo, hi, n)
     else:
         mesh = np.array([_typed(float, label)(v) for v in text.split(",")])
     if not np.isfinite(mesh).all():

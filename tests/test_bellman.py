@@ -1,6 +1,7 @@
 """Tests for the grid solvers: pointwise formulas, stencils, sweeps, files."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -443,6 +444,136 @@ def test_dp_step_validation():
     terminal = np.where(spec.active_mask(), 0.0, np.nan)
     with pytest.raises(ValueError, match="intensity"):
         bm.dp_recursion_step(terminal, spec, params)
+
+
+def test_dp_step_rejects_nonfinite_active_values():
+    params = ModelParams(kappa_s_sq=0.5, horizon_T=0.1)
+    spec = bm.GridSpec(model="diffusive", n_nodes=(7, 7, 7), n_steps=2,
+                       horizon_T=0.1, control_box=1.0, control_resolution=3)
+    terminal = np.where(spec.active_mask(), 1.0 - spec.points()[..., 2], np.nan)
+    for bad in (np.nan, np.inf):
+        values = terminal.copy()
+        values[3, 3, 3] = bad
+        for mode in bm.CONTROL_MODES:
+            with pytest.raises(ValueError, match="finite on the active nodes"):
+                bm.dp_recursion_step(values, spec, params, mode)
+
+
+# ---------------------------------------------------------------------------
+# grid kernels against whole-array references
+
+
+def _reference_fill(values):
+    # whole-array sweeps: every NaN node with a finite axis neighbor takes
+    # the mean of those neighbors, summed axis by axis, +1 before -1
+    filled = np.array(values, dtype=float, copy=True)
+    missing = np.isnan(filled)
+    while missing.any():
+        acc = np.zeros_like(filled)
+        cnt = np.zeros(filled.shape)
+        for axis in range(filled.ndim):
+            for off in (+1, -1):
+                s = bm._shift(filled, axis, off)
+                good = np.isfinite(s)
+                acc += np.where(good, s, 0.0)
+                cnt += good
+        newly = missing & (cnt > 0)
+        if not newly.any():
+            raise ValueError("cannot extend an all-NaN slice")
+        filled[newly] = acc[newly] / cnt[newly]
+        missing = np.isnan(filled)
+    return filled
+
+
+def _reference_interp(filled, axes, pts):
+    # corners read with a tuple of per-axis index arrays
+    pts = np.asarray(pts, dtype=float)
+    d = len(axes)
+    lead = pts.shape[:-1]
+    q = pts.reshape(-1, d)
+    base = []
+    frac = []
+    for ax in range(d):
+        nodes = axes[ax]
+        h = nodes[1] - nodes[0]
+        f = (np.clip(q[:, ax], nodes[0], nodes[-1]) - nodes[0]) / h
+        i0 = np.clip(np.floor(f).astype(int), 0, nodes.size - 2)
+        base.append(i0)
+        frac.append(np.clip(f - i0, 0.0, 1.0))
+    out = np.zeros(q.shape[0])
+    for corner in range(1 << d):
+        weight = np.ones(q.shape[0])
+        idx = []
+        for ax in range(d):
+            bit = (corner >> ax) & 1
+            idx.append(base[ax] + bit)
+            weight = weight * (frac[ax] if bit else 1.0 - frac[ax])
+        out += weight * filled[tuple(idx)]
+    return out.reshape(lead)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("shape", [(21, 21, 21), (7, 6, 7)])
+def test_interp_box_matches_tuple_index_reference(shape):
+    rng = np.random.default_rng(11)
+    spec = bm.GridSpec(model="diffusive", n_nodes=shape, n_steps=1, horizon_T=1.0)
+    axes = spec.axes()
+    filled = _reference_fill(np.where(spec.active_mask(), rng.normal(size=shape), np.nan))
+    nodes = spec.points().reshape(-1, 3)
+    inside = rng.uniform(-1.0, 1.0, size=(400, 3))
+    upper_edge = rng.uniform(-1.0, 1.0, size=(4, 60, 3))
+    for ax in range(3):
+        upper_edge[ax, :, ax] = 1.0
+    upper_edge[3] = 1.0
+    outside = rng.uniform(-3.0, 3.0, size=(400, 3))
+    for pts in (nodes, inside, upper_edge, outside, inside.reshape(2, 200, 3), nodes[7]):
+        want = _reference_interp(filled, axes, pts)
+        got = bm._interp_box(filled, axes, pts)
+        assert got.shape == want.shape
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_fill_inactive_matches_whole_array_reference():
+    rng = np.random.default_rng(12)
+    ball = bm.GridSpec(model="diffusive", n_nodes=21, n_steps=1, horizon_T=1.0).active_mask()
+    small = bm.GridSpec(model="diffusive", n_nodes=(7, 6, 7), n_steps=1,
+                        horizon_T=1.0).active_mask()
+    # a NaN pattern that is not the ball mask, as a hand-edited .vgrid carries
+    holes = ball & (rng.random(ball.shape) < 0.8)
+    # A -> B -> A -> B: a plan kept under the wrong key shows up
+    for i, keep in enumerate([ball, holes, ball, holes, small, ball, ball, ball]):
+        values = np.where(keep, rng.normal(size=keep.shape), np.nan)
+        if i in (5, 6):
+            # an infinite node is neither filled nor counted as a neighbor;
+            # a finite one in its place, under the same NaN pattern, counts
+            values[0, 0, 0] = np.inf if i == 5 else 3.0
+        got = bm._fill_inactive(values)
+        assert np.array_equal(_bits(got), _bits(_reference_fill(values)))
+        assert np.isnan(values).any() and not np.isnan(got).any()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="all-NaN"):
+            bm._fill_inactive(np.full((5, 5, 5), np.nan))
+
+
+def test_exhaustive_dp_step_memory_stays_near_the_slice():
+    # candidates are scanned a few at a time: neither a per-solve table of
+    # corner indices and weights (~290 slices here) nor all 81 candidates
+    # at once (~1900 slices) fits under the bound
+    params = ModelParams(kappa_s_sq=0.5, horizon_T=1.0)
+    spec = bm.GridSpec(model="diffusive", n_nodes=21, n_steps=20, horizon_T=1.0,
+                       control_box=2.0, control_resolution=9)
+    terminal = np.where(spec.active_mask(), 1.0 - spec.points()[..., 2], np.nan)
+    bm.dp_recursion_step(terminal, spec, params, bm.EXHAUSTIVE)
+    tracemalloc.start()
+    try:
+        bm.dp_recursion_step(terminal, spec, params, bm.EXHAUSTIVE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * terminal.nbytes
 
 
 def test_solve_dp_angle_small_alpha_reaches_the_noise_free_limit():

@@ -4,6 +4,7 @@ subprocess smoke test)."""
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -331,13 +332,20 @@ def test_lq_mesh_csv(capsys):
         (["--t", "0", "--theta=0:1:2", "--horizon-t", "inf"], "horizon_T"),
         (["--t", "nan", "--theta=0:1:2"], "t mesh points must be finite"),
         (["--t", "0", "--theta", "nan"], "theta mesh points must be finite"),
+        (["--t", "0:inf:3", "--theta", "0"], "t mesh points must be finite"),
     ],
-    ids=["t-outside", "alpha-nan", "alpha-negative", "horizon-inf", "t-nan", "theta-nan"],
+    ids=["t-outside", "alpha-nan", "alpha-negative", "horizon-inf", "t-nan", "theta-nan",
+         "inf-end"],
 )
 def test_lq_rejects_time_outside_horizon(capsys, argv, message):
-    code, _, err = run_cli(capsys, "lq", *argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run_cli(capsys, "lq", *argv)
     assert code == 2
     assert message in err
+    # the error line alone: no numpy warning ahead of it
+    assert [str(w.message) for w in caught] == []
+    assert len(err.splitlines()) == 1
 
 
 def test_module_entry_point_subprocess():
