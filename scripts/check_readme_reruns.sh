@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Run the five CLI commands of the README twice, each time in a fresh
 # temporary directory, and check that stdout and every written file
-# (angle.vgrid included) are byte-identical between the two runs.
+# (angle.vgrid included) are byte-identical between the two runs, and
+# that compare's CSV still has its recorded sha256.
 #
 #   bash scripts/check_readme_reruns.sh
 set -euo pipefail
@@ -36,4 +37,12 @@ diff <(ls "$first") <(ls "$second")
 for path in "$first"/*; do
     cmp "$path" "$second/$(basename "$path")"
 done
+# compare races its three policies over 10000 paths, three chunks; this
+# ranking was recorded when each policy still ran a batch of its own
+compare_sha256=affaf63c07fdde4099f39d6e5eb6a622eb3794d871b6a17754e475b09fd454d1
+got="$(sha256sum < "$first/compare.out" | cut -d ' ' -f 1)"
+if [ "$got" != "$compare_sha256" ]; then
+    echo "compare.out has sha256 $got, expected $compare_sha256" >&2
+    exit 1
+fi
 echo "README commands rerun byte-identically: $(ls "$first" | tr '\n' ' ')"

@@ -33,6 +33,7 @@ from .trajectories import (
     ensemble_means,
     lq_policy,
     run_batch,
+    run_batches,
     simulate,
     zero_policy,
 )
@@ -95,6 +96,7 @@ __all__ = [
     "project_to_ball",
     "riccati_f",
     "run_batch",
+    "run_batches",
     "simulate",
     "solve_backward",
     "solve_dp",

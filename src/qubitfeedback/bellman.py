@@ -578,19 +578,13 @@ def _fill_plan(missing: np.ndarray, good: np.ndarray) -> list:
     return plan
 
 
-def _interp_box(filled: np.ndarray, axes, pts: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation on a uniform box grid; queries are clamped.
-
-    The corners are read through one flat index per query.  The weights
-    are multiplied in axis order and the corners summed in the order of
-    their bits, so the result matches a read with one index array per axis
-    bit for bit.
+def _interp_plan(axes, pts):
+    """(lead shape, flat base index per query, corner (weight, flat offset)
+    pairs in bit order) of box-clamped queries; weights multiply in axis order.
     """
     pts = np.asarray(pts, dtype=float)
     d = len(axes)
-    lead = pts.shape[:-1]
     q = pts.reshape(-1, d)
-    flat = filled.ravel()
     lin = 0
     stride = 1
     offsets = []
@@ -614,10 +608,27 @@ def _interp_box(filled: np.ndarray, axes, pts: np.ndarray) -> np.ndarray:
             for bit in (0, 1)
             for w, off in corners
         ]
-    out = np.zeros(q.shape[0])
+    return pts.shape[:-1], lin, corners
+
+
+def _interp_apply(stack: np.ndarray, plan) -> np.ndarray:
+    """Interpolate each slice of a (k, *grid) stack at a plan's queries: (*lead, k).
+
+    Per slice the corners are summed in bit order, starting from zeros.
+    """
+    lead, lin, corners = plan
+    flat = stack.reshape(len(stack), -1)
+    out = np.zeros((len(stack), lin.size))
     for weight, off in corners:
-        out += weight * flat.take(lin + off)
-    return out.reshape(lead)
+        out += weight * flat.take(lin + off, axis=1)
+    return out.T.reshape(lead + (len(stack),))
+
+
+def _interp_box(filled: np.ndarray, axes, pts: np.ndarray) -> np.ndarray:
+    """Multilinear interpolation of one slice on a uniform box grid; queries are
+    clamped.  Bit for bit the same as a read with one index array per axis.
+    """
+    return _interp_apply(filled[None], _interp_plan(axes, pts))[..., 0]
 
 
 def _interp_periodic(values: np.ndarray, theta) -> np.ndarray:
@@ -823,24 +834,39 @@ def dp_recursion_step(
 
     Returns the new slice, or (slice, controls) with ``return_controls``.
     """
-    if mode not in CONTROL_MODES:
-        raise ValueError(f"mode must be one of {CONTROL_MODES}")
+    _check_dp_mode(spec, mode)
     if spec.n_steps < 1:
         raise ValueError("dp_recursion_step needs n_steps >= 1 for a positive delta")
     values = np.asarray(values, dtype=float)
     if values.shape != spec.shape:
         raise ValueError(f"slice must have shape {spec.shape}, got {values.shape}")
-    if mode == EXHAUSTIVE and spec.control_values() is None:
-        raise ValueError("exhaustive mode needs control_box and control_resolution")
-    if not np.isfinite(values[spec.active_mask()]).all():
+    geometry = _dp_geometry(spec)
+    if not np.isfinite(values[geometry[1]]).all():
         raise ValueError("slice must be finite on the active nodes")
-    step = _dp_step_angle if spec.model == ANGLE else _dp_step_qubit
-    new, ctrl = step(values, spec, params, mode)
+    new, ctrl = _dp_step(values, spec, params, mode, geometry)
     return (new, ctrl) if return_controls else new
 
 
-def _dp_step_angle(v, spec, params, mode):
-    (theta,) = spec.axes()
+def _check_dp_mode(spec: GridSpec, mode: str) -> None:
+    if mode not in CONTROL_MODES:
+        raise ValueError(f"mode must be one of {CONTROL_MODES}")
+    if mode == EXHAUSTIVE and spec.control_values() is None:
+        raise ValueError("exhaustive mode needs control_box and control_resolution")
+
+
+def _dp_geometry(spec: GridSpec):
+    """(axes, active mask, active node coordinates), read by every DP step."""
+    mask = spec.active_mask()
+    return spec.axes(), mask, spec.points()[mask]
+
+
+def _dp_step(v, spec, params, mode, geometry):
+    step = _dp_step_angle if spec.model == ANGLE else _dp_step_qubit
+    return step(v, spec, params, mode, geometry)
+
+
+def _dp_step_angle(v, spec, params, mode, geometry):
+    (theta,) = geometry[0]
     delta = spec.delta
     kick = 2.0 * params.alpha * np.sqrt(delta)
 
@@ -869,10 +895,8 @@ def _dp_step_angle(v, spec, params, mode):
     return best, best_b[None, :]
 
 
-def _dp_step_qubit(v, spec, params, mode):
-    axes = spec.axes()
-    mask = spec.active_mask()
-    flat = spec.points()[mask]
+def _dp_step_qubit(v, spec, params, mode, geometry):
+    axes, mask, flat = geometry
     px, py, pz = flat.T.copy()
     delta = spec.delta
     filled = _fill_inactive(v)
@@ -947,12 +971,14 @@ def _dp_step_qubit(v, spec, params, mode):
 def solve_dp(spec: GridSpec, params: ModelParams, mode: str = CLOSED_FORM) -> ValueGrid:
     """Full backward dynamic-programming sweep (see dp_recursion_step)."""
     _check_spec_params(spec, params)
-    mask = spec.active_mask()
+    if spec.n_steps:
+        _check_dp_mode(spec, mode)
+    geometry = _dp_geometry(spec)
+    mask = geometry[1]
     values, controls = _terminal_slices(spec, mask, spec.points())
+    # no per-step input checks: the terminal slice is finite on the mask
     for k in range(spec.n_steps, 0, -1):
-        new, ctrl = dp_recursion_step(
-            values[k], spec, params, mode, return_controls=True
-        )
+        new, ctrl = _dp_step(values[k], spec, params, mode, geometry)
         _require_finite(new, k - 1, mask)
         values[k - 1] = new
         controls[k - 1] = ctrl
@@ -968,9 +994,9 @@ def extract_policy(vg: ValueGrid):
 
     Time picks the nearest stored slice; the state is clamped into the grid
     bounds and the stored controls are interpolated multilinearly (masked
-    nodes are backfilled by nearest-neighbor extension first, so queries
-    near the sphere stay finite).  Queries with t outside [0, T] raise
-    ValueError.  The returned callable accepts batched states.
+    nodes are first filled by repeated neighbor averaging, `_fill_inactive`,
+    so queries near the sphere stay finite).  Queries with t outside [0, T]
+    raise ValueError.  The returned callable accepts batched states.
     """
     spec = vg.spec
     n_steps = spec.n_steps
@@ -995,19 +1021,11 @@ def extract_policy(vg: ValueGrid):
         return policy
 
     axes = spec.axes()
-    filled = np.stack(
-        [
-            np.stack([_fill_inactive(vg.controls[k, c]) for c in range(2)])
-            for k in range(n_steps + 1)
-        ]
-    )
+    controls = vg.controls.reshape((-1,) + spec.shape)
+    filled = np.stack([_fill_inactive(c) for c in controls]).reshape(vg.controls.shape)
 
     def policy(t, state):
-        k = slice_index(t)
-        q = np.clip(np.asarray(state, dtype=float), -1.0, 1.0)
-        return np.stack(
-            [_interp_box(filled[k, 0], axes, q), _interp_box(filled[k, 1], axes, q)],
-            axis=-1,
-        )
+        # the plan clamps every axis into [-1, 1]; one plan serves both components
+        return _interp_apply(filled[slice_index(t)], _interp_plan(axes, state))
 
     return policy

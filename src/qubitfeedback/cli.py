@@ -40,6 +40,7 @@ from .trajectories import (
     model_from_id,
     model_record,
     run_batch,
+    run_batches,
     simulate,
     zero_policy,
 )
@@ -425,12 +426,10 @@ def cmd_compare(cfg: dict) -> dict | None:
     if len(texts) < 2:
         raise ConfigError("compare needs at least two --policy entries")
     t0 = time.perf_counter()
-    rows = []
-    for text in texts:
-        policy = _make_policy(text, model, params)
-        # common random numbers: every policy sees the same seed
-        stats = _monte_carlo(cfg, model, policy, x0, params)
-        rows.append((text, stats.mean, stats.stderr, stats.n))
+    policies = [_make_policy(text, model, params) for text in texts]
+    # common random numbers: every policy runs on the same noise draw
+    stats = run_batches(model, policies, x0, params, cfg["dt"], cfg["n_paths"], cfg["seed"])
+    rows = [(text, s.mean, s.stderr, s.n) for text, s in zip(texts, stats)]
     rows.sort(key=lambda r: r[1])
     buf = io.StringIO()
     buf.write("policy,mean,stderr,n\n")

@@ -15,13 +15,15 @@ theta^2).
 Reproducibility: path i of a batch draws its noise from the substream
 ``SeedSequence((seed, i))``, so results are independent of how the paths
 are split into chunks, and two batches with the same seed see identical
-noise (common random numbers).  ``simulate`` is path 0 of its seed.  Paths
-run serially in chunks of ``CHUNK_PATHS`` = 4096; each path's noise is
-drawn in blocks of ``NOISE_BLOCK`` = 256 steps into one reused buffer, so
-the engine's noise memory is about 4096 * 256 * 8 bytes whatever the
-horizon.
-Block-wise draws are the same numbers as one draw over the horizon, so
-fixed-seed results are unchanged bit for bit by the blocking.
+noise (common random numbers).  ``run_batches``, which the CLI's
+``compare`` uses, draws each noise block once and feeds it to every
+policy; each policy gets the result its own batch would give.
+``simulate`` is path 0 of its seed.  Paths run serially in chunks of
+``CHUNK_PATHS`` = 4096; each path's noise is drawn in blocks of
+``NOISE_BLOCK`` = 256 steps into one reused buffer, so the engine's noise
+memory is about 4096 * 256 * 8 bytes whatever the horizon.  Block-wise
+draws are the same numbers as one draw over the horizon, so fixed-seed
+results are unchanged bit for bit by the blocking.
 
 What differs between the models is data in one frozen `ModelRecord` per
 model (`MODEL_RECORDS`): the CLI and ``.vgrid`` id, state and control
@@ -29,10 +31,10 @@ shapes, noise kind, CSV header, grid bounds and terminal cost.  The
 engine, the policy factories, the CSV writer, the grid solvers and the
 CLI all read it; only the step kernel itself is chosen per model.
 
-Validation happens at the API boundary: ``simulate``, ``run_batch`` and
-``ensemble_means`` check x0 and dt once; the policy's output is checked
-for shape and finiteness on every step, and the state for finiteness at
-the end of every noise block.  States are projected back into the unit
+Validation happens at the API boundary: ``simulate``, ``run_batches``
+and ``ensemble_means`` check x0 and dt once; each policy's output is
+checked for shape and finiteness on every step, and each state for
+finiteness at the end of every noise block.  States are projected back into the unit
 ball when they leave it by more than ``filters.BALL_TOL``.  The step
 kernels themselves do no checking.
 """
@@ -403,34 +405,38 @@ def _effort(u: np.ndarray) -> np.ndarray:
 
 
 def _simulate_paths(
-    model, policy, start, n_steps, params, dt, rng_list, record, checkpoint_idx=None,
+    model, policies, start, n_steps, params, dt, rng_list, record, checkpoint_idx=(),
 ):
-    """Advance len(rng_list) paths in lockstep; optionally record history.
+    """Advance len(rng_list) paths in lockstep under each policy; return one
+    result dict per policy.  Each noise block is drawn once for all policies.
 
     ``start`` and the other inputs come from `_validated_start`.  Qubit
-    states are kept as a (3, n) array; the policy and the step kernels see
-    its (n, 3) transpose.  ``checkpoint_idx`` (sorted time-node indices)
-    requests state snapshots without recording full histories.
+    states are kept as a (3, n) array per policy; the policy and the step
+    kernels see its (n, 3) transpose.  ``checkpoint_idx`` (sorted time-node
+    indices) requests state snapshots without recording full histories.
     """
     rec = MODEL_RECORDS[model]
     n_paths = len(rng_list)
-    state = np.repeat(np.asarray(start)[..., None], n_paths, axis=-1)
     ctrl_shape = (n_paths,) + rec.control_shape
-    cost = np.zeros(n_paths)
+    states = [np.repeat(np.asarray(start)[..., None], n_paths, axis=-1) for _ in policies]
+    costs = np.zeros((len(policies), n_paths))
+    outs = [{} for _ in policies]
 
-    if checkpoint_idx is not None:
-        snaps = np.empty((len(checkpoint_idx),) + state.T.shape)
-        snap_at = {int(node): j for j, node in enumerate(checkpoint_idx)}
+    snap_at = {int(node): j for j, node in enumerate(checkpoint_idx)}
+    for out, state in zip(outs, states):
+        out["snapshots"] = np.empty((len(checkpoint_idx),) + state.T.shape)
         if 0 in snap_at:
-            snaps[snap_at[0]] = state.T
-
-    if record:
-        states = np.empty((n_steps + 1,) + state.T.shape)
-        states[0] = state.T
-        controls = np.empty((n_steps,) + ctrl_shape)
-        increments = np.empty((n_steps, n_paths))
-        observations = np.empty((n_steps, n_paths)) if rec.observed else None
-        running = np.zeros((n_steps + 1, n_paths))
+            out["snapshots"][snap_at[0]] = state.T
+        if record:
+            out.update(
+                times=np.arange(n_steps + 1) * dt,
+                states=np.empty((n_steps + 1,) + state.T.shape),
+                controls=np.empty((n_steps,) + ctrl_shape),
+                increments=np.empty((n_steps, n_paths)),
+                observations=np.empty((n_steps, n_paths)) if rec.observed else None,
+                running_full=np.zeros((n_steps + 1, n_paths)),
+            )
+            out["states"][0] = state.T
 
     draw = getattr(np.random.Generator, rec.noise)
     # row i holds path i's next block of draws: the same numbers, in the
@@ -444,52 +450,42 @@ def _simulate_paths(
             draw(r, out=row[:block_len])
         for j in range(block_len):
             k = block_start + j
-            view = state.T
-            u = _checked_control(policy(k * dt, view), ctrl_shape)
-            cost += _effort(u) * dt
-            if model == ANGLE:
+            if model != COUNTING:
                 inc = draws[:, j] * sqrt_dt
-                new_state = step_angle(view, u, dt, inc, params)
-            elif model == DIFFUSIVE:
-                inc = draws[:, j] * sqrt_dt
+            for i, (policy, out) in enumerate(zip(policies, outs)):
+                state = states[i]
+                view = state.T
+                u = _checked_control(policy(k * dt, view), ctrl_shape)
+                costs[i] += _effort(u) * dt
+                if model == ANGLE:
+                    new_state = step_angle(view, u, dt, inc, params)
+                elif model == DIFFUSIVE:
+                    if record:
+                        out["observations"][k] = observation_drift(view, params) * dt + inc
+                    new_state = step_diffusive(view, u, dt, inc, params)
+                else:
+                    jumped = draws[:, j] < _jump_intensity_z(state[2], params.kappa_s_sq) * dt
+                    inc = jumped.astype(float)
+                    if record:
+                        out["observations"][k] = inc
+                    new_state = step_counting(view, u, dt, jumped, params)
                 if record:
-                    observations[k] = observation_drift(view, params) * dt + inc
-                new_state = step_diffusive(view, u, dt, inc, params)
-            else:
-                jumped = draws[:, j] < _jump_intensity_z(state[2], params.kappa_s_sq) * dt
-                inc = jumped.astype(float)
-                if record:
-                    observations[k] = inc
-                new_state = step_counting(view, u, dt, jumped, params)
-            if record:
-                controls[k] = u
-                increments[k] = inc
-                running[k + 1] = cost
-                states[k + 1] = new_state
-            state = new_state.T
-            if checkpoint_idx is not None and (k + 1) in snap_at:
-                snaps[snap_at[k + 1]] = new_state
-        if not np.isfinite(state).all():
+                    out["controls"][k] = u
+                    out["increments"][k] = inc
+                    out["running_full"][k + 1] = costs[i]
+                    out["states"][k + 1] = new_state
+                states[i] = new_state.T
+                if (k + 1) in snap_at:
+                    out["snapshots"][snap_at[k + 1]] = new_state
+        if not all(np.isfinite(state).all() for state in states):
             raise ValueError(
                 f"state became non-finite before t = {(block_start + block_len) * dt!r}"
             )
 
-    terminal = rec.terminal_cost(state.T)
-    total = cost + terminal
-
-    out = {"costs": total, "terminal": terminal}
-    if checkpoint_idx is not None:
-        out["snapshots"] = snaps
-    if record:
-        out.update(
-            times=np.arange(n_steps + 1) * dt,
-            states=states,
-            controls=controls,
-            increments=increments,
-            observations=observations,
-            running_full=running,
-        )
-    return out
+    for out, state, cost in zip(outs, states, costs):
+        out["terminal"] = rec.terminal_cost(state.T)
+        out["costs"] = cost + out["terminal"]
+    return outs
 
 
 def _run_chunks(n_paths: int, seed, simulate_chunk):
@@ -519,7 +515,7 @@ def simulate(
     """
     n_steps, start = _validated_start(model, x0, params, dt)
     rngs = _path_rngs(seed, [0])
-    res = _simulate_paths(model, policy, start, n_steps, params, dt, rngs, record=True)
+    (res,) = _simulate_paths(model, [policy], start, n_steps, params, dt, rngs, record=True)
     return Trajectory(
         model=model,
         dt=dt,
@@ -545,28 +541,42 @@ def run_batch(
     seed: int | None = None,
     return_costs: bool = False,
 ):
-    """Monte Carlo over n_paths independent trajectories.
+    """`run_batches` of one policy: CostStatistics of n_paths independent
+    trajectories, or (CostStatistics, costs) with ``return_costs``."""
+    (result,) = run_batches(model, [policy], x0, params, dt, n_paths, seed, return_costs)
+    return result
 
-    Paths are advanced in vectorized chunks; path i always consumes the
-    substream ``SeedSequence((seed, i))``, so the estimate does not depend
-    on the chunk size.  Returns CostStatistics, or (CostStatistics, costs)
-    with ``return_costs``.
+
+def run_batches(
+    model: str,
+    policies,
+    x0,
+    params: ModelParams,
+    dt: float,
+    n_paths: int,
+    seed: int | None = None,
+    return_costs: bool = False,
+) -> list:
+    """Monte Carlo of each policy over the same n_paths noise paths.
+
+    Path i always consumes the substream ``SeedSequence((seed, i))``, so
+    results do not depend on the chunk size.  Each noise block is drawn
+    once and fed to every policy (also with ``seed=None``), so each gets
+    bit for bit the result of its own run.  Returns one CostStatistics, or
+    (CostStatistics, costs) with ``return_costs``, per policy.
     """
     n_steps, start = _validated_start(model, x0, params, dt, n_paths)
 
     def chunk_costs(rngs):
-        return _simulate_paths(
-            model, policy, start, n_steps, params, dt, rngs, record=False
-        )["costs"]
+        outs = _simulate_paths(model, policies, start, n_steps, params, dt, rngs, record=False)
+        return [out["costs"] for out in outs]
 
-    costs = np.empty(n_paths)
+    costs = np.empty((len(policies), n_paths))
     for lo, hi, chunk in _run_chunks(n_paths, seed, chunk_costs):
-        costs[lo:hi] = chunk
+        costs[:, lo:hi] = chunk
 
-    stats = CostStatistics.from_costs(costs)
-    if return_costs:
-        return stats, costs
-    return stats
+    stats = [CostStatistics.from_costs(row) for row in costs]
+    return list(zip(stats, costs)) if return_costs else stats
 
 
 def ensemble_means(
@@ -606,10 +616,11 @@ def ensemble_means(
     snaps = np.empty((len(times), n_paths) + MODEL_RECORDS[model].state_shape)
 
     def chunk_snaps(rngs):
-        return _simulate_paths(
-            model, policy, start, n_steps, params, dt, rngs, record=False,
+        (out,) = _simulate_paths(
+            model, [policy], start, n_steps, params, dt, rngs, record=False,
             checkpoint_idx=sorted_idx,
-        )["snapshots"]
+        )
+        return out["snapshots"]
 
     for lo, hi, chunk in _run_chunks(n_paths, seed, chunk_snaps):
         snaps[order, lo:hi] = chunk

@@ -536,6 +536,46 @@ def test_interp_box_matches_tuple_index_reference(shape):
         assert np.array_equal(_bits(got), _bits(want))
 
 
+def test_interp_plan_applied_to_a_stack_matches_one_call_per_slice():
+    rng = np.random.default_rng(13)
+    spec = bm.GridSpec(model="diffusive", n_nodes=(9, 8, 9), n_steps=1, horizon_T=1.0)
+    axes = spec.axes()
+    mask = spec.active_mask()
+    stack = np.stack([_reference_fill(np.where(mask, rng.normal(size=spec.shape), np.nan))
+                      for _ in range(2)])
+    nodes = spec.points().reshape(-1, 3)
+    inside = rng.uniform(-1.0, 1.0, size=(300, 3))
+    upper_edge = rng.uniform(-1.0, 1.0, size=(4, 50, 3))
+    for ax in range(3):
+        upper_edge[ax, :, ax] = 1.0
+    upper_edge[3] = 1.0
+    outside = rng.uniform(-3.0, 3.0, size=(300, 3))
+    for pts in (nodes, inside, upper_edge, outside, nodes[5]):
+        got = bm._interp_apply(stack, bm._interp_plan(axes, pts))
+        assert got.shape == pts.shape[:-1] + (2,)
+        for c in range(2):
+            assert np.array_equal(_bits(got[..., c]), _bits(bm._interp_box(stack[c], axes, pts)))
+
+
+def test_qubit_grid_policy_matches_clipped_per_component_reads():
+    # the policy no longer clips the state itself: the plan's clamp to the
+    # cube [-1, 1]^3 gives the same bits as clipping first
+    params = ModelParams(kappa_s_sq=0.8, horizon_T=0.3)
+    spec = bm.GridSpec(model="counting", n_nodes=7, n_steps=30, horizon_T=0.3,
+                       control_box=1.0)
+    vg = bm.solve_backward(spec, params)
+    policy = bm.extract_policy(vg)
+    axes = spec.axes()
+    states = np.random.default_rng(14).uniform(-1.5, 1.5, size=(200, 3))
+    states[:4] = [[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [1.0, 1.0, 1.0], [-2.0, 0.5, 3.0]]
+    for t, k in ((0.0, 0), (0.1, 10), (0.3, 30)):
+        q = np.clip(states, -1.0, 1.0)
+        want = np.stack([bm._interp_box(bm._fill_inactive(vg.controls[k, c]), axes, q)
+                         for c in range(2)], axis=-1)
+        assert np.array_equal(_bits(policy(t, states)), _bits(want))
+        assert np.array_equal(_bits(policy(t, states[0])), _bits(want[0]))
+
+
 def test_fill_inactive_matches_whole_array_reference():
     rng = np.random.default_rng(12)
     ball = bm.GridSpec(model="diffusive", n_nodes=21, n_steps=1, horizon_T=1.0).active_mask()

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qubitfeedback import lq
+from qubitfeedback import cli, lq
 from qubitfeedback.bellman import ValueGrid
 from qubitfeedback.cli import main
 
@@ -303,6 +303,51 @@ def test_compare_grid_policy_spec(tmp_path, capsys):
     )
     assert code == 0
     assert out.splitlines()[1].split(",")[0].startswith("grid:")
+
+
+def _no_monte_carlo(*args, **kwargs):
+    raise AssertionError("the Monte Carlo engine ran")
+
+
+@pytest.mark.parametrize("bad, code, message", [
+    ("bogus", 2, "error: unknown policy 'bogus'; expected zero, constant:<values>, "
+                 "lq-closed-form, or grid:<path>\n"),
+    ("grid:/nonexistent/x.vgrid", 1,
+     "error: [Errno 2] No such file or directory: '/nonexistent/x.vgrid'\n"),
+], ids=["unknown", "missing-grid"])
+def test_compare_rejects_a_bad_policy_before_any_simulation(capsys, monkeypatch, bad, code,
+                                                            message):
+    monkeypatch.setattr(cli, "run_batches", _no_monte_carlo)
+    monkeypatch.setattr(cli, "run_batch", _no_monte_carlo)
+    got, out, err = run_cli(
+        capsys, "compare", "--model", "counting-qubit", "--policy", "zero",
+        "--policy", bad, "--n-paths", "50", "--dt", "0.01", "--no-timings",
+    )
+    assert (got, out, err) == (code, "", message)
+
+
+# recorded before compare advanced its policies in lockstep
+PINNED_COUNTING_COMPARE = [
+    "policy,mean,stderr,n",
+    "{grid},1.4023651889141573,0.017537211497482576,300",
+    "zero,1.6398654071895542,0.0095368527442547795,300",
+]
+
+
+def test_compare_counting_grid_policy_csv_is_pinned(tmp_path, capsys):
+    grid = tmp_path / "counting.vgrid"
+    code, _, _ = run_cli(capsys, "solve", "--model", "counting-qubit", "--n-nodes", "9",
+                         "--n-steps", "100", "--control-box", "1", "--grid", str(grid),
+                         "--no-timings")
+    assert code == 0
+    code, out, _ = run_cli(
+        capsys, "compare", "--model", "counting-qubit", "--x0", "1,0,0",
+        "--policy", f"grid:{grid}", "--policy", "zero",
+        "--n-paths", "300", "--dt", "0.01", "--seed", "4", "--no-timings",
+    )
+    assert code == 0
+    want = [line.format(grid=f"grid:{grid}") for line in PINNED_COUNTING_COMPARE]
+    assert out.splitlines() == want
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qubitfeedback import bellman as bm
 from qubitfeedback import lq
 from qubitfeedback import trajectories as tj
 from qubitfeedback.filters import GROUND_STATE, ModelParams
@@ -182,6 +183,68 @@ def test_common_random_numbers_share_noise():
         tj.ANGLE, tj.zero_policy(tj.ANGLE), 0.0, ANGLE, 0.01, 16, seed=21, return_costs=True
     )
     np.testing.assert_array_equal(costs_zero, costs_zero2)
+
+
+def _counting_grid_policy(params):
+    spec = bm.GridSpec(model=tj.COUNTING, n_nodes=7, n_steps=round(100 * params.horizon_T),
+                       horizon_T=params.horizon_T, control_box=1.0)
+    return bm.extract_policy(bm.solve_backward(spec, params))
+
+
+# (policies, x0, params) per model; 300 or 600 steps cross noise-block
+# boundaries, and about half of the counting paths jump, at times that
+# differ between the policies
+LOCKSTEP = {
+    tj.DIFFUSIVE: lambda: (
+        [tj.zero_policy(tj.DIFFUSIVE), tj.constant_policy(tj.DIFFUSIVE, (0.4, -0.3)),
+         lambda t, s: -0.5 * s[..., :2]],
+        [1.0, 0.0, 0.0], ModelParams(kappa_s_sq=0.5, horizon_T=0.3),
+    ),
+    tj.COUNTING: lambda: (
+        [tj.zero_policy(tj.COUNTING), tj.constant_policy(tj.COUNTING, (0.3, -0.2)),
+         _counting_grid_policy(ModelParams(kappa_s_sq=1.0, horizon_T=0.6))],
+        [0.0, 0.6, 0.8], ModelParams(kappa_s_sq=1.0, horizon_T=0.6),
+    ),
+    tj.ANGLE: lambda: (
+        [tj.zero_policy(tj.ANGLE), tj.constant_policy(tj.ANGLE, -0.4),
+         tj.lq_policy(ModelParams(alpha=0.5, horizon_T=0.3))],
+        1.0, ModelParams(alpha=0.5, horizon_T=0.3),
+    ),
+}
+
+
+@pytest.mark.parametrize("model", sorted(LOCKSTEP))
+def test_run_batches_equal_separate_run_batch_bit_for_bit(model, monkeypatch):
+    # 20 paths in chunks of 7: three chunks, the last one short
+    monkeypatch.setattr(tj, "CHUNK_PATHS", 7)
+    policies, x0, params = LOCKSTEP[model]()
+    kw = dict(x0=x0, params=params, dt=1e-3, n_paths=20, seed=31, return_costs=True)
+    together = tj.run_batches(model, policies, **kw)
+    assert len(together) == 3
+    for policy, (stats, costs) in zip(policies, together):
+        alone_stats, alone = tj.run_batch(model, policy, **kw)
+        assert np.array_equal(costs.view(np.int64), alone.view(np.int64))
+        assert stats == alone_stats
+    # the arms really differ: no policy was run in place of another
+    assert len({costs.tobytes() for _, costs in together}) == 3
+
+
+def test_run_batches_without_seed_share_one_noise_draw(monkeypatch):
+    monkeypatch.setattr(tj, "CHUNK_PATHS", 7)
+    # homodyne noise moves every path, so equal costs mean equal noise
+    zero = tj.zero_policy(tj.DIFFUSIVE)
+    push = tj.constant_policy(tj.DIFFUSIVE, (0.5, 0.0))
+
+    def unseeded():
+        results = tj.run_batches(tj.DIFFUSIVE, [zero, push, zero], [1.0, 0.0, 0.0],
+                                 MIXED, 0.01, 20, return_costs=True)
+        return [costs for _, costs in results]
+
+    first, pushed, again = unseeded()
+    assert np.array_equal(first.view(np.int64), again.view(np.int64))
+    assert not np.array_equal(first, pushed)
+    # fresh entropy on every call
+    assert not np.array_equal(first, unseeded()[0])
 
 
 def test_lq_policy_monte_carlo_sanity():
@@ -426,6 +489,14 @@ def test_run_batch_rejects_a_state_that_turns_non_finite():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="non-finite"):
             _run(huge)
+
+
+def test_run_batches_check_every_policy_for_a_non_finite_state():
+    zero = tj.zero_policy(tj.DIFFUSIVE)
+    huge = tj.constant_policy(tj.DIFFUSIVE, (1e308, 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="non-finite"):
+            tj.run_batches(tj.DIFFUSIVE, [zero, huge], (0.0, 0.0, 1.0), MIXED, 0.01, 6, seed=1)
 
 
 # sha256 of full trajectory records and ensemble means, one case per model,
