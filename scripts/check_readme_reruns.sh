@@ -2,7 +2,7 @@
 # Run the five CLI commands of the README twice, each time in a fresh
 # temporary directory, and check that stdout and every written file
 # (angle.vgrid included) are byte-identical between the two runs, and
-# that compare's CSV still has its recorded sha256.
+# that each of them still has its recorded sha256.
 #
 #   bash scripts/check_readme_reruns.sh
 set -euo pipefail
@@ -37,12 +37,21 @@ diff <(ls "$first") <(ls "$second")
 for path in "$first"/*; do
     cmp "$path" "$second/$(basename "$path")"
 done
-# compare races its three policies over 10000 paths, three chunks; this
-# ranking was recorded when each policy still ran a batch of its own
-compare_sha256=affaf63c07fdde4099f39d6e5eb6a622eb3794d871b6a17754e475b09fd454d1
-got="$(sha256sum < "$first/compare.out" | cut -d ' ' -f 1)"
-if [ "$got" != "$compare_sha256" ]; then
-    echo "compare.out has sha256 $got, expected $compare_sha256" >&2
-    exit 1
-fi
+# every output has the sha256 recorded at the commit that added this
+# table; compare races its three policies over 10000 paths, three chunks,
+# and its ranking was recorded when each policy still ran a batch of its own
+while read -r name want; do
+    got="$(sha256sum < "$first/$name" | cut -d ' ' -f 1)"
+    if [ "$got" != "$want" ]; then
+        echo "$name has sha256 $got, expected $want" >&2
+        exit 1
+    fi
+done <<'PINS'
+simulate.out ef670e613b1091a13a59549c7815fdc0610833828e0697e115bf8d2940da35b8
+solve.out c29d0424a19d902037ed42b7ba93733ea5773c3338164fa91b4ad17744d4fb53
+angle.vgrid ff0419bb42be31746a8c896082d6a77663ded2de8372005ba598c55011e86182
+evaluate.out ec90ed0703802aab4299b698ae910297105842c0e4a1e063ddcadcd88fddcda4
+lq.out 85c4667a88136c4a96b87dd0eadfe46dadefc2fc35bfb16a84e75c2e875ed01e
+compare.out affaf63c07fdde4099f39d6e5eb6a622eb3794d871b6a17754e475b09fd454d1
+PINS
 echo "README commands rerun byte-identically: $(ls "$first" | tr '\n' ' ')"

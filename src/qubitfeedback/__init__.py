@@ -45,8 +45,6 @@ from .bellman import (
     ValueGrid,
     dp_recursion_step,
     extract_policy,
-    hjb_rhs_angle,
-    hjb_rhs_counting,
     hjb_rhs_diffusive,
     optimal_controls_from_gradient,
     solve_backward,
@@ -81,8 +79,6 @@ __all__ = [
     "extract_policy",
     "g_term",
     "hjb_residual",
-    "hjb_rhs_angle",
-    "hjb_rhs_counting",
     "hjb_rhs_diffusive",
     "jump_intensity",
     "jump_target",

@@ -35,10 +35,8 @@ from .filters import (
     _diffusive_diffusion_xyz,
     _diffusive_drift_xyz,
     _jump_intensity_z,
-    counting_drift,
     diffusive_diffusion,
     diffusive_drift,
-    jump_intensity,
 )
 from .persist import atomic_write_bytes
 from .trajectories import ANGLE, COUNTING, ModelRecord, model_from_id, model_record
@@ -344,20 +342,13 @@ def optimal_controls_from_gradient(p, grad, control_box: float | None = None):
     return u
 
 
-def _control_terms(p, grad, control_box):
-    """Running cost plus control-drift contraction at the best admissible u."""
-    c = optimal_controls_from_gradient(p, grad)
-    if control_box is None:
-        return -np.sum(c * c, axis=-1)
-    u = np.clip(c, -control_box, control_box)
-    return np.sum(u * u - 2.0 * u * c, axis=-1)
-
-
 def hjb_rhs_diffusive(p, grad, hess, params: ModelParams, control_box=None):
     """Minus the time derivative of the cost-to-go, homodyne model.
 
     The second-order coefficients are contracted from the outer product of
-    the diffusion vector, never spelled out termwise.
+    the diffusion vector, never spelled out termwise.  The control terms,
+    running cost plus control-drift contraction, are taken at the best
+    admissible u.
     """
     p = np.asarray(p, dtype=float)
     g = np.asarray(grad, dtype=float)
@@ -366,33 +357,13 @@ def hjb_rhs_diffusive(p, grad, hess, params: ModelParams, control_box=None):
     drift_term = np.sum(diffusive_drift(p, zero_u) * g, axis=-1)
     sigma = diffusive_diffusion(p, params)
     quad = 0.5 * np.einsum("...i,...j,...ij->...", sigma, sigma, hess)
-    return drift_term + quad + _control_terms(p, g, control_box)
-
-
-def hjb_rhs_counting(p, grad, j_here, j_ground, params: ModelParams, control_box=None):
-    """Minus the time derivative of the cost-to-go, photocounting model.
-
-    No diffusion; instead the nonlocal detection term
-    jump_intensity(p) * (J(ground) - J(p)).
-    """
-    p = np.asarray(p, dtype=float)
-    g = np.asarray(grad, dtype=float)
-    zero_u = np.zeros(p.shape[:-1] + (2,))
-    drift_term = np.sum(counting_drift(p, zero_u, params) * g, axis=-1)
-    lam = jump_intensity(p, params)
-    nonlocal_term = lam * (np.asarray(j_ground, dtype=float) - np.asarray(j_here, dtype=float))
-    return drift_term + nonlocal_term + _control_terms(p, g, control_box)
-
-
-def hjb_rhs_angle(first_deriv, second_deriv, params: ModelParams, control_box=None):
-    """Minus the time derivative of the cost-to-go, angle model."""
-    d1 = np.asarray(first_deriv, dtype=float)
-    d2 = np.asarray(second_deriv, dtype=float)
-    diffusion = 2.0 * params.alpha**2 * d2
+    c = optimal_controls_from_gradient(p, g)
     if control_box is None:
-        return -d1 * d1 + diffusion
-    b = np.clip(-d1, -control_box, control_box)
-    return b * b + 2.0 * b * d1 + diffusion
+        control = -np.sum(c * c, axis=-1)
+    else:
+        u = np.clip(c, -control_box, control_box)
+        control = np.sum(u * u - 2.0 * u * c, axis=-1)
+    return drift_term + quad + control
 
 
 # ---------------------------------------------------------------------------
@@ -753,43 +724,51 @@ def _solve_fd_qubit(spec: GridSpec, params: ModelParams, mask, pts):
     axes = spec.axes()
     spacings = spec.spacings()
     flat = pts[mask]
+    # the grid nodes and the completed-squares controls are valid by
+    # construction, so the coefficients come from the unchecked component
+    # encodings, as in the DP step
+    px, py, pz = flat.T.copy()
     n_steps, delta = spec.n_steps, spec.delta
     box = spec.control_box
     drift_full = np.zeros(spec.shape + (3,))
 
     if spec.model == COUNTING:
+        lam_flat = _jump_intensity_z(pz, params.kappa_s_sq)
         lam = np.zeros(spec.shape)
-        lam[mask] = jump_intensity(flat, params)
+        lam[mask] = lam_flat
         # monotone load of the drift/jump stepping, worst-case controls
         u_max = box if box is not None else 0.0
-        b0 = counting_drift(flat, np.zeros((flat.shape[0], 2)), params)
+        b0 = np.stack(_counting_drift_xyz(px, py, pz, 0.0, 0.0, lam_flat), axis=-1)
         swing = 2.0 * u_max * np.stack(
-            [np.abs(flat[:, 2]), np.abs(flat[:, 2]),
-             np.abs(flat[:, 0]) + np.abs(flat[:, 1])],
-            axis=-1,
+            [np.abs(pz), np.abs(pz), np.abs(px) + np.abs(py)], axis=-1
         )
         load = np.sum((np.abs(b0) + swing) / np.asarray(spacings), axis=-1)
-        load += jump_intensity(flat, params)
+        load += lam_flat
         worst = float(load.max())
         if worst > 0.0:
             _require_stable(delta, CFL_SAFETY / worst)
+        # the detection term reads J at the ground state, one query per solve
+        ground = _interp_plan(axes, GROUND_STATE)
 
         def rhs(v, u_flat):
-            drift_full[mask] = counting_drift(flat, u_flat, params)
-            j_ground = float(
-                _interp_box(_fill_inactive(v), axes, np.asarray(GROUND_STATE, float))
+            drift_full[mask] = np.stack(
+                _counting_drift_xyz(px, py, pz, u_flat[:, 0], u_flat[:, 1], lam_flat),
+                axis=-1,
             )
+            j_ground = float(_interp_apply(_fill_inactive(v)[None], ground)[0])
             return _advection_upwind(v, drift_full, spacings) + lam * (j_ground - v)
 
     else:
         sigma = np.zeros(spec.shape + (3,))
-        sigma[mask] = diffusive_diffusion(flat, params)
+        sigma[mask] = np.stack(_diffusive_diffusion_xyz(px, py, pz, params.kappa_s), axis=-1)
         max_diffusion = float((0.5 * np.sum(sigma[mask] ** 2, axis=-1)).max())
         if max_diffusion > 0.0:
             _require_stable(delta, CFL_SAFETY * min(spacings) ** 2 / max_diffusion)
 
         def rhs(v, u_flat):
-            drift_full[mask] = diffusive_drift(flat, u_flat)
+            drift_full[mask] = np.stack(
+                _diffusive_drift_xyz(px, py, pz, u_flat[:, 0], u_flat[:, 1]), axis=-1
+            )
             return _advection_upwind(v, drift_full, spacings) + _diffusion_term(
                 v, sigma, spacings
             )
@@ -813,14 +792,7 @@ def _solve_fd_qubit(spec: GridSpec, params: ModelParams, mask, pts):
 # dynamic-programming recursion
 
 
-def dp_recursion_step(
-    values,
-    spec: GridSpec,
-    params: ModelParams,
-    mode: str = CLOSED_FORM,
-    *,
-    return_controls: bool = False,
-):
+def dp_recursion_step(values, spec: GridSpec, params: ModelParams, mode: str = CLOSED_FORM):
     """One backward step of the dynamic-programming recursion.
 
     The expectation over the next state uses a two-point quadrature for the
@@ -830,9 +802,7 @@ def dp_recursion_step(
     grid; in ``"closed-form"`` mode it evaluates the completed-squares
     control read off the slice gradient.  Over a full horizon the two modes
     agree to about T * (control grid spacing)^2; tests pin the measured
-    constant.
-
-    Returns the new slice, or (slice, controls) with ``return_controls``.
+    constant.  Returns the new slice.
     """
     _check_dp_mode(spec, mode)
     if spec.n_steps < 1:
@@ -843,8 +813,7 @@ def dp_recursion_step(
     geometry = _dp_geometry(spec)
     if not np.isfinite(values[geometry[1]]).all():
         raise ValueError("slice must be finite on the active nodes")
-    new, ctrl = _dp_step(values, spec, params, mode, geometry)
-    return (new, ctrl) if return_controls else new
+    return _dp_step(values, spec, params, mode, geometry)[0]
 
 
 def _check_dp_mode(spec: GridSpec, mode: str) -> None:
@@ -903,7 +872,9 @@ def _dp_step_qubit(v, spec, params, mode, geometry):
 
     # the grid nodes and the controls are valid by construction, so the
     # coefficients come from the unchecked component encodings; u_plus and
-    # u_minus broadcast against the (m,) node components
+    # u_minus broadcast against the (m,) node components.  The post-step
+    # queries go unclipped: the interpolation plan clamps every axis into
+    # [-1, 1]
     if spec.model == COUNTING:
         lam = _jump_intensity_z(pz, params.kappa_s_sq)
         if delta * float(lam.max()) >= 1.0:
@@ -916,7 +887,6 @@ def _dp_step_qubit(v, spec, params, mode, geometry):
             q = np.empty((3,) + drift[2].shape)
             for c, (p, b) in enumerate(zip((px, py, pz), drift)):
                 np.add(p, b * delta, out=q[c])
-            np.clip(q, -1.0, 1.0, out=q)
             out = (1.0 - jump_prob) * _interp_box(filled, axes, np.moveaxis(q, 0, -1))
             out += jump_prob * j_ground
             return out
@@ -933,7 +903,6 @@ def _dp_step_qubit(v, spec, params, mode, geometry):
                 drifted = p + b * delta
                 np.add(drifted, k, out=q[c, 0])
                 np.subtract(drifted, k, out=q[c, 1])
-            np.clip(q, -1.0, 1.0, out=q)
             r = _interp_box(filled, axes, np.moveaxis(q, 0, -1))
             return 0.5 * (r[0] + r[1])
 

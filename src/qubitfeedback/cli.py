@@ -298,12 +298,6 @@ def _emit_stats(rows, stats) -> None:
     ])
 
 
-def _monte_carlo(cfg: dict, model: str, policy, x0, params: ModelParams):
-    return run_batch(
-        model, policy, x0, params, cfg["dt"], cfg["n_paths"], seed=cfg["seed"],
-    )
-
-
 def _stat_summary(command: str, cfg: dict, model: str, x0, stats, extra) -> dict:
     summary = {
         "command": command,
@@ -331,7 +325,7 @@ def cmd_simulate(cfg: dict) -> dict:
     policy_text = cfg.get("policy", "zero")
     policy = _make_policy(policy_text, model, params)
     t0 = time.perf_counter()
-    stats = _monte_carlo(cfg, model, policy, x0, params)
+    stats = run_batch(model, policy, x0, params, cfg["dt"], cfg["n_paths"], cfg["seed"])
     extra = {"policy": policy_text}
     if cfg.get("csv"):
         traj = simulate(model, policy, x0, params, cfg["dt"], seed=cfg["seed"])
@@ -399,7 +393,7 @@ def cmd_evaluate(cfg: dict) -> dict:
         _check_grid_model(vg, grid_path, cfg["model"])
     for key, stored in (("kappa_s_sq", vg.kappa_s_sq), ("alpha", vg.alpha),
                         ("horizon_T", vg.spec.horizon_T)):
-        if key in given and abs(cfg[key] - stored) > 1e-12:
+        if key in given and not abs(cfg[key] - stored) <= 1e-12:
             raise ConfigError(
                 f"{key} mismatch: config says {cfg[key]!r}, "
                 f"{grid_path} was solved with {stored!r}"
@@ -410,7 +404,7 @@ def cmd_evaluate(cfg: dict) -> dict:
     x0 = _parse_x0(cfg, model)
     policy = extract_policy(vg)
     t0 = time.perf_counter()
-    stats = _monte_carlo(cfg, model, policy, x0, params)
+    stats = run_batch(model, policy, x0, params, cfg["dt"], cfg["n_paths"], cfg["seed"])
     summary = _stat_summary("evaluate", cfg, model, x0, stats, {"grid": grid_path})
     if cfg["timings"]:
         summary["wall_time_s"] = time.perf_counter() - t0

@@ -175,8 +175,10 @@ def _stack_last(components) -> np.ndarray:
 # unchecked encodings of the filter coefficients, one per formula.  They
 # take components (px, py, pz, u_plus, u_minus) as separate arrays, so a
 # caller holding a (3, n) state reads contiguous rows.  The public
-# functions below validate and then call these; the step kernels in
-# `trajectories` call them directly on states the engine has validated.
+# functions below validate and then call these.  The step kernels in
+# `trajectories` call them directly on states the engine has validated,
+# and both grid solvers in `bellman` (the finite-difference sweep and the
+# dynamic-programming step) on grid nodes valid by construction.
 
 
 def _project_xyz(xyz: np.ndarray, ball_tol: float) -> np.ndarray:

@@ -353,8 +353,8 @@ def _path_rngs(seed, indices) -> list[np.random.Generator]:
 
 
 def _n_steps(params: ModelParams, dt: float) -> int:
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not dt > 0.0:
+        raise ValueError(f"dt must be positive, got {dt!r}")
     n = int(round(params.horizon_T / dt))
     if n < 1 or abs(n * dt - params.horizon_T) > 1e-9 * params.horizon_T:
         raise ValueError(

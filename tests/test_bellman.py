@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qubitfeedback import bellman as bm
+from qubitfeedback import filters
 from qubitfeedback import trajectories as tj
 from qubitfeedback.filters import (
     GROUND_STATE,
@@ -85,19 +86,6 @@ def test_hjb_rhs_frozen_examples():
     hess[0, 0] = 1.0
     rhs = bm.hjb_rhs_diffusive([0.0, 0.0, 1.0], np.zeros(3), hess, QUBIT)
     assert rhs == pytest.approx(2.0)
-    # excited state is a fixed point of the compensated drift; only the
-    # detection term remains
-    rhs = bm.hjb_rhs_counting([0.0, 0.0, 1.0], np.zeros(3), 0.0, 2.0, QUBIT)
-    assert rhs == pytest.approx(2.0)
-    # at the ground state the intensity vanishes and the drift is zero
-    g = np.array([0.3, -0.7, 0.0])
-    rhs = bm.hjb_rhs_counting([0.0, 0.0, -1.0], g, 0.0, 0.0, QUBIT)
-    assert rhs == pytest.approx(-(0.3**2) - 0.7**2)
-    assert bm.hjb_rhs_angle(1.0, 0.0, ANGLE) == pytest.approx(-1.0)
-    assert bm.hjb_rhs_angle(0.0, 1.0, ANGLE) == pytest.approx(0.5)
-    # box smaller than the free optimum B = -d1
-    boxed = bm.hjb_rhs_angle(1.0, 0.0, ANGLE, control_box=0.5)
-    assert boxed == pytest.approx(0.25 - 1.0)
 
 
 def test_hjb_rhs_matches_inline_assembly():
@@ -117,15 +105,6 @@ def test_hjb_rhs_matches_inline_assembly():
         )
         got = bm.hjb_rhs_diffusive(p, g, h, params)
         np.testing.assert_allclose(got, expect, atol=1e-12)
-
-        j_here, j_ground = rng.normal(size=2)
-        expect_c = (
-            counting_drift(p, u, params) @ g
-            + jump_intensity(p, params) * (j_ground - j_here)
-            + u @ u
-        )
-        got_c = bm.hjb_rhs_counting(p, g, j_here, j_ground, params)
-        np.testing.assert_allclose(got_c, expect_c, atol=1e-12)
 
 
 def test_hjb_rhs_boxed_matches_brute_force():
@@ -730,6 +709,42 @@ def test_solve_fd_reports_nonfinite_blowup():
     spec = bm.GridSpec(model="angle", n_nodes=(201,), n_steps=100, horizon_T=1.0)
     with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="non-finite value at slice"):
         bm.solve_backward(spec, params)
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    inner = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("model", ["diffusive", "counting"])
+def test_solve_fd_qubit_validates_states_once_per_solve(monkeypatch, model):
+    # the grid nodes are checked at the boundary, never once per step
+    calls = _count_calls(monkeypatch, filters, "_as_bloch")
+    params = ModelParams(kappa_s_sq=1.0, kappa_f_sq=0.0, horizon_T=0.01)
+    counts = []
+    for n_steps in (10, 20):
+        spec = bm.GridSpec(model=model, n_nodes=(5, 5, 5), n_steps=n_steps,
+                           horizon_T=0.01, control_box=1.0)
+        calls.clear()
+        bm.solve_backward(spec, params)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def test_solve_fd_counting_builds_one_ground_state_plan(monkeypatch):
+    calls = _count_calls(monkeypatch, bm, "_interp_plan")
+    params = ModelParams(kappa_s_sq=1.0, kappa_f_sq=0.0, horizon_T=0.01)
+    spec = bm.GridSpec(model="counting", n_nodes=(5, 5, 5), n_steps=10,
+                       horizon_T=0.01, control_box=1.0)
+    bm.solve_backward(spec, params)
+    assert len(calls) == 1
 
 
 def test_solver_rejects_mismatched_horizon():

@@ -190,6 +190,26 @@ def test_evaluate_rejects_zero_paths(tmp_path, capsys):
     assert "n_paths" in err
 
 
+@pytest.mark.parametrize("argv, key", [
+    (("evaluate", "--grid", "{grid}", "--alpha", "nan"), "alpha"),
+    (("evaluate", "--grid", "{grid}", "--kappa-s-sq", "nan"), "kappa_s_sq"),
+    (("evaluate", "--grid", "{grid}", "--horizon-t", "nan"), "horizon_T"),
+    (("evaluate", "--grid", "{grid}", "--dt", "nan"), "dt"),
+    (("simulate", "--model", "angle-lq", "--dt", "nan"), "dt"),
+    (("compare", "--model", "angle-lq", "--policy", "zero",
+      "--policy", "lq-closed-form", "--dt", "nan"), "dt"),
+])
+def test_nan_overrides_are_config_errors_naming_the_key(tmp_path, capsys, argv, key):
+    grid = tmp_path / "angle.vgrid"
+    run_cli(capsys, "solve", "--model", "angle-lq", "--n-nodes", "51",
+            "--n-steps", "200", "--grid", str(grid), "--no-timings")
+    code, _, err = run_cli(
+        capsys, *(a.format(grid=grid) for a in argv), "--n-paths", "4", "--no-timings",
+    )
+    assert code == 2, err
+    assert key in err
+
+
 def test_evaluate_rejects_malformed_grid_header(tmp_path, capsys):
     grid = tmp_path / "angle.vgrid"
     run_cli(capsys, "solve", "--model", "angle-lq", "--n-nodes", "51",
