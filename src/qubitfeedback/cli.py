@@ -1,8 +1,10 @@
 """Command-line front end for simulations, grid solves, and comparisons.
 
 Configuration comes from an INI file (``--config``) overridden by flags;
-flags win.  Machine-readable output (a JSON summary, or CSV for ``compare``
-and ``lq``) goes to stdout or to the requested file; a short human-readable
+flags win.  Each setting is declared once, in ``_SETTINGS``, and a value
+goes through the same parser whether it comes from the file or a flag.
+Machine-readable output (a JSON summary, or CSV for ``compare`` and
+``lq``) goes to stdout or to the requested file; a short human-readable
 report always goes to stderr.  Exit codes: 0 success, 1 runtime failure,
 2 configuration error.
 """
@@ -57,7 +59,6 @@ class ConfigError(ValueError):
 
 
 def _parse_model(text: str) -> str:
-    text = text.strip()
     if text in MODELS:
         return text
     try:
@@ -74,18 +75,13 @@ def _check_grid_model(vg: ValueGrid, path: str, model: str) -> None:
         )
 
 
-def _parse_method(text: str) -> str:
-    text = text.strip()
-    if text not in ("fd", "dp"):
-        raise ConfigError(f"method must be 'fd' or 'dp', got {text!r}")
-    return text
+def _choice(options, label):
+    def parse(text: str) -> str:
+        if text not in options:
+            raise ConfigError(f"{label} must be one of {options}, got {text!r}")
+        return text
 
-
-def _parse_mode(text: str) -> str:
-    text = text.strip()
-    if text not in CONTROL_MODES:
-        raise ConfigError(f"mode must be one of {CONTROL_MODES}, got {text!r}")
-    return text
+    return parse
 
 
 def _typed(caster, label):
@@ -98,37 +94,36 @@ def _typed(caster, label):
     return parse
 
 
-# section -> key -> parser; the merged config is flat on the key names
-_SCHEMA = {
-    "model": {
-        "model": _parse_model,
-        "kappa_s_sq": _typed(float, "number for model.kappa_s_sq"),
-        "alpha": _typed(float, "number for model.alpha"),
-        "horizon_T": _typed(float, "number for model.horizon_T"),
-    },
-    "run": {
-        "x0": str.strip,
-        "dt": _typed(float, "number for run.dt"),
-        "n_paths": _typed(int, "integer for run.n_paths"),
-        "seed": _typed(int, "integer for run.seed"),
-        "policy": str.strip,
-        "policies": str.strip,
-    },
-    "grid": {
-        "n_nodes": str.strip,
-        "n_steps": _typed(int, "integer for grid.n_steps"),
-        "control_box": _typed(float, "number for grid.control_box"),
-        "control_resolution": _typed(int, "integer for grid.control_resolution"),
-        "method": _parse_method,
-        "mode": _parse_mode,
-    },
-    "output": {
-        "json": str.strip,
-        "csv": str.strip,
-        "table": str.strip,
-        "grid": str.strip,
-    },
+# key -> (INI section, parser, flag, help); every value, from the INI file
+# or a flag, goes through `_parse_setting`, and the merged config is flat
+# on the keys
+_SETTINGS = {
+    "model": ("model", _parse_model, "--model",
+              " | ".join(rec.model_id for rec in MODEL_RECORDS.values())),
+    "kappa_s_sq": ("model", float, "--kappa-s-sq", "observed-channel decay rate squared"),
+    "alpha": ("model", float, "--alpha", "angle-model noise gain"),
+    "horizon_T": ("model", float, "--horizon-t", "control horizon T"),
+    "x0": ("run", str, "--x0", "initial state: 'px,py,pz' or a single angle"),
+    "dt": ("run", float, "--dt", "Euler time step"),
+    "n_paths": ("run", int, "--n-paths", "Monte Carlo sample size"),
+    "seed": ("run", int, "--seed", "RNG seed"),
+    "policy": ("run", str, "--policy", "zero | constant:<v> | lq-closed-form | grid:<path>"),
+    "policies": ("run", str, "--policy", "policy to include (repeat; at least two)"),
+    "n_nodes": ("grid", str, "--n-nodes", "nodes per axis, e.g. 21 or 21,21,21"),
+    "n_steps": ("grid", int, "--n-steps", "backward time steps"),
+    "control_box": ("grid", float, "--control-box", "clamp controls to [-box, box]"),
+    "control_resolution": ("grid", int, "--control-resolution",
+                           "control grid points per axis (exhaustive mode)"),
+    "method": ("grid", _choice(("fd", "dp"), "method"), "--method", "grid solver: fd | dp"),
+    "mode": ("grid", _choice(CONTROL_MODES, "mode"), "--mode",
+             "dp minimization mode: " + " | ".join(CONTROL_MODES)),
+    "json": ("output", str, "--output", "write the JSON summary here instead of stdout"),
+    "csv": ("output", str, "--csv",
+            "write CSV here (simulate: the seed's first path; lq: the mesh, not stdout)"),
+    "table": ("output", str, "--table", "write the ranking CSV here instead of stdout"),
+    "grid": ("output", str, "--grid", ".vgrid path solve writes or evaluate reads (required)"),
 }
+_NOUNS = {float: "number", int: "integer"}
 
 _DEFAULTS = {
     "kappa_s_sq": 0.5,
@@ -141,6 +136,30 @@ _DEFAULTS = {
     "mode": CLOSED_FORM,
 }
 
+_MODEL_KEYS = ("model", "kappa_s_sq", "alpha", "horizon_T")
+_RUN_KEYS = ("x0", "dt", "n_paths", "seed")
+# subcommand -> (help, the keys it takes as flags); `main` calls each
+# cmd_* function by its module-global name
+_COMMANDS = {
+    "simulate": ("Monte Carlo cost of one policy",
+                 ("json", *_MODEL_KEYS, *_RUN_KEYS, "policy", "csv")),
+    "solve": ("solve the backward equation onto a grid",
+              ("json", *_MODEL_KEYS, "n_nodes", "n_steps", "control_box",
+               "control_resolution", "method", "mode", "grid")),
+    "evaluate": ("Monte Carlo cost of a solved grid policy",
+                 ("json", *_MODEL_KEYS, *_RUN_KEYS, "grid")),
+    "compare": ("rank policies under common random numbers",
+                ("json", *_MODEL_KEYS, *_RUN_KEYS, "policies", "table")),
+    "lq": ("closed-form value/control on a (t, theta) mesh", ("alpha", "horizon_T", "csv")),
+}
+
+
+def _parse_setting(key: str, text: str):
+    section, parse = _SETTINGS[key][:2]
+    if parse in _NOUNS:
+        parse = _typed(parse, f"{_NOUNS[parse]} for {section}.{key}")
+    return parse(text.strip())
+
 
 def _read_ini(path: str) -> dict:
     parser = configparser.ConfigParser()
@@ -152,44 +171,34 @@ def _read_ini(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
+    sections = sorted({entry[0] for entry in _SETTINGS.values()})
     out = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in sections:
             raise ConfigError(
-                f"unknown config section [{section}]; expected one of "
-                f"{sorted(_SCHEMA)}"
+                f"unknown config section [{section}]; expected one of {sections}"
             )
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if key not in _SETTINGS or _SETTINGS[key][0] != section:
+                keys = sorted(k for k, entry in _SETTINGS.items() if entry[0] == section)
                 raise ConfigError(
-                    f"unknown key {key!r} in [{section}]; expected one of "
-                    f"{sorted(_SCHEMA[section])}"
+                    f"unknown key {key!r} in [{section}]; expected one of {keys}"
                 )
-            out[key] = _SCHEMA[section][key](raw)
+            out[key] = _parse_setting(key, raw)
     return out
-
-
-_FLAG_PARSERS = {"model": _parse_model, "method": _parse_method, "mode": _parse_mode}
 
 
 def _resolve(args: argparse.Namespace) -> dict:
     """Merge defaults, INI file, and flags; record which keys were given."""
-    given = {}
-    if getattr(args, "config", None):
-        given.update(_read_ini(args.config))
-    for key in ("model", "kappa_s_sq", "alpha", "horizon_T", "x0", "dt",
-                "n_paths", "seed", "policy", "n_nodes", "n_steps",
-                "control_box", "control_resolution", "method", "mode",
-                "json", "csv", "table", "grid"):
-        val = getattr(args, key, None)
-        if val is not None:
-            given[key] = _FLAG_PARSERS[key](val) if key in _FLAG_PARSERS else val
-    if getattr(args, "policies", None):
-        given["policies"] = ";".join(args.policies)
+    given = _read_ini(args.config) if args.config else {}
+    for key in _COMMANDS[args.command][1]:
+        text = getattr(args, key)
+        if text is not None:
+            given[key] = _parse_setting(key, ";".join(text) if key == "policies" else text)
     cfg = dict(_DEFAULTS)
     cfg.update(given)
     cfg["_given"] = frozenset(given)
-    cfg["timings"] = not getattr(args, "no_timings", False)
+    cfg["timings"] = not args.no_timings
     return cfg
 
 
@@ -435,20 +444,22 @@ def cmd_compare(cfg: dict) -> dict | None:
     ])
     if cfg.get("table"):
         atomic_write_text(cfg["table"], csv_blob)
-        summary = {
-            "command": "compare",
-            "model": model_record(model).model_id,
-            "table": cfg["table"],
-            "policies": [r[0] for r in rows],
-            "best": rows[0][0],
-            "n_paths": cfg["n_paths"],
-            "seed": cfg["seed"],
-        }
-        if cfg["timings"]:
-            summary["wall_time_s"] = time.perf_counter() - t0
-        return summary
-    sys.stdout.write(csv_blob)
-    return None
+    else:
+        sys.stdout.write(csv_blob)
+    if not (cfg.get("table") or cfg.get("json")):
+        return None  # the CSV on stdout is the whole output
+    summary = {
+        "command": "compare",
+        "model": model_record(model).model_id,
+        "table": cfg.get("table"),
+        "policies": [r[0] for r in rows],
+        "best": rows[0][0],
+        "n_paths": cfg["n_paths"],
+        "seed": cfg["seed"],
+    }
+    if cfg["timings"]:
+        summary["wall_time_s"] = time.perf_counter() - t0
+    return summary
 
 
 def _parse_mesh(text: str, label: str) -> np.ndarray:
@@ -499,82 +510,27 @@ def cmd_lq(cfg: dict, t_text: str, theta_text: str) -> None:
 # argument parsing
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="INI file with [model]/[run]/[grid]/[output]")
-    sub.add_argument("--output", dest="json", metavar="PATH",
-                     help="write the JSON summary here instead of stdout")
-    sub.add_argument("--no-timings", action="store_true",
-                     help="omit wall-time fields for byte-stable output")
-
-
-def _add_model(sub: argparse.ArgumentParser, with_model=True) -> None:
-    if with_model:
-        sub.add_argument("--model", help=" | ".join(
-            rec.model_id for rec in MODEL_RECORDS.values()))
-    sub.add_argument("--kappa-s-sq", dest="kappa_s_sq", type=float,
-                     help="observed-channel decay rate squared (default 0.5)")
-    sub.add_argument("--alpha", type=float, help="angle-model noise gain (default 0.5)")
-    sub.add_argument("--horizon-t", dest="horizon_T", type=float,
-                     help="control horizon T (default 1.0)")
-
-
-def _add_run(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--x0", help="initial state: 'px,py,pz' or a single angle")
-    sub.add_argument("--dt", type=float, help="Euler time step (default 1e-3)")
-    sub.add_argument("--n-paths", dest="n_paths", type=int,
-                     help="Monte Carlo sample size (default 1000)")
-    sub.add_argument("--seed", type=int, help="RNG seed (default 0)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qubitfeedback",
         description="Measurement-based qubit feedback: simulate, solve, compare.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sim = subs.add_parser("simulate", help="Monte Carlo cost of one policy")
-    _add_common(sim)
-    _add_model(sim)
-    _add_run(sim)
-    sim.add_argument("--policy", help="zero | constant:<v> | lq-closed-form | grid:<path>")
-    sim.add_argument("--csv", help="also write the seed's first path as CSV here")
-
-    sol = subs.add_parser("solve", help="solve the backward equation onto a grid")
-    _add_common(sol)
-    _add_model(sol)
-    sol.add_argument("--n-nodes", dest="n_nodes", help="nodes per axis, e.g. 21 or 21,21,21")
-    sol.add_argument("--n-steps", dest="n_steps", type=int, help="backward time steps")
-    sol.add_argument("--control-box", dest="control_box", type=float,
-                     help="clamp controls to [-box, box]")
-    sol.add_argument("--control-resolution", dest="control_resolution", type=int,
-                     help="control grid points per axis (exhaustive mode)")
-    sol.add_argument("--method", choices=("fd", "dp"), help="fd (default) or dp")
-    sol.add_argument("--mode", choices=CONTROL_MODES,
-                     help="dp minimization mode (default closed-form)")
-    sol.add_argument("--grid", help="output .vgrid path (required)")
-
-    ev = subs.add_parser("evaluate", help="Monte Carlo cost of a solved grid policy")
-    _add_common(ev)
-    _add_model(ev)
-    _add_run(ev)
-    ev.add_argument("--grid", help="input .vgrid path (required)")
-
-    cmp_ = subs.add_parser("compare", help="rank policies under common random numbers")
-    _add_common(cmp_)
-    _add_model(cmp_)
-    _add_run(cmp_)
-    cmp_.add_argument("--policy", dest="policies", action="append", metavar="POLICY",
-                      help="policy to include (repeat; at least two)")
-    cmp_.add_argument("--table", help="write the ranking CSV here instead of stdout")
-
-    lqp = subs.add_parser("lq", help="closed-form value/control on a (t, theta) mesh")
-    _add_common(lqp)
-    _add_model(lqp, with_model=False)
-    lqp.add_argument("--t", default="0", help="time mesh: 'lo:hi:n' or comma list")
-    lqp.add_argument("--theta", default="-2:2:81", help="angle mesh: 'lo:hi:n' or comma list")
-    lqp.add_argument("--csv", help="write the CSV here instead of stdout")
-
+    for name, (help_text, keys) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        sub.add_argument("--config", help="INI file with [model]/[run]/[grid]/[output]")
+        sub.add_argument("--no-timings", action="store_true",
+                         help="omit wall-time fields for byte-stable output")
+        for key in keys:
+            flag, text = _SETTINGS[key][2:]
+            if key in _DEFAULTS:
+                text = f"{text} (default {_DEFAULTS[key]})"
+            extra = {"action": "append", "metavar": "POLICY"} if key == "policies" else {}
+            sub.add_argument(flag, dest=key, help=text, **extra)
+        if name == "lq":
+            sub.add_argument("--t", default="0", help="time mesh: 'lo:hi:n' or comma list")
+            sub.add_argument("--theta", default="-2:2:81",
+                             help="angle mesh: 'lo:hi:n' or comma list")
     return parser
 
 

@@ -40,8 +40,6 @@ import numpy as np
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENTITY = np.eye(2, dtype=complex)
 
 # lowering operator of the decay channel
 LOWERING = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)

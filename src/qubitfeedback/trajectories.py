@@ -412,8 +412,8 @@ def _simulate_paths(
 
     ``start`` and the other inputs come from `_validated_start`.  Qubit
     states are kept as a (3, n) array per policy; the policy and the step
-    kernels see its (n, 3) transpose.  ``checkpoint_idx`` (sorted time-node
-    indices) requests state snapshots without recording full histories.
+    kernels see its (n, 3) transpose.  ``checkpoint_idx`` (time-node indices)
+    requests state snapshots without recording full histories.
     """
     rec = MODEL_RECORDS[model]
     n_paths = len(rng_list)
@@ -610,20 +610,18 @@ def ensemble_means(
         raise ValueError("every checkpoint must lie on the time grid in [0, T]")
     if np.unique(idx).size != idx.size:
         raise ValueError("checkpoints must be distinct time nodes")
-    order = np.argsort(idx)
-    sorted_idx = idx[order]
 
     snaps = np.empty((len(times), n_paths) + MODEL_RECORDS[model].state_shape)
 
     def chunk_snaps(rngs):
         (out,) = _simulate_paths(
             model, [policy], start, n_steps, params, dt, rngs, record=False,
-            checkpoint_idx=sorted_idx,
+            checkpoint_idx=idx,
         )
         return out["snapshots"]
 
     for lo, hi, chunk in _run_chunks(n_paths, seed, chunk_snaps):
-        snaps[order, lo:hi] = chunk
+        snaps[:, lo:hi] = chunk
 
     means = snaps.mean(axis=1)
     if n_paths == 1:

@@ -110,6 +110,51 @@ def test_ini_rejects_unknown_keys(tmp_path, capsys):
         assert key in err
 
 
+@pytest.mark.parametrize("command, key, flag, section, value, message", [
+    ("simulate", "alpha", "--alpha", "model", "x",
+     "error: invalid number for model.alpha: 'x'\n"),
+    ("simulate", "n_paths", "--n-paths", "run", "1.5",
+     "error: invalid integer for run.n_paths: '1.5'\n"),
+    ("solve", "method", "--method", "grid", "xx",
+     "error: method must be one of ('fd', 'dp'), got 'xx'\n"),
+    ("solve", "mode", "--mode", "grid", "xx",
+     "error: mode must be one of ('closed-form', 'exhaustive'), got 'xx'\n"),
+], ids=["alpha", "n_paths", "method", "mode"])
+def test_flag_and_ini_share_one_parser(tmp_path, capsys, command, key, flag, section,
+                                       value, message):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(f"[{section}]\n{key} = {value}\n")
+    assert run_cli(capsys, command, flag, value) == (2, "", message)
+    assert run_cli(capsys, command, "--config", str(ini)) == (2, "", message)
+
+
+COMMON_OPTIONS = {"-h", "--help", "--config", "--no-timings"}
+MODEL_OPTIONS = {"--model", "--kappa-s-sq", "--alpha", "--horizon-t"}
+RUN_OPTIONS = {"--x0", "--dt", "--n-paths", "--seed"}
+
+
+def test_each_subcommand_accepts_exactly_its_options():
+    subs = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+    got = {name: set(sub._option_string_actions) for name, sub in subs.items()}
+    with_output = COMMON_OPTIONS | {"--output"} | MODEL_OPTIONS
+    assert got == {
+        "simulate": with_output | RUN_OPTIONS | {"--policy", "--csv"},
+        "solve": with_output | {"--n-nodes", "--n-steps", "--control-box",
+                                "--control-resolution", "--method", "--mode", "--grid"},
+        "evaluate": with_output | RUN_OPTIONS | {"--grid"},
+        "compare": with_output | RUN_OPTIONS | {"--policy", "--table"},
+        "lq": COMMON_OPTIONS | {"--alpha", "--horizon-t", "--csv", "--t", "--theta"},
+    }
+
+
+@pytest.mark.parametrize("flag, value", [("--output", "x.json"), ("--kappa-s-sq", "0.3")])
+def test_lq_rejects_the_flags_it_never_read(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["lq", flag, value, "--no-timings"])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # solve and evaluate
 
@@ -310,6 +355,30 @@ def test_compare_table_file_with_json_summary(tmp_path, capsys):
     body = table.read_text().splitlines()
     assert body[0] == "policy,mean,stderr,n"
     assert len(body) == 3
+
+
+def test_compare_writes_its_summary_without_a_table(tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text(
+        "[model]\nmodel = angle-lq\n"
+        "[run]\nn_paths = 50\ndt = 0.02\npolicies = zero; constant:-0.4\n"
+        f"[output]\njson = {tmp_path / 'ini.json'}\n"
+    )
+    code, out_ini, _ = run_cli(capsys, "compare", "--config", str(ini), "--no-timings")
+    assert code == 0
+    code, out_flags, _ = run_cli(
+        capsys, "compare", "--model", "angle-lq", "--policy", "zero",
+        "--policy", "constant:-0.4", "--n-paths", "50", "--dt", "0.02",
+        "--output", str(tmp_path / "flags.json"), "--no-timings",
+    )
+    assert code == 0
+    # the ranking CSV still goes to stdout, the summary to the JSON path
+    assert out_ini == out_flags
+    assert out_ini.splitlines()[0] == "policy,mean,stderr,n"
+    summary = json.loads((tmp_path / "ini.json").read_text())
+    assert (tmp_path / "flags.json").read_text() == (tmp_path / "ini.json").read_text()
+    assert summary["table"] is None
+    assert summary["policies"] == [line.split(",")[0] for line in out_ini.splitlines()[1:]]
 
 
 def test_compare_grid_policy_spec(tmp_path, capsys):
