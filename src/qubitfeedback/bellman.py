@@ -177,9 +177,6 @@ class GridSpec:
             return None
         return np.linspace(-self.control_box, self.control_box, self.control_resolution)
 
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.horizon_T, self.n_steps + 1)
-
 
 @dataclass(frozen=True)
 class ValueGrid:
@@ -830,11 +827,46 @@ def _dp_geometry(spec: GridSpec):
 
 
 def _dp_step(v, spec, params, mode, geometry):
-    step = _dp_step_angle if spec.model == ANGLE else _dp_step_qubit
-    return step(v, spec, params, mode, geometry)
+    """(value, control) slices of one DP step: the model's objective minimized
+    by the blocked control scan or at the limited completed-squares control."""
+    mask, flat = geometry[1:]
+    build = _dp_step_angle if spec.model == ANGLE else _dp_step_qubit
+    objective = build(v, spec, params, geometry)
+    if mode == EXHAUSTIVE:
+        grid = spec.control_values()
+        cands = np.stack(np.meshgrid(*(grid,) * spec.n_controls, indexing="ij"), axis=-1)
+        cands = cands.reshape((-1,) + spec.record.control_shape)
+        best = np.full(len(flat), np.inf)
+        best_k = np.zeros(len(flat), dtype=int)
+        better = np.empty(len(flat), dtype=bool)
+        # candidates in meshgrid order, DP_BLOCK at a time; the strict <
+        # keeps the first of equal values
+        for start in range(0, len(cands), DP_BLOCK):
+            vals = objective(cands[start : start + DP_BLOCK, None])
+            for k, val in enumerate(vals, start):
+                np.less(val, best, out=better)
+                np.copyto(best, val, where=better)
+                np.copyto(best_k, k, where=better)
+        best_u = cands[best_k]
+    else:
+        if spec.model == ANGLE:
+            h = spec.spacings()[0]
+            best_u = -_minmod((np.roll(v, -1) - v) / h, (v - np.roll(v, 1)) / h)
+            if spec.control_box is not None:
+                best_u = np.clip(best_u, -spec.control_box, spec.control_box)
+        else:
+            grad = _gradient(v, spec.spacings(), limited=True)[mask]
+            best_u = optimal_controls_from_gradient(flat, grad, spec.control_box)
+        best = objective(best_u)
+    new = np.full(spec.shape, np.nan)
+    new[mask] = best
+    ctrl = np.full((spec.n_controls,) + spec.shape, np.nan)
+    ctrl[:, mask] = best_u.reshape(len(best_u), -1).T
+    return new, ctrl
 
 
-def _dp_step_angle(v, spec, params, mode, geometry):
+def _dp_step_angle(v, spec, params, geometry):
+    """Objective of an angle step: periodic reads at the two Wiener kicks."""
     (theta,) = geometry[0]
     delta = spec.delta
     kick = 2.0 * params.alpha * np.sqrt(delta)
@@ -846,25 +878,11 @@ def _dp_step_angle(v, spec, params, mode, geometry):
         )
         return b * b * delta + mean_next
 
-    if mode == EXHAUSTIVE:
-        best = np.full(theta.size, np.inf)
-        best_b = np.zeros(theta.size)
-        for b in spec.control_values():
-            val = objective(b)
-            better = val < best
-            best = np.where(better, val, best)
-            best_b = np.where(better, b, best_b)
-    else:
-        h = spec.spacings()[0]
-        grad = _minmod((np.roll(v, -1) - v) / h, (v - np.roll(v, 1)) / h)
-        best_b = -grad
-        if spec.control_box is not None:
-            best_b = np.clip(best_b, -spec.control_box, spec.control_box)
-        best = objective(best_b)
-    return best, best_b[None, :]
+    return objective
 
 
-def _dp_step_qubit(v, spec, params, mode, geometry):
+def _dp_step_qubit(v, spec, params, geometry):
+    """Objective of a qubit step: Wiener quadrature or the Bernoulli jump pair."""
     axes, mask, flat = geometry
     px, py, pz = flat.T.copy()
     delta = spec.delta
@@ -909,32 +927,7 @@ def _dp_step_qubit(v, spec, params, mode, geometry):
     def objective(u):
         return np.sum(u**2, axis=-1) * delta + mean_next(u[..., 0], u[..., 1])
 
-    m = flat.shape[0]
-    if mode == EXHAUSTIVE:
-        grid = spec.control_values()
-        cands = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
-        best = np.full(m, np.inf)
-        best_k = np.zeros(m, dtype=int)
-        better = np.empty(m, dtype=bool)
-        # candidates in (u_plus, u_minus) order, DP_BLOCK at a time; the
-        # strict < keeps the first of equal values
-        for start in range(0, len(cands), DP_BLOCK):
-            vals = objective(cands[start : start + DP_BLOCK, None, :])
-            for k, val in enumerate(vals, start):
-                np.less(val, best, out=better)
-                np.copyto(best, val, where=better)
-                np.copyto(best_k, k, where=better)
-        best_u = cands[best_k]
-    else:
-        grad = _gradient(v, spec.spacings(), limited=True)[mask]
-        best_u = optimal_controls_from_gradient(flat, grad, spec.control_box)
-        best = objective(best_u)
-
-    new = np.full(spec.shape, np.nan)
-    new[mask] = best
-    ctrl = np.full((2,) + spec.shape, np.nan)
-    ctrl[:, mask] = best_u.T
-    return new, ctrl
+    return objective
 
 
 def solve_dp(spec: GridSpec, params: ModelParams, mode: str = CLOSED_FORM) -> ValueGrid:

@@ -15,6 +15,7 @@ import argparse
 import configparser
 import io
 import json
+import os
 import sys
 import time
 
@@ -200,6 +201,17 @@ def _resolve(args: argparse.Namespace) -> dict:
     cfg["_given"] = frozenset(given)
     cfg["timings"] = not args.no_timings
     return cfg
+
+
+def _check_output_dirs(cfg: dict, command: str) -> None:
+    """Fail before any work unless every file the command writes has a directory."""
+    for key in _COMMANDS[command][1]:
+        if _SETTINGS[key][0] != "output" or (key == "grid" and command != "solve"):
+            continue  # evaluate reads its grid
+        if cfg.get(key):
+            directory = os.path.dirname(os.path.abspath(cfg[key]))
+            if not os.path.isdir(directory):
+                raise ConfigError(f"output.{key}: directory {directory!r} does not exist")
 
 
 def _require(cfg: dict, key: str, where: str):
@@ -539,6 +551,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve(args)
+        _check_output_dirs(cfg, args.command)
         if args.command == "simulate":
             summary = cmd_simulate(cfg)
         elif args.command == "solve":

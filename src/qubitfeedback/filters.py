@@ -79,6 +79,8 @@ class ModelParams:
     horizon_T: float = 1.0
 
     def __post_init__(self):
+        if np.isfinite(self.kappa_s_sq) and not 0.0 <= self.kappa_s_sq <= 1.0:
+            raise ValueError(f"kappa_s_sq must lie in [0, 1], got {self.kappa_s_sq!r}")
         if self.kappa_f_sq is None:
             object.__setattr__(self, "kappa_f_sq", 1.0 - self.kappa_s_sq)
         for name in ("kappa_s_sq", "kappa_f_sq", "alpha", "horizon_T"):

@@ -363,12 +363,14 @@ def _n_steps(params: ModelParams, dt: float) -> int:
     return n
 
 
-def _validated_start(model: str, x0, params: ModelParams, dt: float, n_paths: int = 1):
+def _validated_start(model: str, x0, params: ModelParams, dt: float, seed, n_paths: int = 1):
     """Check a run's inputs once; return (n_steps, initial state of one path)."""
     rec = model_record(model)
     n_steps = _n_steps(params, dt)
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed!r}")
     if model == COUNTING and dt * params.kappa_s_sq >= 1.0:
         raise ValueError(
             "dt * max jump intensity >= 1; Bernoulli thinning needs a "
@@ -513,7 +515,7 @@ def simulate(
     stream is the path-0 substream of ``seed``, so the realized cost equals
     the first per-path cost of ``run_batch`` with the same seed.
     """
-    n_steps, start = _validated_start(model, x0, params, dt)
+    n_steps, start = _validated_start(model, x0, params, dt, seed)
     rngs = _path_rngs(seed, [0])
     (res,) = _simulate_paths(model, [policy], start, n_steps, params, dt, rngs, record=True)
     return Trajectory(
@@ -565,7 +567,7 @@ def run_batches(
     bit for bit the result of its own run.  Returns one CostStatistics, or
     (CostStatistics, costs) with ``return_costs``, per policy.
     """
-    n_steps, start = _validated_start(model, x0, params, dt, n_paths)
+    n_steps, start = _validated_start(model, x0, params, dt, seed, n_paths)
 
     def chunk_costs(rngs):
         outs = _simulate_paths(model, policies, start, n_steps, params, dt, rngs, record=False)
@@ -598,7 +600,7 @@ def ensemble_means(
     (len(times),) for the angle model.  Same per-path substreams as
     ``run_batch``: results are independent of chunking.
     """
-    n_steps, start = _validated_start(model, x0, params, dt, n_paths)
+    n_steps, start = _validated_start(model, x0, params, dt, seed, n_paths)
 
     times = np.atleast_1d(np.asarray(times, dtype=float))
     idx = np.rint(times / dt).astype(int)

@@ -163,8 +163,6 @@ def test_gridspec_validation():
                     control_resolution=9)
     spec = bm.GridSpec(model="diffusive", n_nodes=7, n_steps=10, horizon_T=0.2)
     assert spec.n_nodes == (7, 7, 7)
-    assert spec.times()[-1] == spec.horizon_T
-    assert spec.times().shape == (11,)
     assert bm.GridSpec(model="angle", n_nodes=(9,), n_steps=0, horizon_T=1.0).delta == 0.0
 
 
@@ -575,6 +573,25 @@ def test_fill_inactive_matches_whole_array_reference():
     for _ in range(2):
         with pytest.raises(ValueError, match="all-NaN"):
             bm._fill_inactive(np.full((5, 5, 5), np.nan))
+
+
+def test_exhaustive_angle_dp_step_scans_candidates_in_blocks(monkeypatch):
+    # the angle shares the blocked control scan: each block of DP_BLOCK
+    # candidates is one objective call, i.e. two periodic reads
+    calls = []
+    read = bm._interp_periodic
+
+    def counted(values, theta):
+        calls.append(np.shape(theta))
+        return read(values, theta)
+
+    monkeypatch.setattr(bm, "_interp_periodic", counted)
+    spec = bm.GridSpec(model="angle", n_nodes=(33,), n_steps=10, horizon_T=1.0,
+                       control_box=2.0, control_resolution=9)
+    theta = spec.axes()[0]
+    bm.dp_recursion_step(theta**2, spec, ANGLE, bm.EXHAUSTIVE)
+    assert len(calls) == 2 * -(-9 // bm.DP_BLOCK) == 6
+    assert calls[0] == (bm.DP_BLOCK, 33)
 
 
 def test_exhaustive_dp_step_memory_stays_near_the_slice():

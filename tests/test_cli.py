@@ -394,8 +394,8 @@ def test_compare_grid_policy_spec(tmp_path, capsys):
     assert out.splitlines()[1].split(",")[0].startswith("grid:")
 
 
-def _no_monte_carlo(*args, **kwargs):
-    raise AssertionError("the Monte Carlo engine ran")
+def _no_work(*args, **kwargs):
+    raise AssertionError("a simulation or solve ran before the settings were checked")
 
 
 @pytest.mark.parametrize("bad, code, message", [
@@ -406,13 +406,53 @@ def _no_monte_carlo(*args, **kwargs):
 ], ids=["unknown", "missing-grid"])
 def test_compare_rejects_a_bad_policy_before_any_simulation(capsys, monkeypatch, bad, code,
                                                             message):
-    monkeypatch.setattr(cli, "run_batches", _no_monte_carlo)
-    monkeypatch.setattr(cli, "run_batch", _no_monte_carlo)
+    monkeypatch.setattr(cli, "run_batches", _no_work)
+    monkeypatch.setattr(cli, "run_batch", _no_work)
     got, out, err = run_cli(
         capsys, "compare", "--model", "counting-qubit", "--policy", "zero",
         "--policy", bad, "--n-paths", "50", "--dt", "0.01", "--no-timings",
     )
     assert (got, out, err) == (code, "", message)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("simulate", "--seed", "-1"), "error: seed must be nonnegative, got -1\n"),
+    (("simulate", "--kappa-s-sq", "2"), "error: kappa_s_sq must lie in [0, 1], got 2.0\n"),
+    (("compare", "--policy", "zero", "--policy", "lq-closed-form", "--seed", "-1"),
+     "error: seed must be nonnegative, got -1\n"),
+], ids=["seed-simulate", "kappa-simulate", "seed-compare"])
+def test_out_of_range_run_settings_name_their_key(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv, "--model", "angle-lq", "--n-paths", "2",
+                             "--no-timings")
+    assert (code, out, err) == (2, "", message)
+
+
+@pytest.mark.parametrize("argv, key", [
+    (("solve", "--n-nodes", "51", "--n-steps", "200", "--grid", "{missing}/z.vgrid"), "grid"),
+    (("solve", "--n-nodes", "51", "--n-steps", "200", "--grid", "{tmp}/z.vgrid",
+      "--output", "{missing}/s.json"), "json"),
+    (("simulate", "--csv", "{missing}/x.csv"), "csv"),
+    (("simulate", "--output", "{missing}/s.json"), "json"),
+    (("evaluate", "--grid", "{tmp}/absent.vgrid", "--output", "{missing}/s.json"), "json"),
+    (("compare", "--policy", "zero", "--policy", "lq-closed-form",
+      "--table", "{missing}/t.csv"), "table"),
+    (("compare", "--policy", "zero", "--policy", "lq-closed-form",
+      "--output", "{missing}/s.json"), "json"),
+    (("lq", "--csv", "{missing}/m.csv"), "csv"),
+], ids=["solve-grid", "solve-json", "simulate-csv", "simulate-json", "evaluate-json",
+        "compare-table", "compare-json", "lq-csv"])
+def test_a_missing_output_directory_fails_before_any_work(tmp_path, capsys, monkeypatch,
+                                                          argv, key):
+    for name in ("run_batch", "run_batches", "simulate", "solve_backward", "solve_dp"):
+        monkeypatch.setattr(cli, name, _no_work)
+    missing = tmp_path / "absent" / "dir"
+    argv = [a.format(missing=missing, tmp=tmp_path) for a in argv]
+    argv += {"lq": [], "solve": ["--model", "angle-lq"]}.get(
+        argv[0], ["--model", "angle-lq", "--n-paths", "2"])
+    code, out, err = run_cli(capsys, *argv, "--no-timings")
+    assert (code, out) == (2, "")
+    assert err == f"error: output.{key}: directory '{missing}' does not exist\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
 
 
 # recorded before compare advanced its policies in lockstep

@@ -104,6 +104,12 @@ def test_model_params_validation():
         ModelParams(horizon_T=0.0)
 
 
+@pytest.mark.parametrize("kappa_s_sq", [2.0, -0.5])
+def test_model_params_names_an_out_of_range_kappa_s_sq(kappa_s_sq):
+    with pytest.raises(ValueError, match=rf"^kappa_s_sq must lie in \[0, 1\], got {kappa_s_sq}$"):
+        ModelParams(kappa_s_sq=kappa_s_sq)
+
+
 def test_unusable_controls_warn():
     params = ModelParams(kappa_s_sq=1.0)  # kappa_f = 0
     with pytest.warns(UserWarning):

@@ -483,6 +483,22 @@ def test_run_batch_rejects_bad_start_and_tolerance():
         _run(zero, x0=(np.nan, 0.0, 0.0))
 
 
+def test_engine_entries_reject_a_negative_seed():
+    zero = tj.zero_policy(tj.ANGLE)
+    params = ModelParams(alpha=0.5, horizon_T=1.0)
+    runs = [
+        lambda seed: tj.simulate(tj.ANGLE, zero, 0.0, params, 0.1, seed=seed),
+        lambda seed: tj.run_batch(tj.ANGLE, zero, 0.0, params, 0.1, 2, seed=seed),
+        lambda seed: tj.run_batches(tj.ANGLE, [zero, zero], 0.0, params, 0.1, 2, seed=seed),
+        lambda seed: tj.ensemble_means(tj.ANGLE, zero, 0.0, params, 0.1, 2, [1.0], seed=seed),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match=r"^seed must be nonnegative, got -1$"):
+            run(-1)
+        run(0)
+        run(None)
+
+
 def test_run_batch_rejects_a_state_that_turns_non_finite():
     # finite controls this large overflow the drift on the first step
     huge = tj.constant_policy(tj.DIFFUSIVE, (1e308, 0.0))
