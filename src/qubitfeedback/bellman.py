@@ -16,9 +16,13 @@ Qubit grids are uniform over the cube [-1, 1]^3 with nodes outside the
 closed unit ball masked out and stored as NaN; no ghost values are
 invented outside the ball, so stencils shorten to one-sided at the mask
 edge.  The angle model lives on a uniform periodic grid over [-pi, pi).
-Value functions persist to ``.vgrid`` files: one JSON header line, then
-the value slices and control slices as little-endian float64 in row-major
-node order.
+Each solve builds its grid's geometry once: axes, mask, active nodes and
+the plan, taken from the mask alone, that extends a slice past the mask
+for interpolation.  Both families read a slice's feedback through one
+completed-squares rule.  Value functions persist to ``.vgrid`` files: one
+JSON header line, then the value slices and control slices as
+little-endian float64 in row-major node order, finite exactly on the
+active nodes.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .filters import (
     diffusive_drift,
 )
 from .persist import atomic_write_bytes
-from .trajectories import ANGLE, COUNTING, ModelRecord, model_from_id, model_record
+from .trajectories import COUNTING, ModelRecord, model_from_id, model_record
 
 CLOSED_FORM = "closed-form"
 EXHAUSTIVE = "exhaustive"
@@ -92,10 +96,10 @@ class GridSpec:
     def __post_init__(self):
         model_record(self.model)
         nodes = self.n_nodes
-        if np.isscalar(nodes):
-            nodes = (int(nodes),) * self.dim
-        else:
-            nodes = tuple(int(n) for n in nodes)
+        nodes = (nodes,) * self.dim if np.isscalar(nodes) else tuple(nodes)
+        if not all(float(n).is_integer() for n in nodes):
+            raise ValueError(f"n_nodes must be integers, got {self.n_nodes!r}")
+        nodes = tuple(int(n) for n in nodes)
         if len(nodes) != self.dim:
             raise ValueError(
                 f"n_nodes must give {self.dim} axis count(s) for {self.model!r}, "
@@ -104,7 +108,7 @@ class GridSpec:
         if min(nodes) < 3:
             raise ValueError(f"n_nodes must be >= 3 per axis, got {nodes}")
         object.__setattr__(self, "n_nodes", nodes)
-        if int(self.n_steps) != self.n_steps or self.n_steps < 0:
+        if not float(self.n_steps).is_integer() or self.n_steps < 0:
             raise ValueError(f"n_steps must be a nonnegative integer, got {self.n_steps!r}")
         object.__setattr__(self, "n_steps", int(self.n_steps))
         T = float(self.horizon_T)
@@ -116,13 +120,13 @@ class GridSpec:
             if not np.isfinite(box) or box < 0.0:
                 raise ValueError(f"control_box must be >= 0, got {self.control_box!r}")
             object.__setattr__(self, "control_box", box)
-        if self.control_resolution is not None:
-            res = int(self.control_resolution)
-            if res < 1:
-                raise ValueError("control_resolution must be >= 1")
+        res = self.control_resolution
+        if res is not None:
+            if not float(res).is_integer() or res < 1:
+                raise ValueError(f"control_resolution must be an integer >= 1, got {res!r}")
             if self.control_box is None:
                 raise ValueError("control_resolution requires a control_box")
-            object.__setattr__(self, "control_resolution", res)
+            object.__setattr__(self, "control_resolution", int(res))
 
     @property
     def record(self) -> ModelRecord:
@@ -288,16 +292,34 @@ class ValueGrid:
                 f"{path}: payload is {len(body)} bytes, expected {8 * (n_vals + n_ctrl)}"
             )
         flat = np.frombuffer(body, dtype="<f8")
+        values = flat[:n_vals].reshape((spec.n_steps + 1,) + spec.shape)
+        controls = flat[n_vals:].reshape((spec.n_steps + 1, spec.n_controls) + spec.shape)
+        mask = spec.active_mask()
+        for name, slices in (("values", values), ("controls", controls)):
+            _require_finite_on(mask, slices, f"{path}: {name}")
         return cls(
             spec=spec,
             kappa_s_sq=float(header["kappa_s_sq"]),
             alpha=float(header["alpha"]),
             control_mode=header["control_mode"],
-            values=flat[:n_vals].reshape((spec.n_steps + 1,) + spec.shape).copy(),
-            controls=flat[n_vals:]
-            .reshape((spec.n_steps + 1, spec.n_controls) + spec.shape)
-            .copy(),
+            values=values.copy(),
+            controls=controls.copy(),
         )
+
+
+def _require_finite_on(mask, slices, name: str) -> None:
+    """Raise unless every slice is finite exactly on the active nodes; blocks
+    of slices are checked at a time, so no temporary nears the payload."""
+    block = max(1, (1 << 20) // slices[0].size)
+    for lo in range(0, len(slices), block):
+        bad = np.isfinite(slices[lo : lo + block]) != mask
+        if bad.any():
+            k, *at = (int(i) for i in np.argwhere(bad)[0])
+            where = "active" if mask[tuple(at[-mask.ndim :])] else "masked"
+            raise ValueError(
+                f"{name} slice {lo + k} must be finite exactly on the active nodes, "
+                f"but holds {float(slices[lo + k][tuple(at)])!r} at {where} index {tuple(at)}"
+            )
 
 
 def _model_fields(rec: ModelRecord) -> dict:
@@ -473,35 +495,20 @@ def _diffusion_term(values: np.ndarray, sigma: np.ndarray, spacings) -> np.ndarr
     return total
 
 
-# fill plans kept by _fill_inactive, least recently used first; every slice
-# of a solve shares one NaN pattern, so a few entries suffice
-FILL_PLAN_CACHE_SIZE = 4
-_fill_plans: dict = {}
-
-
-def _fill_inactive(values: np.ndarray) -> np.ndarray:
-    """Extend a masked slice over NaN nodes by repeated neighbor averaging.
+def _fill_inactive(values: np.ndarray, plan) -> np.ndarray:
+    """Extend a slice over the nodes outside the state space by repeated
+    neighbor averaging.
 
     Gives interpolation something sane to read just outside the ball; the
-    extension is never treated as a solution value.  Each sweep sets every
-    NaN node that has a finite axis neighbor to the mean of those
-    neighbors, read before the sweep.  Which nodes a sweep reads and writes
-    depends only on where the slice is NaN (and, should it hold any, where
-    it is infinite), so the sweep plan is cached under that pattern; the
-    slice's values never enter the key.  The neighbors are summed in the
-    order of the whole-array sweep (axis by axis, +1 before -1), so the
-    result matches it bit for bit.
+    extension is never treated as a solution value.  ``plan`` is the grid's
+    ``_fill_plan(~mask, mask)``: each sweep sets every masked node that has
+    an active or already filled axis neighbor to the mean of those
+    neighbors, read before the sweep.  What the slice holds on masked nodes
+    is never read.  The neighbors are summed in the order of the
+    whole-array sweep (axis by axis, +1 before -1), so a slice that is NaN
+    exactly off the mask is filled bit for bit as that sweep fills it.
     """
     filled = np.asarray(values, dtype=float)
-    nan = np.isnan(filled)
-    inf = np.isinf(filled)
-    key = (filled.shape, nan.tobytes(), inf.tobytes() if inf.any() else b"")
-    plan = _fill_plans.pop(key, None)
-    if plan is None:
-        plan = _fill_plan(nan, ~(nan | inf))
-        if len(_fill_plans) >= FILL_PLAN_CACHE_SIZE:
-            del _fill_plans[next(iter(_fill_plans))]
-    _fill_plans[key] = plan
     # one trailing 0.0 stands in for every neighbor a sweep does not count
     ext = np.zeros(filled.size + 1)
     ext[:-1] = filled.ravel()
@@ -516,8 +523,9 @@ def _fill_inactive(values: np.ndarray) -> np.ndarray:
 def _fill_plan(missing: np.ndarray, good: np.ndarray) -> list:
     """Per sweep: target nodes, their neighbor slots and the neighbor counts.
 
-    Flat indices; a slot whose neighbor is off the grid or not yet finite
-    points at the sentinel one past the last node.
+    Flat indices; a slot whose neighbor is off the grid, or neither good
+    nor filled by an earlier sweep, points at the sentinel one past the
+    last node.  ``missing`` nodes are filled, ``good`` ones are read.
     """
     shape = missing.shape
     size = missing.size
@@ -636,41 +644,52 @@ def _require_stable(delta: float, bound: float) -> None:
         )
 
 
-def _angle_feedback(values_slice, h: float, box):
-    """Central slope of a periodic slice and the control -slope, boxed."""
-    grad = (np.roll(values_slice, -1) - np.roll(values_slice, 1)) / (2.0 * h)
-    return grad, -grad if box is None else np.clip(-grad, -box, box)
+@dataclass(frozen=True)
+class _Geometry:
+    """What the solvers read of one grid: axes, spacings, the active mask,
+    the active node coordinates ((m,) or (m, 3)) and the mask's fill plan."""
+
+    axes: tuple
+    spacings: tuple
+    mask: np.ndarray
+    flat: np.ndarray
+    fill: list
 
 
-def _slice_controls(values_slice, spec: GridSpec, mask=None, points=None):
-    """Feedback stored with a slice: completed squares from its own gradient."""
+def _geometry(spec: GridSpec) -> _Geometry:
+    mask = spec.active_mask()
+    flat = spec.points()[mask]
+    return _Geometry(spec.axes(), spec.spacings(), mask, flat, _fill_plan(~mask, mask))
+
+
+def _feedback(v, spec: GridSpec, geo: _Geometry, limited: bool = False):
+    """(slope, completed-squares control) of a slice on the active nodes: the
+    central slope, or with ``limited`` the minmod of the one-sided ones (see
+    `_gradient`); the periodic angle's differences roll the slice."""
     box = spec.control_box
-    if spec.model == ANGLE:
-        return _angle_feedback(values_slice, spec.spacings()[0], box)[1][None, :]
-    grad = _gradient(values_slice, spec.spacings())
-    u = optimal_controls_from_gradient(points, grad, box)
-    return np.where(mask, np.moveaxis(u, -1, 0), np.nan)
+    if spec.record.periodic:
+        h = geo.spacings[0]
+        up, down = np.roll(v, -1), np.roll(v, 1)
+        slope = _minmod((up - v) / h, (v - down) / h) if limited else (up - down) / (2.0 * h)
+        return slope, -slope if box is None else np.clip(-slope, -box, box)
+    slope = _gradient(v, geo.spacings, limited)[geo.mask]
+    return slope, optimal_controls_from_gradient(geo.flat, slope, box)
 
 
-def _terminal_slices(spec: GridSpec, mask, pts):
+def _place(out: np.ndarray, geo: _Geometry, active: np.ndarray) -> np.ndarray:
+    """Write per-node values (m, ...) onto the active nodes of a NaN slice."""
+    out[..., geo.mask] = active.reshape(len(active), -1).T
+    return out
+
+
+def _terminal_slices(spec: GridSpec, geo: _Geometry):
     """(values, controls) of a sweep, NaN but for the terminal slice."""
     n_steps = spec.n_steps
     values = np.full((n_steps + 1,) + spec.shape, np.nan)
     controls = np.full((n_steps + 1, spec.n_controls) + spec.shape, np.nan)
-    values[n_steps] = np.where(mask, terminal_cost(spec.model, pts), np.nan)
-    controls[n_steps] = _slice_controls(values[n_steps], spec, mask, pts)
+    _place(values[n_steps], geo, terminal_cost(spec.model, geo.flat))
+    _place(controls[n_steps], geo, _feedback(values[n_steps], spec, geo)[1])
     return values, controls
-
-
-def _value_grid(spec, params: ModelParams, mode: str, values, controls) -> ValueGrid:
-    return ValueGrid(
-        spec=spec,
-        kappa_s_sq=params.kappa_s_sq,
-        alpha=params.alpha,
-        control_mode=mode,
-        values=values,
-        controls=controls,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -688,101 +707,85 @@ def solve_backward(spec: GridSpec, params: ModelParams) -> ValueGrid:
     node, if a non-finite value appears anyway.
     """
     _check_spec_params(spec, params)
-    mask, pts = spec.active_mask(), spec.points()
-    sweep = _solve_fd_angle if spec.model == ANGLE else _solve_fd_qubit
-    values, controls = sweep(spec, params, mask, pts)
-    controls[0] = _slice_controls(values[0], spec, mask, pts)
-    return _value_grid(spec, params, CLOSED_FORM, values, controls)
+    geo = _geometry(spec)
+    rhs = (_fd_rhs_angle if spec.record.periodic else _fd_rhs_qubit)(spec, params, geo)
+    values, controls = _terminal_slices(spec, geo)
+    # each slice stores the feedback read off its own gradient, slice 0 too
+    for k in range(spec.n_steps, -1, -1):
+        v = values[k]
+        slope, u = _feedback(v, spec, geo)
+        _place(controls[k], geo, u)
+        if k:
+            _place(values[k - 1], geo, v[geo.mask] + spec.delta * rhs(v, slope, u))
+            _require_finite(values[k - 1], k - 1, geo.mask)
+    return ValueGrid(spec, params.kappa_s_sq, params.alpha, CLOSED_FORM, values, controls)
 
 
-# the sweeps check stability before allocating, then return (values,
-# controls) with every slice but controls[0] filled
+# the builders check stability before any slice is allocated, then return
+# rhs(v, slope, u): minus the time derivative on the active nodes
 
 
-def _solve_fd_angle(spec: GridSpec, params: ModelParams, mask, pts):
-    h = spec.spacings()[0]
-    n_steps, delta = spec.n_steps, spec.delta
+def _fd_rhs_angle(spec: GridSpec, params: ModelParams, geo: _Geometry):
+    h = geo.spacings[0]
     diffusion = 2.0 * params.alpha**2
     if diffusion > 0.0:
-        _require_stable(delta, CFL_SAFETY * h * h / diffusion)
-    values, controls = _terminal_slices(spec, mask, pts)
-    for k in range(n_steps, 0, -1):
-        v = values[k]
-        grad, b = _angle_feedback(v, h, spec.control_box)
-        controls[k, 0] = b
+        _require_stable(spec.delta, CFL_SAFETY * h * h / diffusion)
+
+    def rhs(v, slope, b):
         second = (np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) / (h * h)
-        new = v + delta * (b * b + 2.0 * b * grad + diffusion * second)
-        _require_finite(new, k - 1)
-        values[k - 1] = new
-    return values, controls
+        return b * b + 2.0 * b * slope + diffusion * second
+
+    return rhs
 
 
-def _solve_fd_qubit(spec: GridSpec, params: ModelParams, mask, pts):
-    axes = spec.axes()
-    spacings = spec.spacings()
-    flat = pts[mask]
+def _fd_rhs_qubit(spec: GridSpec, params: ModelParams, geo: _Geometry):
+    mask, spacings = geo.mask, geo.spacings
     # the grid nodes and the completed-squares controls are valid by
     # construction, so the coefficients come from the unchecked component
     # encodings, as in the DP step
-    px, py, pz = flat.T.copy()
-    n_steps, delta = spec.n_steps, spec.delta
-    box = spec.control_box
+    px, py, pz = geo.flat.T.copy()
     drift_full = np.zeros(spec.shape + (3,))
 
     if spec.model == COUNTING:
-        lam_flat = _jump_intensity_z(pz, params.kappa_s_sq)
-        lam = np.zeros(spec.shape)
-        lam[mask] = lam_flat
+        lam = _jump_intensity_z(pz, params.kappa_s_sq)
         # monotone load of the drift/jump stepping, worst-case controls
-        u_max = box if box is not None else 0.0
-        b0 = np.stack(_counting_drift_xyz(px, py, pz, 0.0, 0.0, lam_flat), axis=-1)
+        u_max = spec.control_box if spec.control_box is not None else 0.0
+        b0 = np.stack(_counting_drift_xyz(px, py, pz, 0.0, 0.0, lam), axis=-1)
         swing = 2.0 * u_max * np.stack(
             [np.abs(pz), np.abs(pz), np.abs(px) + np.abs(py)], axis=-1
         )
-        load = np.sum((np.abs(b0) + swing) / np.asarray(spacings), axis=-1)
-        load += lam_flat
+        load = np.sum((np.abs(b0) + swing) / np.asarray(spacings), axis=-1) + lam
         worst = float(load.max())
         if worst > 0.0:
-            _require_stable(delta, CFL_SAFETY / worst)
+            _require_stable(spec.delta, CFL_SAFETY / worst)
         # the detection term reads J at the ground state, one query per solve
-        ground = _interp_plan(axes, GROUND_STATE)
+        ground = _interp_plan(geo.axes, GROUND_STATE)
 
-        def rhs(v, u_flat):
+        def dynamics(v, u):
             drift_full[mask] = np.stack(
-                _counting_drift_xyz(px, py, pz, u_flat[:, 0], u_flat[:, 1], lam_flat),
-                axis=-1,
+                _counting_drift_xyz(px, py, pz, u[:, 0], u[:, 1], lam), axis=-1
             )
-            j_ground = float(_interp_apply(_fill_inactive(v)[None], ground)[0])
-            return _advection_upwind(v, drift_full, spacings) + lam * (j_ground - v)
+            j_ground = float(_interp_apply(_fill_inactive(v, geo.fill)[None], ground)[0])
+            return _advection_upwind(v, drift_full, spacings)[mask] + lam * (j_ground - v[mask])
 
     else:
         sigma = np.zeros(spec.shape + (3,))
         sigma[mask] = np.stack(_diffusive_diffusion_xyz(px, py, pz, params.kappa_s), axis=-1)
         max_diffusion = float((0.5 * np.sum(sigma[mask] ** 2, axis=-1)).max())
         if max_diffusion > 0.0:
-            _require_stable(delta, CFL_SAFETY * min(spacings) ** 2 / max_diffusion)
+            _require_stable(spec.delta, CFL_SAFETY * min(spacings) ** 2 / max_diffusion)
 
-        def rhs(v, u_flat):
+        def dynamics(v, u):
             drift_full[mask] = np.stack(
-                _diffusive_drift_xyz(px, py, pz, u_flat[:, 0], u_flat[:, 1]), axis=-1
+                _diffusive_drift_xyz(px, py, pz, u[:, 0], u[:, 1]), axis=-1
             )
-            return _advection_upwind(v, drift_full, spacings) + _diffusion_term(
-                v, sigma, spacings
-            )
+            step = _advection_upwind(v, drift_full, spacings) + _diffusion_term(v, sigma, spacings)
+            return step[mask]
 
-    values, controls = _terminal_slices(spec, mask, pts)
-    running = np.zeros(spec.shape)
-    for k in range(n_steps, 0, -1):
-        v = values[k]
-        grad = _gradient(v, spacings)
-        u_flat = optimal_controls_from_gradient(flat, grad[mask], box)
-        controls[k][:, mask] = u_flat.T
-        step = rhs(v, u_flat)
-        running[mask] = np.sum(u_flat * u_flat, axis=-1)
-        new = np.where(mask, v + delta * (step + running), np.nan)
-        _require_finite(new, k - 1, mask)
-        values[k - 1] = new
-    return values, controls
+    def rhs(v, slope, u):
+        return dynamics(v, u) + np.sum(u * u, axis=-1)
+
+    return rhs
 
 
 # ---------------------------------------------------------------------------
@@ -799,7 +802,8 @@ def dp_recursion_step(values, spec: GridSpec, params: ModelParams, mode: str = C
     grid; in ``"closed-form"`` mode it evaluates the completed-squares
     control read off the slice gradient.  Over a full horizon the two modes
     agree to about T * (control grid spacing)^2; tests pin the measured
-    constant.  Returns the new slice.
+    constant.  The slice must be finite on the active nodes; what it holds
+    on masked nodes is ignored.  Returns the new slice.
     """
     _check_dp_mode(spec, mode)
     if spec.n_steps < 1:
@@ -807,10 +811,13 @@ def dp_recursion_step(values, spec: GridSpec, params: ModelParams, mode: str = C
     values = np.asarray(values, dtype=float)
     if values.shape != spec.shape:
         raise ValueError(f"slice must have shape {spec.shape}, got {values.shape}")
-    geometry = _dp_geometry(spec)
-    if not np.isfinite(values[geometry[1]]).all():
+    geo = _geometry(spec)
+    if not np.isfinite(values[geo.mask]).all():
         raise ValueError("slice must be finite on the active nodes")
-    return _dp_step(values, spec, params, mode, geometry)[0]
+    # the solvers' slices are NaN exactly off the mask
+    values = np.where(geo.mask, values, np.nan)
+    best = _dp_step(values, spec, params, mode, geo)[0]
+    return _place(np.full(spec.shape, np.nan), geo, best)
 
 
 def _check_dp_mode(spec: GridSpec, mode: str) -> None:
@@ -820,54 +827,36 @@ def _check_dp_mode(spec: GridSpec, mode: str) -> None:
         raise ValueError("exhaustive mode needs control_box and control_resolution")
 
 
-def _dp_geometry(spec: GridSpec):
-    """(axes, active mask, active node coordinates), read by every DP step."""
-    mask = spec.active_mask()
-    return spec.axes(), mask, spec.points()[mask]
+def _dp_step(v, spec, params, mode, geo):
+    """(value, control) on the active nodes after one DP step: the model's
+    objective minimized by the blocked control scan or at the limited
+    completed-squares control."""
+    build = _dp_step_angle if spec.record.periodic else _dp_step_qubit
+    objective = build(v, spec, params, geo)
+    if mode == CLOSED_FORM:
+        best_u = _feedback(v, spec, geo, limited=True)[1]
+        return objective(best_u), best_u
+    grid = spec.control_values()
+    cands = np.stack(np.meshgrid(*(grid,) * spec.n_controls, indexing="ij"), axis=-1)
+    cands = cands.reshape((-1,) + spec.record.control_shape)
+    m = len(geo.flat)
+    best = np.full(m, np.inf)
+    best_k = np.zeros(m, dtype=int)
+    better = np.empty(m, dtype=bool)
+    # candidates in meshgrid order, DP_BLOCK at a time; the strict < keeps
+    # the first of equal values
+    for start in range(0, len(cands), DP_BLOCK):
+        vals = objective(cands[start : start + DP_BLOCK, None])
+        for k, val in enumerate(vals, start):
+            np.less(val, best, out=better)
+            np.copyto(best, val, where=better)
+            np.copyto(best_k, k, where=better)
+    return best, cands[best_k]
 
 
-def _dp_step(v, spec, params, mode, geometry):
-    """(value, control) slices of one DP step: the model's objective minimized
-    by the blocked control scan or at the limited completed-squares control."""
-    mask, flat = geometry[1:]
-    build = _dp_step_angle if spec.model == ANGLE else _dp_step_qubit
-    objective = build(v, spec, params, geometry)
-    if mode == EXHAUSTIVE:
-        grid = spec.control_values()
-        cands = np.stack(np.meshgrid(*(grid,) * spec.n_controls, indexing="ij"), axis=-1)
-        cands = cands.reshape((-1,) + spec.record.control_shape)
-        best = np.full(len(flat), np.inf)
-        best_k = np.zeros(len(flat), dtype=int)
-        better = np.empty(len(flat), dtype=bool)
-        # candidates in meshgrid order, DP_BLOCK at a time; the strict <
-        # keeps the first of equal values
-        for start in range(0, len(cands), DP_BLOCK):
-            vals = objective(cands[start : start + DP_BLOCK, None])
-            for k, val in enumerate(vals, start):
-                np.less(val, best, out=better)
-                np.copyto(best, val, where=better)
-                np.copyto(best_k, k, where=better)
-        best_u = cands[best_k]
-    else:
-        if spec.model == ANGLE:
-            h = spec.spacings()[0]
-            best_u = -_minmod((np.roll(v, -1) - v) / h, (v - np.roll(v, 1)) / h)
-            if spec.control_box is not None:
-                best_u = np.clip(best_u, -spec.control_box, spec.control_box)
-        else:
-            grad = _gradient(v, spec.spacings(), limited=True)[mask]
-            best_u = optimal_controls_from_gradient(flat, grad, spec.control_box)
-        best = objective(best_u)
-    new = np.full(spec.shape, np.nan)
-    new[mask] = best
-    ctrl = np.full((spec.n_controls,) + spec.shape, np.nan)
-    ctrl[:, mask] = best_u.reshape(len(best_u), -1).T
-    return new, ctrl
-
-
-def _dp_step_angle(v, spec, params, geometry):
+def _dp_step_angle(v, spec, params, geo):
     """Objective of an angle step: periodic reads at the two Wiener kicks."""
-    (theta,) = geometry[0]
+    theta = geo.flat
     delta = spec.delta
     kick = 2.0 * params.alpha * np.sqrt(delta)
 
@@ -881,12 +870,12 @@ def _dp_step_angle(v, spec, params, geometry):
     return objective
 
 
-def _dp_step_qubit(v, spec, params, geometry):
+def _dp_step_qubit(v, spec, params, geo):
     """Objective of a qubit step: Wiener quadrature or the Bernoulli jump pair."""
-    axes, mask, flat = geometry
-    px, py, pz = flat.T.copy()
+    axes = geo.axes
+    px, py, pz = geo.flat.T.copy()
     delta = spec.delta
-    filled = _fill_inactive(v)
+    filled = _fill_inactive(v, geo.fill)
 
     # the grid nodes and the controls are valid by construction, so the
     # coefficients come from the unchecked component encodings; u_plus and
@@ -935,16 +924,15 @@ def solve_dp(spec: GridSpec, params: ModelParams, mode: str = CLOSED_FORM) -> Va
     _check_spec_params(spec, params)
     if spec.n_steps:
         _check_dp_mode(spec, mode)
-    geometry = _dp_geometry(spec)
-    mask = geometry[1]
-    values, controls = _terminal_slices(spec, mask, spec.points())
+    geo = _geometry(spec)
+    values, controls = _terminal_slices(spec, geo)
     # no per-step input checks: the terminal slice is finite on the mask
     for k in range(spec.n_steps, 0, -1):
-        new, ctrl = _dp_step(values[k], spec, params, mode, geometry)
-        _require_finite(new, k - 1, mask)
-        values[k - 1] = new
-        controls[k - 1] = ctrl
-    return _value_grid(spec, params, mode, values, controls)
+        best, best_u = _dp_step(values[k], spec, params, mode, geo)
+        _place(values[k - 1], geo, best)
+        _require_finite(values[k - 1], k - 1, geo.mask)
+        _place(controls[k - 1], geo, best_u)
+    return ValueGrid(spec, params.kappa_s_sq, params.alpha, mode, values, controls)
 
 
 # ---------------------------------------------------------------------------
@@ -955,10 +943,12 @@ def extract_policy(vg: ValueGrid):
     """Feedback policy (t, state) -> control interpolated from a solved grid.
 
     Time picks the nearest stored slice; the state is clamped into the grid
-    bounds and the stored controls are interpolated multilinearly (masked
-    nodes are first filled by repeated neighbor averaging, `_fill_inactive`,
-    so queries near the sphere stay finite).  Queries with t outside [0, T]
-    raise ValueError.  The returned callable accepts batched states.
+    bounds and the stored controls are interpolated multilinearly.  Only
+    the controls on the active nodes are read: the masked nodes are filled
+    from them by repeated neighbor averaging (`_fill_inactive`, one plan
+    per grid), so queries near the sphere stay finite.  Queries with t
+    outside [0, T] raise ValueError.  The returned callable accepts batched
+    states.
     """
     spec = vg.spec
     n_steps = spec.n_steps
@@ -974,7 +964,7 @@ def extract_policy(vg: ValueGrid):
             return 0
         return min(n_steps, max(0, int(np.floor(t / delta + 0.5))))
 
-    if spec.model == ANGLE:
+    if spec.record.periodic:
         table = vg.controls[:, 0, :]
 
         def policy(t, state):
@@ -982,12 +972,12 @@ def extract_policy(vg: ValueGrid):
 
         return policy
 
-    axes = spec.axes()
+    geo = _geometry(spec)
     controls = vg.controls.reshape((-1,) + spec.shape)
-    filled = np.stack([_fill_inactive(c) for c in controls]).reshape(vg.controls.shape)
+    filled = np.stack([_fill_inactive(c, geo.fill) for c in controls]).reshape(vg.controls.shape)
 
     def policy(t, state):
         # the plan clamps every axis into [-1, 1]; one plan serves both components
-        return _interp_apply(filled[slice_index(t)], _interp_plan(axes, state))
+        return _interp_apply(filled[slice_index(t)], _interp_plan(geo.axes, state))
 
     return policy

@@ -44,6 +44,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import math
+import numbers
 from typing import Callable
 
 import numpy as np
@@ -367,8 +368,10 @@ def _validated_start(model: str, x0, params: ModelParams, dt: float, seed, n_pat
     """Check a run's inputs once; return (n_steps, initial state of one path)."""
     rec = model_record(model)
     n_steps = _n_steps(params, dt)
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
+    if not isinstance(n_paths, numbers.Integral) or n_paths < 1:
+        raise ValueError(f"n_paths must be an integer >= 1, got {n_paths!r}")
+    if seed is not None and not isinstance(seed, numbers.Integral):
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     if seed is not None and seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed!r}")
     if model == COUNTING and dt * params.kappa_s_sq >= 1.0:

@@ -161,8 +161,23 @@ def test_gridspec_validation():
     with pytest.raises(ValueError):
         bm.GridSpec(model="angle", n_nodes=(5,), n_steps=1, horizon_T=1.0,
                     control_resolution=9)
+    # counts are never truncated: 21.7 nodes or 2.5 control points are refused
+    for nodes in (21.7, (5, 5.5, 5), np.inf, np.nan):
+        with pytest.raises(ValueError, match=r"^n_nodes must be integers"):
+            bm.GridSpec(model="diffusive", n_nodes=nodes, n_steps=1, horizon_T=1.0)
+    for steps in (2.5, np.inf, np.nan):
+        with pytest.raises(ValueError, match=r"^n_steps must be a nonnegative integer"):
+            bm.GridSpec(model="angle", n_nodes=(5,), n_steps=steps, horizon_T=1.0)
+    for res in (2.5, 0, np.inf):
+        with pytest.raises(ValueError, match=rf"^control_resolution must be an integer >= 1, got {res}$"):
+            bm.GridSpec(model="angle", n_nodes=(5,), n_steps=1, horizon_T=1.0,
+                        control_box=1.0, control_resolution=res)
     spec = bm.GridSpec(model="diffusive", n_nodes=7, n_steps=10, horizon_T=0.2)
     assert spec.n_nodes == (7, 7, 7)
+    spec = bm.GridSpec(model="angle", n_nodes=(np.int64(9),), n_steps=1, horizon_T=1.0,
+                       control_box=1.0, control_resolution=np.int64(3))
+    assert spec.n_nodes == (9,) and type(spec.n_nodes[0]) is int
+    assert spec.control_resolution == 3 and type(spec.control_resolution) is int
     assert bm.GridSpec(model="angle", n_nodes=(9,), n_steps=0, horizon_T=1.0).delta == 0.0
 
 
@@ -252,6 +267,39 @@ def test_vgrid_rejects_corruption(tmp_path):
         malformed.write_bytes(json.dumps(header).encode() + raw[raw.find(b"\n"):])
         with pytest.raises(ValueError, match=key):
             bm.ValueGrid.load(malformed)
+
+
+def _edit_payload(src, dst, array, index, value):
+    # one float64 of a saved grid overwritten in place, as a hand edit would
+    vg = bm.ValueGrid.load(src)
+    raw = bytearray(src.read_bytes())
+    at = raw.index(b"\n") + 1
+    if array == "controls":
+        at += 8 * vg.values.size
+    at += 8 * int(np.ravel_multi_index(index, getattr(vg, array).shape))
+    raw[at : at + 8] = np.array(value, dtype="<f8").tobytes()
+    dst.write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize("array, index, value, where", [
+    ("controls", (1, 0, 2, 2, 2), np.nan, "active"),
+    ("values", (2, 2, 2, 3), np.inf, "active"),
+    ("values", (0, 0, 0, 0), 3.0, "masked"),
+])
+def test_vgrid_load_rejects_a_payload_not_finite_exactly_on_the_ball(
+        tmp_path, array, index, value, where):
+    # the fill extends a slice from the active nodes alone, so a file with a
+    # hole on the ball, or a number off it, is refused instead of smoothed
+    good = tmp_path / "small.vgrid"
+    _small_grid().save(good)
+    bad = tmp_path / "edited.vgrid"
+    _edit_payload(good, bad, array, index, value)
+    with pytest.raises(ValueError) as info:
+        bm.ValueGrid.load(bad)
+    assert str(info.value) == (
+        f"{bad}: {array} slice {index[0]} must be finite exactly on the active nodes, "
+        f"but holds {value!r} at {where} index {index[1:]}"
+    )
 
 
 MALFORMED_HEADER_FIELDS = (
@@ -372,7 +420,7 @@ def test_dp_one_step_qubit_matches_scalar_reference():
         mask = spec.active_mask()
         terminal = np.where(mask, 1.0 - spec.points()[..., 2], np.nan)
         stepped = bm.dp_recursion_step(terminal, spec, params, bm.EXHAUSTIVE)
-        filled = bm._fill_inactive(terminal)
+        filled = bm._fill_inactive(terminal, bm._fill_plan(~mask, mask))
         delta = spec.delta
         controls = spec.control_values()
         for _ in range(5):
@@ -434,6 +482,20 @@ def test_dp_step_rejects_nonfinite_active_values():
         for mode in bm.CONTROL_MODES:
             with pytest.raises(ValueError, match="finite on the active nodes"):
                 bm.dp_recursion_step(values, spec, params, mode)
+
+
+def test_dp_step_ignores_masked_nodes():
+    # whatever a slice holds off the ball, the step reads the slice the
+    # solvers would hold: NaN there, filled from the mask for interpolation
+    params = ModelParams(kappa_s_sq=0.5, horizon_T=0.1)
+    for model in ("diffusive", "counting"):
+        spec = bm.GridSpec(model=model, n_nodes=(7, 6, 7), n_steps=2, horizon_T=0.1)
+        mask = spec.active_mask()
+        terminal = np.where(mask, 1.0 - spec.points()[..., 2], np.nan)
+        want = bm.dp_recursion_step(terminal, spec, params)
+        for off in (7.0, np.inf):
+            got = bm.dp_recursion_step(np.where(mask, terminal, off), spec, params)
+            assert np.array_equal(_bits(got), _bits(want))
 
 
 # ---------------------------------------------------------------------------
@@ -543,14 +605,22 @@ def test_qubit_grid_policy_matches_clipped_per_component_reads():
     vg = bm.solve_backward(spec, params)
     policy = bm.extract_policy(vg)
     axes = spec.axes()
+    mask = spec.active_mask()
+    plan = bm._fill_plan(~mask, mask)
     states = np.random.default_rng(14).uniform(-1.5, 1.5, size=(200, 3))
     states[:4] = [[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [1.0, 1.0, 1.0], [-2.0, 0.5, 3.0]]
     for t, k in ((0.0, 0), (0.1, 10), (0.3, 30)):
         q = np.clip(states, -1.0, 1.0)
-        want = np.stack([bm._interp_box(bm._fill_inactive(vg.controls[k, c]), axes, q)
+        want = np.stack([bm._interp_box(bm._fill_inactive(vg.controls[k, c], plan), axes, q)
                          for c in range(2)], axis=-1)
         assert np.array_equal(_bits(policy(t, states)), _bits(want))
         assert np.array_equal(_bits(policy(t, states[0])), _bits(want[0]))
+
+
+def _fill_by_pattern(values):
+    # the plan of whatever the slice holds: NaN nodes are filled from the
+    # finite ones; an infinite node is neither filled nor read
+    return bm._fill_inactive(values, bm._fill_plan(np.isnan(values), np.isfinite(values)))
 
 
 def test_fill_inactive_matches_whole_array_reference():
@@ -558,21 +628,38 @@ def test_fill_inactive_matches_whole_array_reference():
     ball = bm.GridSpec(model="diffusive", n_nodes=21, n_steps=1, horizon_T=1.0).active_mask()
     small = bm.GridSpec(model="diffusive", n_nodes=(7, 6, 7), n_steps=1,
                         horizon_T=1.0).active_mask()
-    # a NaN pattern that is not the ball mask, as a hand-edited .vgrid carries
+    # a NaN pattern that is not the ball mask
     holes = ball & (rng.random(ball.shape) < 0.8)
-    # A -> B -> A -> B: a plan kept under the wrong key shows up
-    for i, keep in enumerate([ball, holes, ball, holes, small, ball, ball, ball]):
+    for i, keep in enumerate([ball, holes, small, ball, ball]):
         values = np.where(keep, rng.normal(size=keep.shape), np.nan)
-        if i in (5, 6):
+        if i in (3, 4):
             # an infinite node is neither filled nor counted as a neighbor;
             # a finite one in its place, under the same NaN pattern, counts
-            values[0, 0, 0] = np.inf if i == 5 else 3.0
-        got = bm._fill_inactive(values)
+            values[0, 0, 0] = np.inf if i == 3 else 3.0
+        got = _fill_by_pattern(values)
         assert np.array_equal(_bits(got), _bits(_reference_fill(values)))
         assert np.isnan(values).any() and not np.isnan(got).any()
-    for _ in range(2):
-        with pytest.raises(ValueError, match="all-NaN"):
-            bm._fill_inactive(np.full((5, 5, 5), np.nan))
+    with pytest.raises(ValueError, match="all-NaN"):
+        _fill_by_pattern(np.full((5, 5, 5), np.nan))
+
+
+@pytest.mark.parametrize("model, solve", [
+    ("counting", bm.solve_backward),
+    ("diffusive", lambda spec, params: bm.solve_dp(spec, params, bm.CLOSED_FORM)),
+])
+def test_mask_fill_plan_matches_whole_array_reference_on_every_slice(model, solve):
+    # solver slices are NaN exactly off the mask, so the grid's one plan
+    # fills each of them as the whole-array sweep does
+    params = ModelParams(kappa_s_sq=0.8, horizon_T=0.05)
+    spec = bm.GridSpec(model=model, n_nodes=(7, 6, 7), n_steps=5, horizon_T=0.05,
+                       control_box=1.0)
+    vg = solve(spec, params)
+    mask = spec.active_mask()
+    plan = bm._fill_plan(~mask, mask)
+    slices = np.concatenate([vg.values, vg.controls.reshape((-1,) + spec.shape)])
+    for s in slices:
+        assert np.array_equal(np.isnan(s), ~mask)
+        assert np.array_equal(_bits(bm._fill_inactive(s, plan)), _bits(_reference_fill(s)))
 
 
 def test_exhaustive_angle_dp_step_scans_candidates_in_blocks(monkeypatch):

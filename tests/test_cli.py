@@ -235,6 +235,27 @@ def test_evaluate_rejects_zero_paths(tmp_path, capsys):
     assert "n_paths" in err
 
 
+def test_evaluate_rejects_a_hand_edited_grid(tmp_path, capsys):
+    grid = tmp_path / "counting.vgrid"
+    code, _, _ = run_cli(capsys, "solve", "--model", "counting-qubit", "--n-nodes", "5",
+                         "--n-steps", "3", "--horizon-t", "0.003", "--grid", str(grid),
+                         "--no-timings")
+    assert code == 0
+    # a NaN control at the centre node of slice 1
+    vg = ValueGrid.load(grid)
+    raw = bytearray(grid.read_bytes())
+    at = raw.index(b"\n") + 1 + 8 * (
+        vg.values.size + int(np.ravel_multi_index((1, 0, 2, 2, 2), vg.controls.shape)))
+    raw[at : at + 8] = np.array(np.nan, dtype="<f8").tobytes()
+    grid.write_bytes(bytes(raw))
+    code, out, err = run_cli(capsys, "evaluate", "--grid", str(grid), "--no-timings")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {grid}: controls slice 1 must be finite exactly on the active nodes, "
+        "but holds nan at active index (0, 2, 2, 2)\n"
+    )
+
+
 @pytest.mark.parametrize("argv, key", [
     (("evaluate", "--grid", "{grid}", "--alpha", "nan"), "alpha"),
     (("evaluate", "--grid", "{grid}", "--kappa-s-sq", "nan"), "kappa_s_sq"),

@@ -499,6 +499,36 @@ def test_engine_entries_reject_a_negative_seed():
         run(None)
 
 
+def test_engine_entries_reject_non_integer_seeds_and_path_counts():
+    zero = tj.zero_policy(tj.ANGLE)
+    params = ModelParams(alpha=0.5, horizon_T=1.0)
+    seeded = [
+        lambda seed: tj.simulate(tj.ANGLE, zero, 0.0, params, 0.1, seed=seed),
+        lambda seed: tj.run_batch(tj.ANGLE, zero, 0.0, params, 0.1, 2, seed=seed),
+        lambda seed: tj.run_batches(tj.ANGLE, [zero, zero], 0.0, params, 0.1, 2, seed=seed),
+        lambda seed: tj.ensemble_means(tj.ANGLE, zero, 0.0, params, 0.1, 2, [1.0], seed=seed),
+    ]
+    for run in seeded:
+        for seed in (1.7, 2.5, 1.0):
+            with pytest.raises(ValueError, match=rf"^seed must be a nonnegative integer, got {seed}$"):
+                run(seed)
+        run(np.int64(1))
+    counted = [
+        lambda n: tj.run_batch(tj.ANGLE, zero, 0.0, params, 0.1, n, seed=1),
+        lambda n: tj.run_batches(tj.ANGLE, [zero], 0.0, params, 0.1, n, seed=1),
+        lambda n: tj.ensemble_means(tj.ANGLE, zero, 0.0, params, 0.1, n, [1.0], seed=1),
+    ]
+    for run in counted:
+        for n in (2.5, 2.0, 0):
+            with pytest.raises(ValueError, match=rf"^n_paths must be an integer >= 1, got {n}$"):
+                run(n)
+        run(np.int32(2))
+    # numpy integers run the same paths as Python ints
+    a = tj.run_batch(tj.ANGLE, zero, 1.0, params, 0.1, np.int64(3), seed=np.uint8(4))
+    b = tj.run_batch(tj.ANGLE, zero, 1.0, params, 0.1, 3, seed=4)
+    assert a.mean == b.mean and a.stderr == b.stderr
+
+
 def test_run_batch_rejects_a_state_that_turns_non_finite():
     # finite controls this large overflow the drift on the first step
     huge = tj.constant_policy(tj.DIFFUSIVE, (1e308, 0.0))
