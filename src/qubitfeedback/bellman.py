@@ -16,19 +16,20 @@ Qubit grids are uniform over the cube [-1, 1]^3 with nodes outside the
 closed unit ball masked out and stored as NaN; no ghost values are
 invented outside the ball, so stencils shorten to one-sided at the mask
 edge.  The angle model lives on a uniform periodic grid over [-pi, pi).
-Each solve builds its grid's geometry once: axes, mask, active nodes and
-the plan, taken from the mask alone, that extends a slice past the mask
-for interpolation.  Both families read a slice's feedback through one
-completed-squares rule.  Value functions persist to ``.vgrid`` files: one
-JSON header line, then the value slices and control slices as
-little-endian float64 in row-major node order, finite exactly on the
-active nodes.
+Each grid spec builds its geometry once, on first use: axes, mask, active
+nodes and the plan, taken from the mask alone, that extends a slice past
+the mask for interpolation.  Both families read a slice's feedback
+through one completed-squares rule.  Value functions persist to
+``.vgrid`` files: one JSON header line, then the value slices and control
+slices as little-endian float64 in row-major node order, finite exactly
+on the active nodes.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -128,7 +129,7 @@ class GridSpec:
                 raise ValueError("control_resolution requires a control_box")
             object.__setattr__(self, "control_resolution", int(res))
 
-    @property
+    @cached_property
     def record(self) -> ModelRecord:
         return model_record(self.model)
 
@@ -174,6 +175,15 @@ class GridSpec:
             return np.ones(self.shape, dtype=bool)
         pts = self.points()
         return np.sum(pts * pts, axis=-1) <= 1.0 + MASK_TOL
+
+    @cached_property
+    def _geometry(self) -> _Geometry:
+        """The solvers' reading of this grid, built on first use; read-only."""
+        mask = self.active_mask()
+        flat = self.points()[mask]
+        mask.flags.writeable = flat.flags.writeable = False
+        active = slice(None) if mask.all() else mask
+        return _Geometry(self.axes(), self.spacings(), mask, active, flat)
 
     def control_values(self) -> np.ndarray | None:
         """Control grid for exhaustive minimization, None when unconfigured."""
@@ -294,9 +304,8 @@ class ValueGrid:
         flat = np.frombuffer(body, dtype="<f8")
         values = flat[:n_vals].reshape((spec.n_steps + 1,) + spec.shape)
         controls = flat[n_vals:].reshape((spec.n_steps + 1, spec.n_controls) + spec.shape)
-        mask = spec.active_mask()
         for name, slices in (("values", values), ("controls", controls)):
-            _require_finite_on(mask, slices, f"{path}: {name}")
+            _require_finite_on(spec.active_mask(), slices, f"{path}: {name}")
         return cls(
             spec=spec,
             kappa_s_sq=float(header["kappa_s_sq"]),
@@ -393,8 +402,6 @@ def _shift(values: np.ndarray, axis: int, offset: int) -> np.ndarray:
     """values displaced by -offset along axis; vacated entries become NaN."""
     out = np.full_like(values, np.nan)
     n = values.shape[axis]
-    if abs(offset) >= n:
-        return out
     src = [slice(None)] * values.ndim
     dst = [slice(None)] * values.ndim
     if offset > 0:
@@ -619,12 +626,9 @@ def _interp_periodic(values: np.ndarray, theta) -> np.ndarray:
     return values[i0] * (1.0 - w) + values[np.mod(i0 + 1, n)] * w
 
 
-def _require_finite(arr: np.ndarray, slice_idx: int, mask=None) -> None:
-    bad = ~np.isfinite(arr)
-    if mask is not None:
-        bad &= mask
-    if bad.any():
-        node = tuple(int(i) for i in np.argwhere(bad)[0])
+def _require_finite(active: np.ndarray, slice_idx: int, geo) -> None:
+    if not np.isfinite(active).all():
+        node = tuple(int(i) for i in np.argwhere(geo.mask)[np.argmin(np.isfinite(active))])
         raise RuntimeError(f"non-finite value at slice {slice_idx}, node {node}")
 
 
@@ -646,20 +650,19 @@ def _require_stable(delta: float, bound: float) -> None:
 
 @dataclass(frozen=True)
 class _Geometry:
-    """What the solvers read of one grid: axes, spacings, the active mask,
-    the active node coordinates ((m,) or (m, 3)) and the mask's fill plan."""
+    """What the solvers read of one grid: axes, spacings, the mask, the active
+    index (a full slice, read as views, on the all-active angle grid), the
+    active node coordinates and, built on first use, the mask's fill plan."""
 
     axes: tuple
     spacings: tuple
     mask: np.ndarray
+    active: object
     flat: np.ndarray
-    fill: list
 
-
-def _geometry(spec: GridSpec) -> _Geometry:
-    mask = spec.active_mask()
-    flat = spec.points()[mask]
-    return _Geometry(spec.axes(), spec.spacings(), mask, flat, _fill_plan(~mask, mask))
+    @cached_property
+    def fill(self) -> list:
+        return _fill_plan(~self.mask, self.mask)
 
 
 def _feedback(v, spec: GridSpec, geo: _Geometry, limited: bool = False):
@@ -672,13 +675,18 @@ def _feedback(v, spec: GridSpec, geo: _Geometry, limited: bool = False):
         up, down = np.roll(v, -1), np.roll(v, 1)
         slope = _minmod((up - v) / h, (v - down) / h) if limited else (up - down) / (2.0 * h)
         return slope, -slope if box is None else np.clip(-slope, -box, box)
-    slope = _gradient(v, geo.spacings, limited)[geo.mask]
+    slope = _gradient(v, geo.spacings, limited)[geo.active]
     return slope, optimal_controls_from_gradient(geo.flat, slope, box)
 
 
 def _place(out: np.ndarray, geo: _Geometry, active: np.ndarray) -> np.ndarray:
-    """Write per-node values (m, ...) onto the active nodes of a NaN slice."""
-    out[..., geo.mask] = active.reshape(len(active), -1).T
+    """Write per-node values, (m,) or (m, c), onto the active nodes of a NaN slice."""
+    if active.ndim == 1:
+        out.reshape(geo.mask.shape)[geo.active] = active
+    else:
+        # one boolean write per component: out[:, mask] = active.T is slower
+        for row, col in zip(out, active.T):
+            row[geo.active] = col
     return out
 
 
@@ -707,7 +715,7 @@ def solve_backward(spec: GridSpec, params: ModelParams) -> ValueGrid:
     node, if a non-finite value appears anyway.
     """
     _check_spec_params(spec, params)
-    geo = _geometry(spec)
+    geo = spec._geometry
     rhs = (_fd_rhs_angle if spec.record.periodic else _fd_rhs_qubit)(spec, params, geo)
     values, controls = _terminal_slices(spec, geo)
     # each slice stores the feedback read off its own gradient, slice 0 too
@@ -716,8 +724,9 @@ def solve_backward(spec: GridSpec, params: ModelParams) -> ValueGrid:
         slope, u = _feedback(v, spec, geo)
         _place(controls[k], geo, u)
         if k:
-            _place(values[k - 1], geo, v[geo.mask] + spec.delta * rhs(v, slope, u))
-            _require_finite(values[k - 1], k - 1, geo.mask)
+            new = v[geo.active] + spec.delta * rhs(v, slope, u)
+            _require_finite(new, k - 1, geo)
+            _place(values[k - 1], geo, new)
     return ValueGrid(spec, params.kappa_s_sq, params.alpha, CLOSED_FORM, values, controls)
 
 
@@ -751,9 +760,7 @@ def _fd_rhs_qubit(spec: GridSpec, params: ModelParams, geo: _Geometry):
         # monotone load of the drift/jump stepping, worst-case controls
         u_max = spec.control_box if spec.control_box is not None else 0.0
         b0 = np.stack(_counting_drift_xyz(px, py, pz, 0.0, 0.0, lam), axis=-1)
-        swing = 2.0 * u_max * np.stack(
-            [np.abs(pz), np.abs(pz), np.abs(px) + np.abs(py)], axis=-1
-        )
+        swing = 2.0 * u_max * np.stack([np.abs(pz), np.abs(pz), np.abs(px) + np.abs(py)], axis=-1)
         load = np.sum((np.abs(b0) + swing) / np.asarray(spacings), axis=-1) + lam
         worst = float(load.max())
         if worst > 0.0:
@@ -761,12 +768,12 @@ def _fd_rhs_qubit(spec: GridSpec, params: ModelParams, geo: _Geometry):
         # the detection term reads J at the ground state, one query per solve
         ground = _interp_plan(geo.axes, GROUND_STATE)
 
-        def dynamics(v, u):
-            drift_full[mask] = np.stack(
-                _counting_drift_xyz(px, py, pz, u[:, 0], u[:, 1], lam), axis=-1
-            )
+        def rhs(v, slope, u):
+            drift = _counting_drift_xyz(px, py, pz, u[:, 0], u[:, 1], lam)
+            drift_full[mask] = np.stack(drift, axis=-1)
             j_ground = float(_interp_apply(_fill_inactive(v, geo.fill)[None], ground)[0])
-            return _advection_upwind(v, drift_full, spacings)[mask] + lam * (j_ground - v[mask])
+            step = _advection_upwind(v, drift_full, spacings)[mask] + lam * (j_ground - v[mask])
+            return step + np.sum(u * u, axis=-1)
 
     else:
         sigma = np.zeros(spec.shape + (3,))
@@ -775,15 +782,10 @@ def _fd_rhs_qubit(spec: GridSpec, params: ModelParams, geo: _Geometry):
         if max_diffusion > 0.0:
             _require_stable(spec.delta, CFL_SAFETY * min(spacings) ** 2 / max_diffusion)
 
-        def dynamics(v, u):
-            drift_full[mask] = np.stack(
-                _diffusive_drift_xyz(px, py, pz, u[:, 0], u[:, 1]), axis=-1
-            )
+        def rhs(v, slope, u):
+            drift_full[mask] = np.stack(_diffusive_drift_xyz(px, py, pz, u[:, 0], u[:, 1]), axis=-1)
             step = _advection_upwind(v, drift_full, spacings) + _diffusion_term(v, sigma, spacings)
-            return step[mask]
-
-    def rhs(v, slope, u):
-        return dynamics(v, u) + np.sum(u * u, axis=-1)
+            return step[mask] + np.sum(u * u, axis=-1)
 
     return rhs
 
@@ -811,7 +813,7 @@ def dp_recursion_step(values, spec: GridSpec, params: ModelParams, mode: str = C
     values = np.asarray(values, dtype=float)
     if values.shape != spec.shape:
         raise ValueError(f"slice must have shape {spec.shape}, got {values.shape}")
-    geo = _geometry(spec)
+    geo = spec._geometry
     if not np.isfinite(values[geo.mask]).all():
         raise ValueError("slice must be finite on the active nodes")
     # the solvers' slices are NaN exactly off the mask
@@ -924,13 +926,13 @@ def solve_dp(spec: GridSpec, params: ModelParams, mode: str = CLOSED_FORM) -> Va
     _check_spec_params(spec, params)
     if spec.n_steps:
         _check_dp_mode(spec, mode)
-    geo = _geometry(spec)
+    geo = spec._geometry
     values, controls = _terminal_slices(spec, geo)
     # no per-step input checks: the terminal slice is finite on the mask
     for k in range(spec.n_steps, 0, -1):
         best, best_u = _dp_step(values[k], spec, params, mode, geo)
+        _require_finite(best, k - 1, geo)
         _place(values[k - 1], geo, best)
-        _require_finite(values[k - 1], k - 1, geo.mask)
         _place(controls[k - 1], geo, best_u)
     return ValueGrid(spec, params.kappa_s_sq, params.alpha, mode, values, controls)
 
@@ -972,7 +974,7 @@ def extract_policy(vg: ValueGrid):
 
         return policy
 
-    geo = _geometry(spec)
+    geo = spec._geometry
     controls = vg.controls.reshape((-1,) + spec.shape)
     filled = np.stack([_fill_inactive(c, geo.fill) for c in controls]).reshape(vg.controls.shape)
 
