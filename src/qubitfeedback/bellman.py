@@ -16,13 +16,15 @@ Qubit grids are uniform over the cube [-1, 1]^3 with nodes outside the
 closed unit ball masked out and stored as NaN; no ghost values are
 invented outside the ball, so stencils shorten to one-sided at the mask
 edge.  The angle model lives on a uniform periodic grid over [-pi, pi).
-Each grid spec builds its geometry once, on first use: axes, mask, active
-nodes and the plan, taken from the mask alone, that extends a slice past
-the mask for interpolation.  Both families read a slice's feedback
-through one completed-squares rule.  Value functions persist to
-``.vgrid`` files: one JSON header line, then the value slices and control
-slices as little-endian float64 in row-major node order, finite exactly
-on the active nodes.
+Each grid spec builds its geometry once, from the mask alone: axes, active
+nodes and, on first use, the plan that extends a slice past the mask for
+interpolation and the neighbour table, the flat index of each active node's
+neighbour at every offset in {-1, 0, 1}^dim, wrapping on a periodic axis
+and one past the last node off the grid.  Each step gathers its slice at
+the table once; both families' stencils and feedback rule read that gather,
+on the active nodes only.  Value functions persist to ``.vgrid`` files: one
+JSON header line, then the value slices and control slices as little-endian
+float64 in row-major node order, finite exactly on the active nodes.
 """
 
 from __future__ import annotations
@@ -183,7 +185,7 @@ class GridSpec:
         flat = self.points()[mask]
         mask.flags.writeable = flat.flags.writeable = False
         active = slice(None) if mask.all() else mask
-        return _Geometry(self.axes(), self.spacings(), mask, active, flat)
+        return _Geometry(self.axes(), self.spacings(), self.record.periodic, mask, active, flat)
 
     def control_values(self) -> np.ndarray | None:
         """Control grid for exhaustive minimization, None when unconfigured."""
@@ -395,31 +397,28 @@ def hjb_rhs_diffusive(p, grad, hess, params: ModelParams, control_box=None):
 
 
 # ---------------------------------------------------------------------------
-# masked finite-difference stencils (NaN marks nodes outside the ball)
+# stencils on a slice's neighbour gather (NaN: masked or off the grid)
 
 
-def _shift(values: np.ndarray, axis: int, offset: int) -> np.ndarray:
-    """values displaced by -offset along axis; vacated entries become NaN."""
-    out = np.full_like(values, np.nan)
-    n = values.shape[axis]
-    src = [slice(None)] * values.ndim
-    dst = [slice(None)] * values.ndim
-    if offset > 0:
-        dst[axis] = slice(0, n - offset)
-        src[axis] = slice(offset, n)
-    else:
-        dst[axis] = slice(-offset, n)
-        src[axis] = slice(0, n + offset)
-    out[tuple(dst)] = values[tuple(src)]
-    return out
+def _neighbours(shape, periodic: bool, nodes: np.ndarray, offsets) -> np.ndarray:
+    """Flat index of each node's neighbour at each offset, (len(offsets), len(nodes)),
+    read off the index grid padded by its periodic wrap or by one past the last node."""
+    flat = np.arange(np.prod(shape)).reshape(shape)
+    padded = np.pad(flat, 1, "wrap") if periodic else np.pad(flat, 1, constant_values=flat.size)
+    coords = np.stack(np.unravel_index(nodes, shape)) + 1
+    return np.stack([padded[tuple(coords + np.reshape(step, (-1, 1)))] for step in offsets])
 
 
-def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.where(a * b > 0.0, np.sign(a) * np.minimum(np.abs(a), np.abs(b)), 0.0)
+def _nb(g: np.ndarray, *moves) -> np.ndarray:
+    """A gather's row at the offset made of (axis, +-1) moves; none is the node."""
+    at = [0] * (g.ndim - 1)
+    for axis, step in moves:
+        at[axis] = step
+    return g[tuple(at)]
 
 
-def _gradient(values: np.ndarray, spacings, limited: bool = False) -> np.ndarray:
-    """Per-axis gradient, one-sided inward where a neighbor is masked.
+def _gradient(g: np.ndarray, spacings, limited: bool = False) -> np.ndarray:
+    """Per-axis gradient from a gather, (m, dim), one-sided inward at a missing neighbor.
 
     Between two active neighbors it is the central difference, or with
     ``limited`` the minmod of the one-sided ones, used for control selection
@@ -429,66 +428,65 @@ def _gradient(values: np.ndarray, spacings, limited: bool = False) -> np.ndarray
     loop, and costs only O(slope error)^2 per step in the minimized
     objective.
     """
-    grads = []
+    values = _nb(g)
+    grads = np.empty((len(spacings), values.size))
     for axis, h in enumerate(spacings):
-        vp = _shift(values, axis, +1)
-        vm = _shift(values, axis, -1)
+        vp, vm = _nb(g, (axis, 1)), _nb(g, (axis, -1))
         has_p = np.isfinite(vp)
         has_m = np.isfinite(vm)
         fwd = (vp - values) / h
         bwd = (values - vm) / h
         if limited:
-            both = _minmod(np.where(has_p, fwd, 0.0), np.where(has_m, bwd, 0.0))
+            a, b = np.where(has_p, fwd, 0.0), np.where(has_m, bwd, 0.0)
+            both = np.where(a * b > 0.0, np.sign(a) * np.minimum(np.abs(a), np.abs(b)), 0.0)
         else:
             both = (vp - vm) / (2.0 * h)
         one_sided = np.where(has_p, fwd, np.where(has_m, bwd, 0.0))
-        grads.append(np.where(has_p & has_m, both, one_sided))
-    return np.stack(grads, axis=-1)
+        grads[axis] = np.where(has_p & has_m, both, one_sided)
+    return grads.T
 
 
-def _advection_upwind(values: np.ndarray, drift: np.ndarray, spacings) -> np.ndarray:
-    """sum_i b_i * D_i values with the one-sided difference the drift points at.
+def _advection_upwind(g: np.ndarray, drift, spacings) -> np.ndarray:
+    """sum_i b_i * D_i values from a gather, (m,), by the one-sided difference b_i points at.
 
     Where the upwind neighbor is masked the term is dropped rather than
     flipped downwind: the downwind difference puts a positive coefficient on
     the node itself and feeds growth at the mask edge.
     """
-    total = np.zeros_like(values)
-    for axis, h in enumerate(spacings):
-        vp = _shift(values, axis, +1)
-        vm = _shift(values, axis, -1)
+    values = _nb(g)
+    total = 0.0  # a sum from zero: a lone -0.0 term gives 0.0
+    for axis, (h, b) in enumerate(zip(spacings, drift)):
+        vp, vm = _nb(g, (axis, 1)), _nb(g, (axis, -1))
         fwd = np.where(np.isfinite(vp), (vp - values) / h, 0.0)
         bwd = np.where(np.isfinite(vm), (values - vm) / h, 0.0)
-        b = drift[..., axis]
         total = total + b * np.where(b > 0.0, fwd, bwd)
     return total
 
 
-def _diffusion_term(values: np.ndarray, sigma: np.ndarray, spacings) -> np.ndarray:
-    """(1/2) sigma sigma^T : Hessian with central stencils.
+def _diffusion_term(g: np.ndarray, sigma, spacings) -> np.ndarray:
+    """(1/2) sigma sigma^T : Hessian from a gather, (m,), with central stencils.
 
     Stencils needing a masked neighbor are dropped to zero: any one-sided
     second difference puts a positive coefficient on the node itself, which
     is explosive under explicit stepping.  The noise is tangent to the
     sphere, so the dropped normal component is small where it matters.
     """
-    total = np.zeros_like(values)
+    values = _nb(g)
+    total = 0.0  # a sum from zero: a lone -0.0 term gives 0.0
     ndim = len(spacings)
     for axis, h in enumerate(spacings):
-        vp = _shift(values, axis, +1)
-        vm = _shift(values, axis, -1)
+        vp, vm = _nb(g, (axis, 1)), _nb(g, (axis, -1))
         d2 = np.where(
             np.isfinite(vp) & np.isfinite(vm),
             (vp - 2.0 * values + vm) / (h * h),
             0.0,
         )
-        total = total + 0.5 * sigma[..., axis] ** 2 * d2
+        total = total + 0.5 * sigma[axis] ** 2 * d2
     for i in range(ndim):
         for j in range(i + 1, ndim):
-            vpp = _shift(_shift(values, i, +1), j, +1)
-            vpm = _shift(_shift(values, i, +1), j, -1)
-            vmp = _shift(_shift(values, i, -1), j, +1)
-            vmm = _shift(_shift(values, i, -1), j, -1)
+            vpp, vpm, vmp, vmm = (
+                _nb(g, (i, si), (j, sj)) for si in (1, -1) for sj in (1, -1)
+            )
             ok = (
                 np.isfinite(vpp) & np.isfinite(vpm)
                 & np.isfinite(vmp) & np.isfinite(vmm)
@@ -498,7 +496,7 @@ def _diffusion_term(values: np.ndarray, sigma: np.ndarray, spacings) -> np.ndarr
                 (vpp - vpm - vmp + vmm) / (4.0 * spacings[i] * spacings[j]),
                 0.0,
             )
-            total = total + sigma[..., i] * sigma[..., j] * cross
+            total = total + sigma[i] * sigma[j] * cross
     return total
 
 
@@ -536,20 +534,14 @@ def _fill_plan(missing: np.ndarray, good: np.ndarray) -> list:
     """
     shape = missing.shape
     size = missing.size
-    strides = np.cumprod((1,) + shape[:0:-1])[::-1]
+    axis_offsets = [step * unit for unit in np.eye(len(shape), dtype=int) for step in (1, -1)]
     missing = missing.ravel().copy()
     good = np.append(good.ravel(), False)
     plan = []
     while missing.any():
         cand = np.flatnonzero(missing)
-        coords = np.unravel_index(cand, shape)
-        slots = []
-        for axis, n in enumerate(shape):
-            for off in (+1, -1):
-                inside = (coords[axis] + off >= 0) & (coords[axis] + off < n)
-                nb = np.where(inside, cand + off * strides[axis], size)
-                slots.append(np.where(good[nb], nb, size))
-        slots = np.stack(slots)
+        slots = _neighbours(shape, False, cand, axis_offsets)
+        slots = np.where(good[slots], slots, size)
         counts = np.count_nonzero(slots < size, axis=0)
         newly = counts > 0
         if not newly.any():
@@ -650,12 +642,12 @@ def _require_stable(delta: float, bound: float) -> None:
 
 @dataclass(frozen=True)
 class _Geometry:
-    """What the solvers read of one grid: axes, spacings, the mask, the active
-    index (a full slice, read as views, on the all-active angle grid), the
-    active node coordinates and, built on first use, the mask's fill plan."""
+    """What the solvers read of one grid (see the module docstring); the active
+    index is a full slice, read as views, on the all-active angle grid."""
 
     axes: tuple
     spacings: tuple
+    periodic: bool
     mask: np.ndarray
     active: object
     flat: np.ndarray
@@ -664,19 +656,30 @@ class _Geometry:
     def fill(self) -> list:
         return _fill_plan(~self.mask, self.mask)
 
+    @cached_property
+    def neighbours(self) -> np.ndarray:
+        """The neighbour table, (3,)*dim + (m,): [i, j, k] holds offset (i, j, k)."""
+        offsets = (np.array(list(np.ndindex((3,) * self.mask.ndim))) + 1) % 3 - 1
+        table = _neighbours(self.mask.shape, self.periodic, np.flatnonzero(self.mask), offsets)
+        return table.reshape((3,) * self.mask.ndim + (-1,))
 
-def _feedback(v, spec: GridSpec, geo: _Geometry, limited: bool = False):
-    """(slope, completed-squares control) of a slice on the active nodes: the
-    central slope, or with ``limited`` the minmod of the one-sided ones (see
-    `_gradient`); the periodic angle's differences roll the slice."""
+    def gather(self, v: np.ndarray) -> np.ndarray:
+        """A slice, NaN off the mask, read at the neighbour table: (3,)*dim + (m,)."""
+        return np.concatenate((v.ravel(), [np.nan])).take(self.neighbours)
+
+
+def _feedback(g, spec: GridSpec, geo: _Geometry, limited: bool = False):
+    """(slope, control) from a slice's gather: the central slope, or with ``limited``
+    the minmod one (see `_gradient`), and the boxed control minimizing the
+    Hamiltonian there: minus the slope on the angle, completed squares on a qubit."""
+    slope = _gradient(g, geo.spacings, limited)
+    if geo.periodic:
+        slope = slope[:, 0]
+        u = -slope
+    else:
+        u = optimal_controls_from_gradient(geo.flat, slope)
     box = spec.control_box
-    if spec.record.periodic:
-        h = geo.spacings[0]
-        up, down = np.roll(v, -1), np.roll(v, 1)
-        slope = _minmod((up - v) / h, (v - down) / h) if limited else (up - down) / (2.0 * h)
-        return slope, -slope if box is None else np.clip(-slope, -box, box)
-    slope = _gradient(v, geo.spacings, limited)[geo.active]
-    return slope, optimal_controls_from_gradient(geo.flat, slope, box)
+    return slope, u if box is None else np.clip(u, -box, box)
 
 
 def _place(out: np.ndarray, geo: _Geometry, active: np.ndarray) -> np.ndarray:
@@ -696,7 +699,7 @@ def _terminal_slices(spec: GridSpec, geo: _Geometry):
     values = np.full((n_steps + 1,) + spec.shape, np.nan)
     controls = np.full((n_steps + 1, spec.n_controls) + spec.shape, np.nan)
     _place(values[n_steps], geo, terminal_cost(spec.model, geo.flat))
-    _place(controls[n_steps], geo, _feedback(values[n_steps], spec, geo)[1])
+    _place(controls[n_steps], geo, _feedback(geo.gather(values[n_steps]), spec, geo)[1])
     return values, controls
 
 
@@ -718,20 +721,20 @@ def solve_backward(spec: GridSpec, params: ModelParams) -> ValueGrid:
     geo = spec._geometry
     rhs = (_fd_rhs_angle if spec.record.periodic else _fd_rhs_qubit)(spec, params, geo)
     values, controls = _terminal_slices(spec, geo)
-    # each slice stores the feedback read off its own gradient, slice 0 too
+    # each slice stores the feedback read off its own gather, slice 0 too
     for k in range(spec.n_steps, -1, -1):
-        v = values[k]
-        slope, u = _feedback(v, spec, geo)
+        g = geo.gather(values[k])
+        slope, u = _feedback(g, spec, geo)
         _place(controls[k], geo, u)
         if k:
-            new = v[geo.active] + spec.delta * rhs(v, slope, u)
+            new = _nb(g) + spec.delta * rhs(values[k], g, slope, u)
             _require_finite(new, k - 1, geo)
             _place(values[k - 1], geo, new)
     return ValueGrid(spec, params.kappa_s_sq, params.alpha, CLOSED_FORM, values, controls)
 
 
 # the builders check stability before any slice is allocated, then return
-# rhs(v, slope, u): minus the time derivative on the active nodes
+# rhs(v, g, slope, u): minus the time derivative from a slice and its gather
 
 
 def _fd_rhs_angle(spec: GridSpec, params: ModelParams, geo: _Geometry):
@@ -739,21 +742,20 @@ def _fd_rhs_angle(spec: GridSpec, params: ModelParams, geo: _Geometry):
     diffusion = 2.0 * params.alpha**2
     if diffusion > 0.0:
         _require_stable(spec.delta, CFL_SAFETY * h * h / diffusion)
+    sigma = (2.0 * params.alpha,)
 
-    def rhs(v, slope, b):
-        second = (np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) / (h * h)
-        return b * b + 2.0 * b * slope + diffusion * second
+    def rhs(v, g, slope, b):
+        return b * b + 2.0 * b * slope + _diffusion_term(g, sigma, geo.spacings)
 
     return rhs
 
 
 def _fd_rhs_qubit(spec: GridSpec, params: ModelParams, geo: _Geometry):
-    mask, spacings = geo.mask, geo.spacings
+    spacings = geo.spacings
     # the grid nodes and the completed-squares controls are valid by
     # construction, so the coefficients come from the unchecked component
     # encodings, as in the DP step
     px, py, pz = geo.flat.T.copy()
-    drift_full = np.zeros(spec.shape + (3,))
 
     if spec.model == COUNTING:
         lam = _jump_intensity_z(pz, params.kappa_s_sq)
@@ -768,24 +770,22 @@ def _fd_rhs_qubit(spec: GridSpec, params: ModelParams, geo: _Geometry):
         # the detection term reads J at the ground state, one query per solve
         ground = _interp_plan(geo.axes, GROUND_STATE)
 
-        def rhs(v, slope, u):
+        def rhs(v, g, slope, u):
             drift = _counting_drift_xyz(px, py, pz, u[:, 0], u[:, 1], lam)
-            drift_full[mask] = np.stack(drift, axis=-1)
             j_ground = float(_interp_apply(_fill_inactive(v, geo.fill)[None], ground)[0])
-            step = _advection_upwind(v, drift_full, spacings)[mask] + lam * (j_ground - v[mask])
+            step = _advection_upwind(g, drift, spacings) + lam * (j_ground - _nb(g))
             return step + np.sum(u * u, axis=-1)
 
     else:
-        sigma = np.zeros(spec.shape + (3,))
-        sigma[mask] = np.stack(_diffusive_diffusion_xyz(px, py, pz, params.kappa_s), axis=-1)
-        max_diffusion = float((0.5 * np.sum(sigma[mask] ** 2, axis=-1)).max())
+        sigma = _diffusive_diffusion_xyz(px, py, pz, params.kappa_s)
+        max_diffusion = float((0.5 * np.sum(np.stack(sigma, axis=-1) ** 2, axis=-1)).max())
         if max_diffusion > 0.0:
             _require_stable(spec.delta, CFL_SAFETY * min(spacings) ** 2 / max_diffusion)
 
-        def rhs(v, slope, u):
-            drift_full[mask] = np.stack(_diffusive_drift_xyz(px, py, pz, u[:, 0], u[:, 1]), axis=-1)
-            step = _advection_upwind(v, drift_full, spacings) + _diffusion_term(v, sigma, spacings)
-            return step[mask] + np.sum(u * u, axis=-1)
+        def rhs(v, g, slope, u):
+            drift = _diffusive_drift_xyz(px, py, pz, u[:, 0], u[:, 1])
+            step = _advection_upwind(g, drift, spacings) + _diffusion_term(g, sigma, spacings)
+            return step + np.sum(u * u, axis=-1)
 
     return rhs
 
@@ -836,7 +836,7 @@ def _dp_step(v, spec, params, mode, geo):
     build = _dp_step_angle if spec.record.periodic else _dp_step_qubit
     objective = build(v, spec, params, geo)
     if mode == CLOSED_FORM:
-        best_u = _feedback(v, spec, geo, limited=True)[1]
+        best_u = _feedback(geo.gather(v), spec, geo, limited=True)[1]
         return objective(best_u), best_u
     grid = spec.control_values()
     cands = np.stack(np.meshgrid(*(grid,) * spec.n_controls, indexing="ij"), axis=-1)

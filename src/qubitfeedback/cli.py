@@ -360,6 +360,8 @@ def cmd_simulate(cfg: dict) -> dict:
 
 
 def cmd_solve(cfg: dict) -> dict:
+    if cfg["method"] == "fd" and "mode" in cfg["_given"]:
+        raise ConfigError("grid.mode applies to --method dp only; fd takes the closed-form control")
     model = _require(cfg, "model", "solve")
     params = _model_params(cfg)
     grid_path = _require(cfg, "grid", "solve")

@@ -502,6 +502,77 @@ def test_dp_step_ignores_masked_nodes():
 # grid kernels against whole-array references
 
 
+def _shift(values, axis, offset):
+    # values displaced by -offset along axis; vacated entries become NaN
+    out = np.full_like(values, np.nan)
+    n = values.shape[axis]
+    src = [slice(None)] * values.ndim
+    dst = [slice(None)] * values.ndim
+    if offset > 0:
+        dst[axis] = slice(0, n - offset)
+        src[axis] = slice(offset, n)
+    else:
+        dst[axis] = slice(-offset, n)
+        src[axis] = slice(0, n + offset)
+    out[tuple(dst)] = values[tuple(src)]
+    return out
+
+
+def _minmod(a, b):
+    return np.where(a * b > 0.0, np.sign(a) * np.minimum(np.abs(a), np.abs(b)), 0.0)
+
+
+def _reference_gradient(values, spacings, limited=False):
+    # whole-array stencils on NaN-padded shifted copies of the slice
+    grads = []
+    for axis, h in enumerate(spacings):
+        vp = _shift(values, axis, +1)
+        vm = _shift(values, axis, -1)
+        has_p = np.isfinite(vp)
+        has_m = np.isfinite(vm)
+        fwd = (vp - values) / h
+        bwd = (values - vm) / h
+        if limited:
+            both = _minmod(np.where(has_p, fwd, 0.0), np.where(has_m, bwd, 0.0))
+        else:
+            both = (vp - vm) / (2.0 * h)
+        one_sided = np.where(has_p, fwd, np.where(has_m, bwd, 0.0))
+        grads.append(np.where(has_p & has_m, both, one_sided))
+    return np.stack(grads, axis=-1)
+
+
+def _reference_advection(values, drift, spacings):
+    total = np.zeros_like(values)
+    for axis, h in enumerate(spacings):
+        vp = _shift(values, axis, +1)
+        vm = _shift(values, axis, -1)
+        fwd = np.where(np.isfinite(vp), (vp - values) / h, 0.0)
+        bwd = np.where(np.isfinite(vm), (values - vm) / h, 0.0)
+        b = drift[..., axis]
+        total = total + b * np.where(b > 0.0, fwd, bwd)
+    return total
+
+
+def _reference_diffusion(values, sigma, spacings):
+    total = np.zeros_like(values)
+    ndim = len(spacings)
+    for axis, h in enumerate(spacings):
+        vp = _shift(values, axis, +1)
+        vm = _shift(values, axis, -1)
+        d2 = np.where(np.isfinite(vp) & np.isfinite(vm), (vp - 2.0 * values + vm) / (h * h), 0.0)
+        total = total + 0.5 * sigma[..., axis] ** 2 * d2
+    for i in range(ndim):
+        for j in range(i + 1, ndim):
+            vpp = _shift(_shift(values, i, +1), j, +1)
+            vpm = _shift(_shift(values, i, +1), j, -1)
+            vmp = _shift(_shift(values, i, -1), j, +1)
+            vmm = _shift(_shift(values, i, -1), j, -1)
+            ok = np.isfinite(vpp) & np.isfinite(vpm) & np.isfinite(vmp) & np.isfinite(vmm)
+            cross = np.where(ok, (vpp - vpm - vmp + vmm) / (4.0 * spacings[i] * spacings[j]), 0.0)
+            total = total + sigma[..., i] * sigma[..., j] * cross
+    return total
+
+
 def _reference_fill(values):
     # whole-array sweeps: every NaN node with a finite axis neighbor takes
     # the mean of those neighbors, summed axis by axis, +1 before -1
@@ -512,7 +583,7 @@ def _reference_fill(values):
         cnt = np.zeros(filled.shape)
         for axis in range(filled.ndim):
             for off in (+1, -1):
-                s = bm._shift(filled, axis, off)
+                s = _shift(filled, axis, off)
                 good = np.isfinite(s)
                 acc += np.where(good, s, 0.0)
                 cnt += good
@@ -660,6 +731,77 @@ def test_mask_fill_plan_matches_whole_array_reference_on_every_slice(model, solv
     for s in slices:
         assert np.array_equal(np.isnan(s), ~mask)
         assert np.array_equal(_bits(bm._fill_inactive(s, plan)), _bits(_reference_fill(s)))
+
+
+@pytest.mark.parametrize("shape", [(21, 21, 21), (7, 6, 7)])
+def test_stencils_on_the_gather_match_whole_array_reference(shape):
+    # a slice that is NaN exactly off the mask, drift of both signs and zero
+    rng = np.random.default_rng(15)
+    geo = bm.GridSpec(model="diffusive", n_nodes=shape, n_steps=1, horizon_T=1.0)._geometry
+    mask, spacings = geo.mask, geo.spacings
+    values = np.where(mask, rng.normal(size=shape), np.nan)
+    drift = rng.normal(size=shape + (3,))
+    drift[rng.random(shape) < 0.1] = 0.0
+    sigma = rng.normal(size=shape + (3,))
+    g = geo.gather(values)
+    assert g.shape == (3, 3, 3, np.count_nonzero(mask))
+    for limited in (False, True):
+        want = _reference_gradient(values, spacings, limited)[mask]
+        assert np.array_equal(_bits(bm._gradient(g, spacings, limited)), _bits(want))
+    want = _reference_advection(values, drift, spacings)[mask]
+    assert np.array_equal(_bits(bm._advection_upwind(g, drift[mask].T, spacings)), _bits(want))
+    want = _reference_diffusion(values, sigma, spacings)[mask]
+    assert np.array_equal(_bits(bm._diffusion_term(g, sigma[mask].T, spacings)), _bits(want))
+
+
+def test_angle_stencils_on_the_gather_match_the_rolled_slice():
+    rng = np.random.default_rng(16)
+    params = ModelParams(alpha=0.37, horizon_T=1.0)
+    spec = bm.GridSpec(model="angle", n_nodes=37, n_steps=2000, horizon_T=1.0, control_box=0.5)
+    geo = spec._geometry
+    h = geo.spacings[0]
+    v = rng.normal(size=37)
+    up, down = np.roll(v, -1), np.roll(v, 1)
+    g = geo.gather(v)
+    central = (up - down) / (2.0 * h)
+    limited = _minmod((up - v) / h, (v - down) / h)
+    second = (up - 2.0 * v + down) / (h * h)
+    assert np.array_equal(_bits(bm._gradient(g, geo.spacings)[:, 0]), _bits(central))
+    assert np.array_equal(_bits(bm._gradient(g, geo.spacings, limited=True)[:, 0]), _bits(limited))
+    diffusion = 2.0 * params.alpha**2
+    got = bm._diffusion_term(g, (2.0 * params.alpha,), geo.spacings)
+    assert np.array_equal(_bits(got), _bits(diffusion * second))
+    # the feedback and the right-hand side of one FD step, as the rolled forms gave them
+    slope, b = bm._feedback(g, spec, geo)
+    assert np.array_equal(_bits(b), _bits(np.clip(-central, -0.5, 0.5)))
+    rhs = bm._fd_rhs_angle(spec, params, geo)(v, g, slope, b)
+    assert np.array_equal(_bits(rhs), _bits(b * b + 2.0 * b * central + diffusion * second))
+
+
+@pytest.mark.parametrize("n, shell, active", [(17, 872, 2109), (21, 1440, 4169),
+                                              (31, 3320, 14147)])
+def test_neighbour_table_counts_the_nodes_with_a_dropped_stencil_term(n, shell, active):
+    # the FD stencils read the axis and in-plane diagonal neighbours; a node
+    # with one of them masked or off the grid drops a term
+    geo = bm.GridSpec(model="diffusive", n_nodes=n, n_steps=1, horizon_T=1.0)._geometry
+    table = geo.neighbours
+    assert table.shape == (3, 3, 3, active)
+    assert np.array_equal(table[0, 0, 0], np.flatnonzero(geo.mask))
+    # the +x neighbour of the node (1, 0, 0) is off the grid: the sentinel
+    assert table[1, 0, 0][np.argmax(geo.flat[:, 0])] == geo.mask.size
+    readable = np.append(geo.mask.ravel(), False)[table]
+    stencil = [at for at in np.ndindex(3, 3, 3) if 0 < np.count_nonzero(at) <= 2]
+    dropped = ~np.all([readable[at] for at in stencil], axis=0)
+    assert np.count_nonzero(dropped) == shell
+
+
+def test_angle_neighbour_table_wraps():
+    n = 37
+    table = bm.GridSpec(model="angle", n_nodes=n, n_steps=1, horizon_T=1.0)._geometry.neighbours
+    assert table.shape == (3, n)
+    assert table[-1, 0] == n - 1 and table[1, n - 1] == 0
+    assert np.array_equal(table[0], np.arange(n))
+    assert (table < n).all()
 
 
 def test_exhaustive_angle_dp_step_scans_candidates_in_blocks(monkeypatch):

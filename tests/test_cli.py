@@ -189,6 +189,23 @@ def test_solve_dp_exhaustive_records_mode(tmp_path, capsys):
     assert ValueGrid.load(grid).control_mode == "exhaustive"
 
 
+@pytest.mark.parametrize("via", ["flag", "ini"])
+def test_solve_fd_rejects_a_given_mode_before_any_work(tmp_path, capsys, monkeypatch, via):
+    # the fd sweep always takes the closed-form control, so a mode is an error
+    for name in ("solve_backward", "solve_dp"):
+        monkeypatch.setattr(cli, name, _no_work)
+    ini = tmp_path / "run.ini"
+    ini.write_text("[grid]\nmethod = fd\nmode = exhaustive\n")
+    given = ["--mode", "exhaustive"] if via == "flag" else ["--config", str(ini)]
+    code, out, err = run_cli(
+        capsys, "solve", "--model", "angle-lq", "--n-nodes", "51", "--n-steps", "200",
+        "--grid", str(tmp_path / "a.vgrid"), *given, "--no-timings",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: grid.mode ")
+    assert not (tmp_path / "a.vgrid").exists()
+
+
 def test_evaluate_grid_policy_matches_closed_form_cost(tmp_path, capsys):
     grid = tmp_path / "fine.vgrid"
     code, _, _ = run_cli(
