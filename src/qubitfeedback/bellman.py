@@ -694,12 +694,11 @@ def _place(out: np.ndarray, geo: _Geometry, active: np.ndarray) -> np.ndarray:
 
 
 def _terminal_slices(spec: GridSpec, geo: _Geometry):
-    """(values, controls) of a sweep, NaN but for the terminal slice."""
+    """(values, controls) of a sweep, NaN but for the terminal values."""
     n_steps = spec.n_steps
     values = np.full((n_steps + 1,) + spec.shape, np.nan)
     controls = np.full((n_steps + 1, spec.n_controls) + spec.shape, np.nan)
     _place(values[n_steps], geo, terminal_cost(spec.model, geo.flat))
-    _place(controls[n_steps], geo, _feedback(geo.gather(values[n_steps]), spec, geo)[1])
     return values, controls
 
 
@@ -928,6 +927,7 @@ def solve_dp(spec: GridSpec, params: ModelParams, mode: str = CLOSED_FORM) -> Va
         _check_dp_mode(spec, mode)
     geo = spec._geometry
     values, controls = _terminal_slices(spec, geo)
+    _place(controls[-1], geo, _feedback(geo.gather(values[-1]), spec, geo)[1])
     # no per-step input checks: the terminal slice is finite on the mask
     for k in range(spec.n_steps, 0, -1):
         best, best_u = _dp_step(values[k], spec, params, mode, geo)

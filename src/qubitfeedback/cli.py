@@ -95,9 +95,9 @@ def _typed(caster, label):
     return parse
 
 
-# key -> (INI section, parser, flag, help); every value, from the INI file
-# or a flag, goes through `_parse_setting`, and the merged config is flat
-# on the keys
+# key -> (INI section, or None for a flag only, parser, flag, help); every
+# value, from the INI file or a flag, goes through `_parse_setting`, and the
+# merged config is flat on the keys
 _SETTINGS = {
     "model": ("model", _parse_model, "--model",
               " | ".join(rec.model_id for rec in MODEL_RECORDS.values())),
@@ -123,6 +123,8 @@ _SETTINGS = {
             "write CSV here (simulate: the seed's first path; lq: the mesh, not stdout)"),
     "table": ("output", str, "--table", "write the ranking CSV here instead of stdout"),
     "grid": ("output", str, "--grid", ".vgrid path solve writes or evaluate reads (required)"),
+    "t": (None, str, "--t", "time mesh: 'lo:hi:n' or comma list"),
+    "theta": (None, str, "--theta", "angle mesh: 'lo:hi:n' or comma list"),
 }
 _NOUNS = {float: "number", int: "integer"}
 
@@ -135,12 +137,15 @@ _DEFAULTS = {
     "seed": 0,
     "method": "fd",
     "mode": CLOSED_FORM,
+    "t": "0",
+    "theta": "-2:2:81",
 }
 
 _MODEL_KEYS = ("model", "kappa_s_sq", "alpha", "horizon_T")
 _RUN_KEYS = ("x0", "dt", "n_paths", "seed")
-# subcommand -> (help, the keys it takes as flags); `main` calls each
-# cmd_* function by its module-global name
+# subcommand -> (help, the keys it takes as flags); `main` looks each
+# cmd_* function up by its module-global name at call time, so a wrapped
+# one is the one called
 _COMMANDS = {
     "simulate": ("Monte Carlo cost of one policy",
                  ("json", *_MODEL_KEYS, *_RUN_KEYS, "policy", "csv")),
@@ -151,7 +156,8 @@ _COMMANDS = {
                  ("json", *_MODEL_KEYS, *_RUN_KEYS, "grid")),
     "compare": ("rank policies under common random numbers",
                 ("json", *_MODEL_KEYS, *_RUN_KEYS, "policies", "table")),
-    "lq": ("closed-form value/control on a (t, theta) mesh", ("alpha", "horizon_T", "csv")),
+    "lq": ("closed-form value/control on a (t, theta) mesh",
+           ("alpha", "horizon_T", "csv", "t", "theta")),
 }
 
 
@@ -172,7 +178,7 @@ def _read_ini(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
-    sections = sorted({entry[0] for entry in _SETTINGS.values()})
+    sections = sorted({entry[0] for entry in _SETTINGS.values()} - {None})
     out = {}
     for section in parser.sections():
         if section not in sections:
@@ -497,11 +503,11 @@ def _parse_mesh(text: str, label: str) -> np.ndarray:
     return mesh
 
 
-def cmd_lq(cfg: dict, t_text: str, theta_text: str) -> None:
+def cmd_lq(cfg: dict) -> None:
     params = _model_params(cfg)
     T = params.horizon_T
-    ts = _parse_mesh(t_text, "t")
-    thetas = _parse_mesh(theta_text, "theta")
+    ts = _parse_mesh(cfg["t"], "t")
+    thetas = _parse_mesh(cfg["theta"], "theta")
     if (ts > T).any() or (ts < 0.0).any():
         raise ConfigError(f"t mesh must lie inside [0, {T}]")
     buf = io.StringIO()
@@ -541,10 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
                 text = f"{text} (default {_DEFAULTS[key]})"
             extra = {"action": "append", "metavar": "POLICY"} if key == "policies" else {}
             sub.add_argument(flag, dest=key, help=text, **extra)
-        if name == "lq":
-            sub.add_argument("--t", default="0", help="time mesh: 'lo:hi:n' or comma list")
-            sub.add_argument("--theta", default="-2:2:81",
-                             help="angle mesh: 'lo:hi:n' or comma list")
     return parser
 
 
@@ -554,17 +556,7 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve(args)
         _check_output_dirs(cfg, args.command)
-        if args.command == "simulate":
-            summary = cmd_simulate(cfg)
-        elif args.command == "solve":
-            summary = cmd_solve(cfg)
-        elif args.command == "evaluate":
-            summary = cmd_evaluate(cfg)
-        elif args.command == "compare":
-            summary = cmd_compare(cfg)
-        else:
-            cmd_lq(cfg, args.t, args.theta)
-            summary = None
+        summary = globals()[f"cmd_{args.command}"](cfg)
         if summary is not None:
             _emit_json(summary, cfg)
     except (ConfigError, ValueError) as exc:

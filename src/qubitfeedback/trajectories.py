@@ -27,9 +27,11 @@ results are unchanged bit for bit by the blocking.
 
 What differs between the models is data in one frozen `ModelRecord` per
 model (`MODEL_RECORDS`): the CLI and ``.vgrid`` id, state and control
-shapes, noise kind, CSV header, grid bounds and terminal cost.  The
-engine, the policy factories, the CSV writer, the grid solvers and the
-CLI all read it; only the step kernel itself is chosen per model.
+shapes, noise kind, how one column of noise becomes a step (``advance``)
+and a measurement record (``observe``), CSV header, grid bounds and
+terminal cost.  The engine, the policy factories, the CSV writer, the
+grid solvers and the CLI all read it; the engine is one loop for all
+three models.
 
 Validation happens at the API boundary: ``simulate``, ``run_batches``
 and ``ensemble_means`` check x0 and dt once; each policy's output is
@@ -72,104 +74,6 @@ ANGLE = "angle"
 def wrap_angle(theta):
     """Wrap angles into [-pi, pi)."""
     return np.mod(np.asarray(theta, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
-
-
-@dataclasses.dataclass(frozen=True)
-class ModelRecord:
-    """What distinguishes one model, as data.
-
-    ``model_id`` is the public name on the command line and in ``.vgrid``
-    headers.  Shapes are per path (``()`` for the scalar angle model).
-    ``noise`` names the ``numpy.random.Generator`` method drawing each
-    step's noise; ``observed`` says whether paths carry a measurement
-    record (the dY or dN column).  ``bounds`` and ``periodic`` describe the
-    value-grid axes.  ``terminal_cost`` maps states (trailing axes
-    ``state_shape``) to the cost at the horizon; angle states are kept
-    wrapped, so theta^2 is taken of the wrapped angle.
-    """
-
-    model_id: str
-    state_shape: tuple[int, ...]
-    control_shape: tuple[int, ...]
-    noise: str
-    observed: bool
-    csv_header: str
-    bounds: tuple[tuple[float, float], ...]
-    periodic: bool
-    terminal_cost: Callable[[np.ndarray], np.ndarray]
-
-    @property
-    def n_controls(self) -> int:
-        return math.prod(self.control_shape)
-
-
-_QUBIT = dict(
-    state_shape=(3,), control_shape=(2,), observed=True,
-    csv_header="t,px,py,pz,u_plus,u_minus,dW_or_dN,dY,running_cost",
-    bounds=((-1.0, 1.0),) * 3, periodic=False, terminal_cost=lambda p: 1.0 - p[..., 2],
-)
-MODEL_RECORDS = {
-    DIFFUSIVE: ModelRecord("diffusive-qubit", noise="standard_normal", **_QUBIT),
-    COUNTING: ModelRecord("counting-qubit", noise="random", **_QUBIT),
-    ANGLE: ModelRecord(
-        "angle-lq", state_shape=(), control_shape=(), noise="standard_normal",
-        observed=False, csv_header="t,theta,B,dW,running_cost", bounds=((-np.pi, np.pi),),
-        periodic=True, terminal_cost=lambda theta: theta * theta,
-    ),
-}
-MODELS = tuple(MODEL_RECORDS)
-
-
-def model_record(model: str) -> ModelRecord:
-    """The record of a model given by its library name."""
-    if model not in MODELS:
-        raise ValueError(f"unknown model {model!r}, expected one of {MODELS}")
-    return MODEL_RECORDS[model]
-
-
-def model_from_id(model_id) -> str:
-    """Library name of the model with CLI / ``.vgrid`` id ``model_id``."""
-    for name, rec in MODEL_RECORDS.items():
-        if rec.model_id == model_id:
-            return name
-    ids = sorted(rec.model_id for rec in MODEL_RECORDS.values())
-    raise ValueError(f"unknown model id {model_id!r}; expected one of {ids}")
-
-
-# ---------------------------------------------------------------------------
-# policies: callables (t, state) -> control, vectorized over leading axes;
-# the engine requires one control per path: shape (n,) for the angle model,
-# (n, 2) for the qubit models
-
-
-def _control_shape(rec: ModelRecord, state) -> tuple[int, ...]:
-    """Shape of the controls for a batch of states: path axes + control axes."""
-    shape = np.shape(state)
-    return shape[: len(shape) - len(rec.state_shape)] + rec.control_shape
-
-
-def zero_policy(model: str):
-    """No actuation; running cost is identically zero."""
-    rec = model_record(model)
-    return lambda t, state: np.zeros(_control_shape(rec, state))
-
-
-def constant_policy(model: str, value):
-    """Hold a fixed control: (u_plus, u_minus) for qubit models, B for angle."""
-    rec = model_record(model)
-    value = np.asarray(value, dtype=float)
-    if value.shape != rec.control_shape:
-        raise ValueError(
-            f"the {model} model needs a control of shape {rec.control_shape}, "
-            f"got {value.shape}"
-        )
-    return lambda t, state: np.broadcast_to(value, _control_shape(rec, state)).copy()
-
-
-def lq_policy(params: ModelParams):
-    """Closed-form optimal feedback for the angle model."""
-    T = params.horizon_T
-    return lambda t, state: lq.optimal_B(t, state, T)
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +149,141 @@ def sample_jump(p, dt, rng: np.random.Generator, params: ModelParams):
 
 
 # ---------------------------------------------------------------------------
+# the per-model records
+
+
+@dataclasses.dataclass(frozen=True)
+class ModelRecord:
+    """What distinguishes one model, as data.
+
+    ``model_id`` is the public name on the command line and in ``.vgrid``
+    headers.  Shapes are per path (``()`` for the scalar angle model).
+    ``noise`` names the ``numpy.random.Generator`` method drawing each
+    step's noise.  ``advance(state, u, dt, draws, params)`` turns one
+    column of those draws into the step's increment (the Wiener increment
+    dW, or the 0/1 jump indicator) and returns ``(new_state, increment)``.
+    ``observe(states, increments, dt, params)`` gives the measurement
+    record of those steps (the dY or dN column), or None for the angle.
+    ``bounds`` and ``periodic`` describe the value-grid axes.
+    ``terminal_cost`` maps states (trailing axes ``state_shape``) to the
+    cost at the horizon; angle states are kept wrapped, so theta^2 is
+    taken of the wrapped angle.
+    """
+
+    model_id: str
+    state_shape: tuple[int, ...]
+    control_shape: tuple[int, ...]
+    noise: str
+    advance: Callable
+    observe: Callable
+    csv_header: str
+    bounds: tuple[tuple[float, float], ...]
+    periodic: bool
+    terminal_cost: Callable[[np.ndarray], np.ndarray]
+
+    @property
+    def n_controls(self) -> int:
+        return math.prod(self.control_shape)
+
+
+# The kernels are named inside these bodies, so each step reads the
+# module's current `step_*` function: a kernel wrapped by name (as the
+# benchmark's tracer does) is the one that runs.
+
+
+def _advance_diffusive(p, u, dt, draws, params):
+    dW = draws * np.sqrt(dt)
+    return step_diffusive(p, u, dt, dW, params), dW
+
+
+def _advance_counting(p, u, dt, draws, params):
+    # Bernoulli thinning of the pre-step intensity by uniform draws
+    jumped = draws < _jump_intensity_z(p[..., 2], params.kappa_s_sq) * dt
+    return step_counting(p, u, dt, jumped, params), jumped.astype(float)
+
+
+def _advance_angle(theta, B, dt, draws, params):
+    dW = draws * np.sqrt(dt)
+    return step_angle(theta, B, dt, dW, params), dW
+
+
+_QUBIT = dict(
+    state_shape=(3,), control_shape=(2,),
+    csv_header="t,px,py,pz,u_plus,u_minus,dW_or_dN,dY,running_cost",
+    bounds=((-1.0, 1.0),) * 3, periodic=False, terminal_cost=lambda p: 1.0 - p[..., 2],
+)
+MODEL_RECORDS = {
+    DIFFUSIVE: ModelRecord(
+        "diffusive-qubit", noise="standard_normal", advance=_advance_diffusive,
+        observe=lambda p, dW, dt, params: observation_drift(p, params) * dt + dW, **_QUBIT,
+    ),
+    COUNTING: ModelRecord(
+        "counting-qubit", noise="random", advance=_advance_counting,
+        observe=lambda p, jumps, dt, params: jumps.copy(), **_QUBIT,
+    ),
+    ANGLE: ModelRecord(
+        "angle-lq", state_shape=(), control_shape=(), noise="standard_normal",
+        advance=_advance_angle, observe=lambda *_: None,
+        csv_header="t,theta,B,dW,running_cost", bounds=((-np.pi, np.pi),),
+        periodic=True, terminal_cost=lambda theta: theta * theta,
+    ),
+}
+MODELS = tuple(MODEL_RECORDS)
+
+
+def model_record(model: str) -> ModelRecord:
+    """The record of a model given by its library name."""
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}, expected one of {MODELS}")
+    return MODEL_RECORDS[model]
+
+
+def model_from_id(model_id) -> str:
+    """Library name of the model with CLI / ``.vgrid`` id ``model_id``."""
+    for name, rec in MODEL_RECORDS.items():
+        if rec.model_id == model_id:
+            return name
+    ids = sorted(rec.model_id for rec in MODEL_RECORDS.values())
+    raise ValueError(f"unknown model id {model_id!r}; expected one of {ids}")
+
+
+# ---------------------------------------------------------------------------
+# policies: callables (t, state) -> control, vectorized over leading axes;
+# the engine requires one control per path: shape (n,) for the angle model,
+# (n, 2) for the qubit models
+
+
+def _control_shape(rec: ModelRecord, state) -> tuple[int, ...]:
+    """Shape of the controls for a batch of states: path axes + control axes."""
+    shape = np.shape(state)
+    return shape[: len(shape) - len(rec.state_shape)] + rec.control_shape
+
+
+def zero_policy(model: str):
+    """No actuation; running cost is identically zero."""
+    rec = model_record(model)
+    return lambda t, state: np.zeros(_control_shape(rec, state))
+
+
+def constant_policy(model: str, value):
+    """Hold a fixed control: (u_plus, u_minus) for qubit models, B for angle."""
+    rec = model_record(model)
+    value = np.asarray(value, dtype=float)
+    if value.shape != rec.control_shape:
+        raise ValueError(
+            f"the {model} model needs a control of shape {rec.control_shape}, "
+            f"got {value.shape}"
+        )
+    return lambda t, state: np.broadcast_to(value, _control_shape(rec, state)).copy()
+
+
+def lq_policy(params: ModelParams):
+    """Closed-form optimal feedback for the angle model."""
+    T = params.horizon_T
+    return lambda t, state: lq.optimal_B(t, state, T)
+
+
+# ---------------------------------------------------------------------------
 # trajectories and cost summaries
 
 
@@ -316,20 +355,10 @@ class CostStatistics:
         n = costs.size
         if n == 0:
             raise ValueError("no costs to summarize")
-        mean = float(costs.mean())
-        if n == 1:
-            # sample std is undefined for one path; report 0 by convention
-            std = 0.0
-        else:
-            std = float(costs.std(ddof=1))
-        return cls(
-            n=n,
-            mean=mean,
-            std=std,
-            stderr=std / np.sqrt(n),
-            minimum=float(costs.min()),
-            maximum=float(costs.max()),
-        )
+        # sample std is undefined for one path; report 0 by convention
+        std = float(costs.std(ddof=1)) if n > 1 else 0.0
+        return cls(n=n, mean=float(costs.mean()), std=std, stderr=std / np.sqrt(n),
+                   minimum=float(costs.min()), maximum=float(costs.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -409,99 +438,62 @@ def _effort(u: np.ndarray) -> np.ndarray:
     return sum(squares[1:], squares[0])
 
 
-def _simulate_paths(
-    model, policies, start, n_steps, params, dt, rng_list, record, checkpoint_idx=(),
-):
-    """Advance len(rng_list) paths in lockstep under each policy; return one
-    result dict per policy.  Each noise block is drawn once for all policies.
+def _simulate_paths(model, policies, start, n_steps, params, dt, rngs, watch=None):
+    """Advance len(rngs) paths in lockstep under each policy; return the
+    per-path total costs, one row per policy.  Each noise block is drawn
+    once for all policies.
 
     ``start`` and the other inputs come from `_validated_start`.  Qubit
-    states are kept as a (3, n) array per policy; the policy and the step
-    kernels see its (n, 3) transpose.  ``checkpoint_idx`` (time-node indices)
-    requests state snapshots without recording full histories.
+    states are kept as a (3, n) array per policy; the policy and the
+    model's ``advance`` see its (n, 3) transpose.  ``watch(k, i, u,
+    increment, state_after)``, when given, sees step k of policy i.
     """
     rec = MODEL_RECORDS[model]
-    n_paths = len(rng_list)
+    n_paths = len(rngs)
     ctrl_shape = (n_paths,) + rec.control_shape
     states = [np.repeat(np.asarray(start)[..., None], n_paths, axis=-1) for _ in policies]
     costs = np.zeros((len(policies), n_paths))
-    outs = [{} for _ in policies]
-
-    snap_at = {int(node): j for j, node in enumerate(checkpoint_idx)}
-    for out, state in zip(outs, states):
-        out["snapshots"] = np.empty((len(checkpoint_idx),) + state.T.shape)
-        if 0 in snap_at:
-            out["snapshots"][snap_at[0]] = state.T
-        if record:
-            out.update(
-                times=np.arange(n_steps + 1) * dt,
-                states=np.empty((n_steps + 1,) + state.T.shape),
-                controls=np.empty((n_steps,) + ctrl_shape),
-                increments=np.empty((n_steps, n_paths)),
-                observations=np.empty((n_steps, n_paths)) if rec.observed else None,
-                running_full=np.zeros((n_steps + 1, n_paths)),
-            )
-            out["states"][0] = state.T
-
     draw = getattr(np.random.Generator, rec.noise)
     # row i holds path i's next block of draws: the same numbers, in the
     # same order, as one draw of n_steps from its generator
     draws = np.empty((n_paths, min(NOISE_BLOCK, n_steps)))
-    sqrt_dt = np.sqrt(dt)
 
     for block_start in range(0, n_steps, NOISE_BLOCK):
         block_len = min(NOISE_BLOCK, n_steps - block_start)
-        for row, r in zip(draws, rng_list):
+        for row, r in zip(draws, rngs):
             draw(r, out=row[:block_len])
         for j in range(block_len):
             k = block_start + j
-            if model != COUNTING:
-                inc = draws[:, j] * sqrt_dt
-            for i, (policy, out) in enumerate(zip(policies, outs)):
-                state = states[i]
-                view = state.T
+            for i, policy in enumerate(policies):
+                view = states[i].T
                 u = _checked_control(policy(k * dt, view), ctrl_shape)
                 costs[i] += _effort(u) * dt
-                if model == ANGLE:
-                    new_state = step_angle(view, u, dt, inc, params)
-                elif model == DIFFUSIVE:
-                    if record:
-                        out["observations"][k] = observation_drift(view, params) * dt + inc
-                    new_state = step_diffusive(view, u, dt, inc, params)
-                else:
-                    jumped = draws[:, j] < _jump_intensity_z(state[2], params.kappa_s_sq) * dt
-                    inc = jumped.astype(float)
-                    if record:
-                        out["observations"][k] = inc
-                    new_state = step_counting(view, u, dt, jumped, params)
-                if record:
-                    out["controls"][k] = u
-                    out["increments"][k] = inc
-                    out["running_full"][k + 1] = costs[i]
-                    out["states"][k + 1] = new_state
+                new_state, increment = rec.advance(view, u, dt, draws[:, j], params)
+                if watch is not None:
+                    watch(k, i, u, increment, new_state)
                 states[i] = new_state.T
-                if (k + 1) in snap_at:
-                    out["snapshots"][snap_at[k + 1]] = new_state
         if not all(np.isfinite(state).all() for state in states):
             raise ValueError(
                 f"state became non-finite before t = {(block_start + block_len) * dt!r}"
             )
 
-    for out, state, cost in zip(outs, states, costs):
-        out["terminal"] = rec.terminal_cost(state.T)
-        out["costs"] = cost + out["terminal"]
-    return outs
+    for cost, state in zip(costs, states):
+        cost += rec.terminal_cost(state.T)
+    return costs
 
 
-def _run_chunks(n_paths: int, seed, simulate_chunk):
-    """Yield (start, stop, ``simulate_chunk(rngs)``) per chunk of paths.
+def _run_chunks(seed, out: np.ndarray, simulate_chunk) -> np.ndarray:
+    """Call ``simulate_chunk(rngs, out[:, lo:hi])`` per chunk of paths; return out.
 
-    Chunks of ``CHUNK_PATHS`` paths run one after another.  Path i always
-    gets the substream of (seed, i), so results do not depend on the split.
+    Axis 1 of ``out`` runs over the paths.  Chunks of ``CHUNK_PATHS``
+    paths run one after another.  Path i always gets the substream of
+    (seed, i), so results do not depend on the split.
     """
-    for start in range(0, n_paths, CHUNK_PATHS):
-        stop = min(start + CHUNK_PATHS, n_paths)
-        yield start, stop, simulate_chunk(_path_rngs(seed, range(start, stop)))
+    n_paths = out.shape[1]
+    for lo in range(0, n_paths, CHUNK_PATHS):
+        hi = min(lo + CHUNK_PATHS, n_paths)
+        simulate_chunk(_path_rngs(seed, range(lo, hi)), out[:, lo:hi])
+    return out
 
 
 def simulate(
@@ -519,19 +511,31 @@ def simulate(
     the first per-path cost of ``run_batch`` with the same seed.
     """
     n_steps, start = _validated_start(model, x0, params, dt, seed)
-    rngs = _path_rngs(seed, [0])
-    (res,) = _simulate_paths(model, [policy], start, n_steps, params, dt, rngs, record=True)
+    rec = MODEL_RECORDS[model]
+    states = np.empty((n_steps + 1,) + rec.state_shape)
+    controls = np.empty((n_steps,) + rec.control_shape)
+    increments = np.empty(n_steps)
+    states[0] = start
+
+    def watch(k, i, u, increment, state_after):
+        controls[k], increments[k], states[k + 1] = u[0], increment[0], state_after[0]
+
+    (total,) = _simulate_paths(model, [policy], start, n_steps, params, dt,
+                               _path_rngs(seed, [0]), watch)
+    # the engine's left-to-right sum, kept at every node
+    running = np.zeros(n_steps + 1)
+    np.cumsum(_effort(controls) * dt, out=running[1:])
     return Trajectory(
         model=model,
         dt=dt,
-        times=res["times"],
-        states=res["states"][:, 0],
-        controls=res["controls"][:, 0],
-        increments=res["increments"][:, 0],
-        observations=None if res["observations"] is None else res["observations"][:, 0],
-        running_cost=res["running_full"][:, 0],
-        terminal_cost=float(res["terminal"][0]),
-        total_cost=float(res["costs"][0]),
+        times=np.arange(n_steps + 1) * dt,
+        states=states,
+        controls=controls,
+        increments=increments,
+        observations=rec.observe(states[:-1], increments, dt, params),
+        running_cost=running,
+        terminal_cost=float(rec.terminal_cost(states[-1])),
+        total_cost=float(total[0]),
         seed=seed,
     )
 
@@ -572,14 +576,10 @@ def run_batches(
     """
     n_steps, start = _validated_start(model, x0, params, dt, seed, n_paths)
 
-    def chunk_costs(rngs):
-        outs = _simulate_paths(model, policies, start, n_steps, params, dt, rngs, record=False)
-        return [out["costs"] for out in outs]
+    def chunk_costs(rngs, out):
+        out[:] = _simulate_paths(model, policies, start, n_steps, params, dt, rngs)
 
-    costs = np.empty((len(policies), n_paths))
-    for lo, hi, chunk in _run_chunks(n_paths, seed, chunk_costs):
-        costs[:, lo:hi] = chunk
-
+    costs = _run_chunks(seed, np.empty((len(policies), n_paths)), chunk_costs)
     stats = [CostStatistics.from_costs(row) for row in costs]
     return list(zip(stats, costs)) if return_costs else stats
 
@@ -616,21 +616,20 @@ def ensemble_means(
     if np.unique(idx).size != idx.size:
         raise ValueError("checkpoints must be distinct time nodes")
 
-    snaps = np.empty((len(times), n_paths) + MODEL_RECORDS[model].state_shape)
+    snap_at = {int(node): j for j, node in enumerate(idx)}
 
-    def chunk_snaps(rngs):
-        (out,) = _simulate_paths(
-            model, [policy], start, n_steps, params, dt, rngs, record=False,
-            checkpoint_idx=idx,
-        )
-        return out["snapshots"]
+    def chunk_snaps(rngs, out):
+        if 0 in snap_at:
+            out[snap_at[0]] = start
 
-    for lo, hi, chunk in _run_chunks(n_paths, seed, chunk_snaps):
-        snaps[:, lo:hi] = chunk
+        def watch(k, i, u, increment, state_after):
+            if k + 1 in snap_at:
+                out[snap_at[k + 1]] = state_after
 
+        _simulate_paths(model, [policy], start, n_steps, params, dt, rngs, watch)
+
+    snaps = _run_chunks(seed, np.empty((len(idx), n_paths) + np.shape(start)), chunk_snaps)
     means = snaps.mean(axis=1)
     if n_paths == 1:
-        stderrs = np.zeros_like(means)
-    else:
-        stderrs = snaps.std(axis=1, ddof=1) / np.sqrt(n_paths)
-    return means, stderrs
+        return means, np.zeros_like(means)
+    return means, snaps.std(axis=1, ddof=1) / np.sqrt(n_paths)

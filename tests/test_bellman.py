@@ -896,6 +896,16 @@ def test_solve_backward_n0_returns_terminal_only():
     np.testing.assert_allclose(vg.values[0], spec.axes()[0] ** 2)
 
 
+@pytest.mark.parametrize("model, params", [("counting", QUBIT), ("angle", ANGLE)])
+def test_solve_backward_reads_each_slice_feedback_once(monkeypatch, model, params):
+    calls = []
+    feedback = bm._feedback
+    monkeypatch.setattr(bm, "_feedback", lambda *a, **k: calls.append(1) or feedback(*a, **k))
+    spec = bm.GridSpec(model=model, n_nodes=7, n_steps=100, horizon_T=1.0, control_box=1.0)
+    bm.solve_backward(spec, params)
+    assert len(calls) == spec.n_steps + 1
+
+
 def test_solve_fd_angle_matches_closed_form():
     spec = bm.GridSpec(model="angle", n_nodes=(201,), n_steps=2500, horizon_T=1.0)
     vg = bm.solve_backward(spec, ANGLE)

@@ -560,6 +560,29 @@ def test_lq_rejects_time_outside_horizon(capsys, argv, message):
     assert len(err.splitlines()) == 1
 
 
+def test_lq_meshes_are_flags_only(tmp_path, capsys):
+    ini = tmp_path / "mesh.ini"
+    for text in ("[run]\nt = 0\n", "[grid]\ntheta = 0\n", "[None]\nt = 0\n"):
+        ini.write_text(text)
+        code, _, err = run_cli(capsys, "lq", "--config", str(ini))
+        assert code == 2
+        assert err.startswith("error: unknown ")
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("lq", ["--t", "0", "--theta", "1"]),
+    ("compare", ["--model", "angle-lq", "--policy", "zero", "--policy", "lq-closed-form",
+                 "--n-paths", "2", "--dt", "0.1"]),
+])
+def test_main_calls_the_command_by_its_module_global_name(monkeypatch, capsys, command,
+                                                          argv):
+    seen = []
+    original = getattr(cli, f"cmd_{command}")
+    monkeypatch.setattr(cli, f"cmd_{command}", lambda cfg: seen.append(cfg) or original(cfg))
+    assert run_cli(capsys, command, *argv, "--no-timings")[0] == 0
+    assert len(seen) == 1
+
+
 def test_module_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "qubitfeedback", "lq", "--t", "0",

@@ -156,13 +156,35 @@ def test_diffusive_observation_increment():
 # batches
 
 
-def test_simulate_equals_batch_path_zero():
-    stats, costs = tj.run_batch(
-        tj.ANGLE, tj.lq_policy(ANGLE), 1.0, ANGLE, 1e-2, 8, seed=9, return_costs=True
-    )
-    traj = tj.simulate(tj.ANGLE, tj.lq_policy(ANGLE), 1.0, ANGLE, 1e-2, seed=9)
+# (policy, x0, params) per model, each with a nonzero running cost
+PATH_ZERO = {
+    tj.DIFFUSIVE: lambda: (lambda t, s: -0.5 * s[..., :2], [1.0, 0.0, 0.0], MIXED),
+    tj.COUNTING: lambda: (tj.constant_policy(tj.COUNTING, (0.3, -0.2)), [0.3, 0.4, 0.5], MIXED),
+    tj.ANGLE: lambda: (tj.lq_policy(ANGLE), 1.0, ANGLE),
+}
+
+
+@pytest.mark.parametrize("model", tj.MODELS)
+def test_simulate_equals_batch_path_zero(model):
+    policy, x0, params = PATH_ZERO[model]()
+    stats, costs = tj.run_batch(model, policy, x0, params, 1e-2, 8, seed=9, return_costs=True)
+    traj = tj.simulate(model, policy, x0, params, 1e-2, seed=9)
+    assert traj.running_cost[-1] > 0.0
     assert traj.total_cost == costs[0]
+    assert traj.running_cost[-1] + traj.terminal_cost == traj.total_cost
     assert stats.n == 8
+
+
+@pytest.mark.parametrize("model, kernel", [(tj.DIFFUSIVE, "step_diffusive"),
+                                           (tj.COUNTING, "step_counting"),
+                                           (tj.ANGLE, "step_angle")])
+def test_engine_calls_the_kernel_by_its_module_global_name(monkeypatch, model, kernel):
+    calls = []
+    original = getattr(tj, kernel)
+    monkeypatch.setattr(tj, kernel, lambda *a: calls.append(1) or original(*a))
+    policy, x0, params = PATH_ZERO[model]()
+    tj.run_batch(model, policy, x0, params, 0.1, 3, seed=1)
+    assert len(calls) == 10
 
 
 def test_batch_is_chunk_invariant(monkeypatch):
