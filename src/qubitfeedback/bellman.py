@@ -29,7 +29,11 @@ float64 in row-major node order, finite exactly on the active nodes.
 
 from __future__ import annotations
 
+import io
 import json
+import math
+import os
+import stat
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -225,7 +229,11 @@ class ValueGrid:
         object.__setattr__(self, "controls", controls)
 
     def save(self, path) -> None:
-        """Write header + slices; atomic, byte-deterministic, loads bit-exactly."""
+        """Write header + slices; atomic, byte-deterministic, loads bit-exactly.
+
+        The header and both arrays are joined into one buffer for the write,
+        so the payload is copied once.
+        """
         spec = self.spec
         header = {
             "format": "vgrid",
@@ -242,80 +250,96 @@ class ValueGrid:
             "control_resolution": spec.control_resolution,
         }
         blob = (json.dumps(header, sort_keys=True) + "\n").encode("utf-8")
-        payload = (
-            np.ascontiguousarray(self.values, dtype="<f8").tobytes()
-            + np.ascontiguousarray(self.controls, dtype="<f8").tobytes()
-        )
-        atomic_write_bytes(path, blob + payload)
+        values = np.ascontiguousarray(self.values, dtype="<f8")
+        controls = np.ascontiguousarray(self.controls, dtype="<f8")
+        atomic_write_bytes(path, b"".join([blob, memoryview(values), memoryview(controls)]))
 
     @classmethod
     def load(cls, path) -> "ValueGrid":
+        """Read a grid written by `save`, checking the header and the payload.
+
+        The payload size is checked against the header before any array is
+        allocated; the slices are then read once into one array, of which
+        ``values`` and ``controls`` are views.  A regular file is measured
+        with ``fstat``; a pipe is read whole first and so briefly holds a
+        second copy.
+        """
         with open(path, "rb") as fh:
-            raw = fh.read()
-        newline = raw.find(b"\n")
-        if newline < 0:
-            raise ValueError(f"{path}: not a .vgrid file (no header line)")
-        try:
-            header = json.loads(raw[:newline].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ValueError(f"{path}: not a .vgrid file ({exc})") from exc
-        if not isinstance(header, dict) or header.get("format") != "vgrid":
-            raise ValueError(f"{path}: not a .vgrid file (bad format field)")
-        if header.get("version") != VGRID_VERSION:
-            raise ValueError(
-                f"{path}: unsupported vgrid version {header.get('version')!r}"
-            )
-        missing = [key for key in _HEADER_KEYS if key not in header]
-        if missing:
-            raise ValueError(f"{path}: header missing fields {missing}")
-        for key, kind in _HEADER_TYPES.items():
-            value = header[key]
-            items = value if key == "n_nodes" else [value]
-            if not isinstance(items, list) or any(
-                isinstance(v, bool) or not isinstance(v, kind) for v in items
-            ):
-                raise ValueError(f"{path}: header field {key!r} has the wrong type: {value!r}")
-        try:
-            model = model_from_id(header["model"])
-        except ValueError as exc:
-            raise ValueError(f"{path}: header field 'model': {exc}") from None
-        for key, want in _model_fields(model_record(model)).items():
-            if header[key] != want:
-                raise ValueError(
-                    f"{path}: header field {key!r} is {header[key]!r}, but the "
-                    f"{header['model']} model has {want!r}"
-                )
-        spec = GridSpec(
-            model=model,
-            n_nodes=tuple(header["n_nodes"]),
-            n_steps=header["n_steps"],
-            horizon_T=header["horizon_T"],
-            control_box=header["control_box"],
-            control_resolution=header["control_resolution"],
-        )
-        if not abs(header["delta"] - spec.delta) <= 1e-12 * max(spec.delta, 1.0):
-            raise ValueError(f"{path}: delta inconsistent with n_steps and horizon_T")
-        n_nodes_total = int(np.prod(spec.shape))
-        n_vals = (spec.n_steps + 1) * n_nodes_total
-        n_ctrl = (spec.n_steps + 1) * spec.n_controls * n_nodes_total
-        body = raw[newline + 1 :]
-        if len(body) != 8 * (n_vals + n_ctrl):
-            raise ValueError(
-                f"{path}: payload is {len(body)} bytes, expected {8 * (n_vals + n_ctrl)}"
-            )
-        flat = np.frombuffer(body, dtype="<f8")
+            spec, header = _read_header(fh, path)
+            n_vals = (spec.n_steps + 1) * math.prod(spec.shape)
+            expected = 8 * n_vals * (1 + spec.n_controls)
+            st = os.fstat(fh.fileno())
+            if stat.S_ISREG(st.st_mode):
+                body, size = fh, st.st_size - fh.tell()
+            else:  # a pipe has no size up front: it is read whole, then measured
+                body = io.BytesIO(fh.read())
+                size = len(body.getvalue())
+            if size == expected:
+                flat = np.empty(expected // 8, dtype="<f8")
+                size = body.readinto(flat)
+            if size != expected:
+                raise ValueError(f"{path}: payload is {size} bytes, expected {expected}")
         values = flat[:n_vals].reshape((spec.n_steps + 1,) + spec.shape)
         controls = flat[n_vals:].reshape((spec.n_steps + 1, spec.n_controls) + spec.shape)
+        mask = spec._geometry.mask
         for name, slices in (("values", values), ("controls", controls)):
-            _require_finite_on(spec.active_mask(), slices, f"{path}: {name}")
+            _require_finite_on(mask, slices, f"{path}: {name}")
         return cls(
             spec=spec,
             kappa_s_sq=float(header["kappa_s_sq"]),
             alpha=float(header["alpha"]),
             control_mode=header["control_mode"],
-            values=values.copy(),
-            controls=controls.copy(),
+            values=values,
+            controls=controls,
         )
+
+
+def _read_header(fh, path) -> tuple[GridSpec, dict]:
+    """The grid spec and header of an open ``.vgrid`` file, read up to its payload."""
+    line = fh.readline()
+    if not line.endswith(b"\n"):
+        raise ValueError(f"{path}: not a .vgrid file (no header line)")
+    try:
+        header = json.loads(line[:-1].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{path}: not a .vgrid file ({exc})") from exc
+    if not isinstance(header, dict) or header.get("format") != "vgrid":
+        raise ValueError(f"{path}: not a .vgrid file (bad format field)")
+    if header.get("version") != VGRID_VERSION:
+        raise ValueError(
+            f"{path}: unsupported vgrid version {header.get('version')!r}"
+        )
+    missing = [key for key in _HEADER_KEYS if key not in header]
+    if missing:
+        raise ValueError(f"{path}: header missing fields {missing}")
+    for key, kind in _HEADER_TYPES.items():
+        value = header[key]
+        items = value if key == "n_nodes" else [value]
+        if not isinstance(items, list) or any(
+            isinstance(v, bool) or not isinstance(v, kind) for v in items
+        ):
+            raise ValueError(f"{path}: header field {key!r} has the wrong type: {value!r}")
+    try:
+        model = model_from_id(header["model"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: header field 'model': {exc}") from None
+    for key, want in _model_fields(model_record(model)).items():
+        if header[key] != want:
+            raise ValueError(
+                f"{path}: header field {key!r} is {header[key]!r}, but the "
+                f"{header['model']} model has {want!r}"
+            )
+    spec = GridSpec(
+        model=model,
+        n_nodes=tuple(header["n_nodes"]),
+        n_steps=header["n_steps"],
+        horizon_T=header["horizon_T"],
+        control_box=header["control_box"],
+        control_resolution=header["control_resolution"],
+    )
+    if not abs(header["delta"] - spec.delta) <= 1e-12 * max(spec.delta, 1.0):
+        raise ValueError(f"{path}: delta inconsistent with n_steps and horizon_T")
+    return spec, header
 
 
 def _require_finite_on(mask, slices, name: str) -> None:
@@ -948,9 +972,10 @@ def extract_policy(vg: ValueGrid):
     bounds and the stored controls are interpolated multilinearly.  Only
     the controls on the active nodes are read: the masked nodes are filled
     from them by repeated neighbor averaging (`_fill_inactive`, one plan
-    per grid), so queries near the sphere stay finite.  Queries with t
-    outside [0, T] raise ValueError.  The returned callable accepts batched
-    states.
+    per grid), so queries near the sphere stay finite.  The filled slices
+    are written into one array the size of the controls, one slice at a
+    time.  Queries with t outside [0, T] raise ValueError.  The returned
+    callable accepts batched states.
     """
     spec = vg.spec
     n_steps = spec.n_steps
@@ -975,8 +1000,10 @@ def extract_policy(vg: ValueGrid):
         return policy
 
     geo = spec._geometry
-    controls = vg.controls.reshape((-1,) + spec.shape)
-    filled = np.stack([_fill_inactive(c, geo.fill) for c in controls]).reshape(vg.controls.shape)
+    slices = (-1,) + spec.shape
+    filled = np.empty(vg.controls.shape)
+    for out, c in zip(filled.reshape(slices), vg.controls.reshape(slices)):
+        out[...] = _fill_inactive(c, geo.fill)
 
     def policy(t, state):
         # the plan clamps every axis into [-1, 1]; one plan serves both components

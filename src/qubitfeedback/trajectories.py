@@ -136,8 +136,19 @@ def step_angle(theta, B, dt, dW, params: ModelParams):
     return wrap_angle(theta + 2.0 * B * dt + 2.0 * params.alpha * dW)
 
 
+def _thinned(pz, uniforms, dt, params: ModelParams):
+    """Bernoulli thinning: True where a uniform draw falls below the pre-step
+    intensity times dt.  The engine's counting step and `sample_jump` both
+    flag their detections here."""
+    return uniforms < _jump_intensity_z(pz, params.kappa_s_sq) * dt
+
+
 def sample_jump(p, dt, rng: np.random.Generator, params: ModelParams):
-    """Bernoulli thinning: True where a detection occurs during dt."""
+    """Bernoulli thinning: True where a detection occurs during dt.
+
+    Draws one uniform per state and flags it as the engine's counting step
+    flags its draws.
+    """
     lam = jump_intensity(p, params)
     prob = lam * dt
     if np.any(prob >= 1.0):
@@ -145,7 +156,8 @@ def sample_jump(p, dt, rng: np.random.Generator, params: ModelParams):
             f"dt * intensity reaches {np.max(prob)}; decrease dt below "
             f"{1.0 / max(float(np.max(lam)), 1e-300)}"
         )
-    return rng.random(np.shape(prob)) < prob
+    pz = np.asarray(p, dtype=float)[..., 2]
+    return _thinned(pz, rng.random(np.shape(prob)), dt, params)
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +209,7 @@ def _advance_diffusive(p, u, dt, draws, params):
 
 
 def _advance_counting(p, u, dt, draws, params):
-    # Bernoulli thinning of the pre-step intensity by uniform draws
-    jumped = draws < _jump_intensity_z(p[..., 2], params.kappa_s_sq) * dt
+    jumped = _thinned(p[..., 2], draws, dt, params)
     return step_counting(p, u, dt, jumped, params), jumped.astype(float)
 
 

@@ -1,6 +1,9 @@
 """Tests for the grid solvers: pointwise formulas, stencils, sweeps, files."""
 
 import hashlib
+import json
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -236,8 +239,6 @@ def test_vgrid_rejects_corruption(tmp_path):
     with pytest.raises(ValueError, match="vgrid"):
         bm.ValueGrid.load(garbage)
 
-    import json
-
     header = json.loads(raw[: raw.find(b"\n")])
     header["format"] = "other"
     wrong = tmp_path / "wrong.vgrid"
@@ -317,6 +318,140 @@ MALFORMED_HEADER_FIELDS = (
     ("periodic", [True] * 3),
     ("n_controls", 1),
 )
+
+
+def _header_and_payload(path):
+    raw = path.read_bytes()
+    newline = raw.index(b"\n") + 1
+    return raw[:newline], raw[newline:]
+
+
+@pytest.mark.parametrize("extra", [1, 8])
+def test_vgrid_rejects_a_payload_too_long(tmp_path, extra):
+    good = tmp_path / "small.vgrid"
+    _small_grid().save(good)
+    header, payload = _header_and_payload(good)
+    long = tmp_path / "long.vgrid"
+    long.write_bytes(header + payload + b"\0" * extra)
+    with pytest.raises(ValueError) as info:
+        bm.ValueGrid.load(long)
+    assert str(info.value) == (
+        f"{long}: payload is {len(payload) + extra} bytes, expected {len(payload)}"
+    )
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_vgrid_loads_from_a_pipe_and_counts_its_payload(tmp_path):
+    # a pipe has no size up front: it is read whole before it is measured,
+    # so a huge header over a short pipe is refused like a short file
+    good = tmp_path / "small.vgrid"
+    vg = _small_grid()
+    vg.save(good)
+    raw = good.read_bytes()
+    _, payload = _header_and_payload(good)
+    pipe = tmp_path / "pipe.vgrid"
+    os.mkfifo(pipe)
+
+    def load_through_pipe(data):
+        writer = threading.Thread(target=pipe.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        try:
+            return bm.ValueGrid.load(pipe)
+        finally:
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+
+    back = load_through_pipe(raw)
+    np.testing.assert_array_equal(back.values, vg.values)
+    np.testing.assert_array_equal(back.controls, vg.controls)
+    for data, size in ((raw + bytes(8), len(payload) + 8), (raw[:-8], len(payload) - 8)):
+        with pytest.raises(ValueError) as info:
+            load_through_pipe(data)
+        assert str(info.value) == f"{pipe}: payload is {size} bytes, expected {len(payload)}"
+
+    header = json.loads(raw[: raw.index(b"\n")])
+    header.update(n_nodes=[2001] * 3, n_steps=10**6, delta=header["horizon_T"] / 10**6)
+    with pytest.raises(ValueError, match="payload is 16 bytes"):
+        load_through_pipe(json.dumps(header).encode() + b"\n" + bytes(16))
+
+
+def test_vgrid_rejects_a_file_without_a_header_newline(tmp_path):
+    good = tmp_path / "small.vgrid"
+    _small_grid().save(good)
+    header, _ = _header_and_payload(good)
+    for name, raw in (("empty", b""), ("header-only", header[:-1])):
+        bad = tmp_path / f"{name}.vgrid"
+        bad.write_bytes(raw)
+        with pytest.raises(ValueError) as info:
+            bm.ValueGrid.load(bad)
+        assert str(info.value) == f"{bad}: not a .vgrid file (no header line)"
+
+
+def test_vgrid_refuses_a_huge_header_over_a_tiny_payload_before_allocating(tmp_path):
+    # the header alone would size the arrays at about 1.9e17 bytes
+    good = tmp_path / "small.vgrid"
+    _small_grid().save(good)
+    header = json.loads(_header_and_payload(good)[0])
+    header.update(n_nodes=[2001] * 3, n_steps=10**6,
+                  delta=header["horizon_T"] / 10**6)
+    want = 8 * (10**6 + 1) * 3 * 2001**3
+    huge = tmp_path / "huge.vgrid"
+    huge.write_bytes(json.dumps(header).encode() + b"\n" + bytes(16))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            bm.ValueGrid.load(huge)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == f"{huge}: payload is 16 bytes, expected {want}"
+    assert peak < 1 << 20
+
+
+# a counting grid of 13^3 nodes and 121 slices: 6.4 MB of payload, so the
+# gates below read the copies of the payload, not fixed overheads
+@pytest.fixture(scope="module")
+def counting_grid():
+    spec = bm.GridSpec(model="counting", n_nodes=13, n_steps=120, horizon_T=0.5,
+                       control_box=1.0)
+    mask = spec.active_mask()
+    rng = np.random.default_rng(0)
+    values = np.where(mask, rng.random((121,) + spec.shape), np.nan)
+    controls = np.where(mask, rng.uniform(-1.0, 1.0, (121, 2) + spec.shape), np.nan)
+    return bm.ValueGrid(spec, 0.5, 0.0, bm.CLOSED_FORM, values, controls)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_vgrid_save_holds_the_payload_once(tmp_path, counting_grid):
+    payload = counting_grid.values.nbytes + counting_grid.controls.nbytes
+    path = tmp_path / "g.vgrid"
+    _, peak = _traced_peak(lambda: counting_grid.save(path))
+    assert path.stat().st_size > payload
+    assert peak <= 1.1 * payload
+
+
+def test_vgrid_load_reads_the_payload_once(tmp_path, counting_grid):
+    # beyond the arrays, only the finiteness check's blocks of bools
+    payload = counting_grid.values.nbytes + counting_grid.controls.nbytes
+    path = tmp_path / "g.vgrid"
+    counting_grid.save(path)
+    back, peak = _traced_peak(lambda: bm.ValueGrid.load(path))
+    np.testing.assert_array_equal(back.values, counting_grid.values)
+    np.testing.assert_array_equal(back.controls, counting_grid.controls)
+    assert peak <= 1.1 * payload + 2 * (1 << 20)
+
+
+def test_extract_policy_fills_the_controls_in_one_array(counting_grid):
+    _, peak = _traced_peak(lambda: bm.extract_policy(counting_grid))
+    assert peak <= 1.2 * counting_grid.controls.nbytes
 
 
 # sha256 of the .vgrid bytes of every solver on one small grid per model,

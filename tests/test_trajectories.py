@@ -84,6 +84,28 @@ def test_sample_jump_frequency():
     assert abs(freq - prob) <= band
 
 
+def test_engine_flags_the_jumps_sample_jump_flags_on_the_same_uniforms():
+    # a batch of states, one uniform each from one seed
+    rng = np.random.default_rng(7)
+    p = rng.uniform(-1.0, 1.0, (20_000, 3))
+    p /= np.maximum(1.0, np.linalg.norm(p, axis=-1))[:, None]
+    dt = 0.5
+    _, engine = tj.MODEL_RECORDS[tj.COUNTING].advance(
+        p, np.zeros((20_000, 2)), dt, np.random.default_rng(3).random(20_000), QUBIT)
+    flags = tj.sample_jump(p, dt, np.random.default_rng(3), QUBIT)
+    assert 1000 < flags.sum() < 19_000
+    np.testing.assert_array_equal(engine, flags.astype(float))
+
+    # a driven path replayed step by step from its own noise substream
+    params = ModelParams(kappa_s_sq=1.0, horizon_T=10.0)
+    traj = tj.simulate(tj.COUNTING, tj.constant_policy(tj.COUNTING, [2.0, 0.0]),
+                       [0.0, 0.0, 1.0], params, 1e-2, seed=0)
+    path_rng = np.random.default_rng(np.random.SeedSequence((0, 0)))
+    flags = [tj.sample_jump(state, 1e-2, path_rng, params) for state in traj.states[:-1]]
+    assert traj.increments.sum() >= 3
+    np.testing.assert_array_equal(traj.increments, np.array(flags, dtype=float))
+
+
 # ---------------------------------------------------------------------------
 # whole trajectories
 
