@@ -10,7 +10,10 @@ replacing derivatives with interpolation of the next slice at the
 post-step states: a two-point quadrature stands in for the Wiener
 increment and a Bernoulli branch pair for the detection events, and the
 minimization runs either over an explicit control grid or through the
-same completed-squares formula.
+same completed-squares formula.  Interpolation plans are built per axis and
+broadcast together, so the control scan builds the post-step x and y axes
+once per control value (x reads u_plus only, y u_minus only) and z per
+candidate.
 
 Qubit grids are uniform over the cube [-1, 1]^3 with nodes outside the
 closed unit ball masked out and stored as NaN; no ghost values are
@@ -76,9 +79,9 @@ MASK_TOL = 1e-12
 # explicit stepping keeps a factor-4 margin under the monotonicity limit
 CFL_SAFETY = 0.25
 
-# exhaustive DP evaluates this many control candidates per interpolation
-# call: enough to amortize the per-call overhead, few enough that the
-# queries stay a small multiple of the slice in memory
+# exhaustive DP evaluates this many control candidates (of one u_plus row on
+# a qubit) per interpolation call: enough to amortize the per-call overhead,
+# few enough that the queries stay a small multiple of the slice in memory
 DP_BLOCK = 3
 
 
@@ -577,57 +580,58 @@ def _fill_plan(missing: np.ndarray, good: np.ndarray) -> list:
     return plan
 
 
+def _axis_plan(axes, ax, q):
+    """Axis ``ax`` of an interpolation plan at coordinates ``q`` along it,
+    clamped into the box: (flat offset of the lower node, stride,
+    (1 - frac, frac))."""
+    nodes = axes[ax]
+    stride = math.prod(a.size for a in axes[ax + 1 :])
+    h = nodes[1] - nodes[0]
+    f = (np.clip(q, nodes[0], nodes[-1]) - nodes[0]) / h
+    i0 = np.clip(np.floor(f).astype(int), 0, nodes.size - 2)
+    frac = np.clip(f - i0, 0.0, 1.0)
+    return i0 * stride, stride, (1.0 - frac, frac)
+
+
+def _corners(plan):
+    """Corner (weight, flat offset) pairs in bit order of a plan's axes,
+    broadcast together: corner c sits at the upper node of axis ax when bit ax
+    of c is set, and its weight multiplies in axis order.  The last axis is
+    multiplied in as each corner is drawn, so half the weights are held."""
+    *head, (_, stride, weights) = plan
+    table = list(_corners(head)) if head else [(None, 0)]
+    for bit in (0, 1):
+        for w, off in table:
+            yield (weights[bit] if w is None else w * weights[bit]), off + bit * stride
+
+
 def _interp_plan(axes, pts):
-    """(lead shape, flat base index per query, corner (weight, flat offset)
-    pairs in bit order) of box-clamped queries; weights multiply in axis order.
-    """
+    """The plan of queries at points (..., dim): one `_axis_plan` per axis."""
     pts = np.asarray(pts, dtype=float)
-    d = len(axes)
-    q = pts.reshape(-1, d)
-    lin = 0
-    stride = 1
-    offsets = []
-    weights = []
-    for ax in reversed(range(d)):
-        nodes = axes[ax]
-        h = nodes[1] - nodes[0]
-        f = (np.clip(q[:, ax], nodes[0], nodes[-1]) - nodes[0]) / h
-        i0 = np.clip(np.floor(f).astype(int), 0, nodes.size - 2)
-        frac = np.clip(f - i0, 0.0, 1.0)
-        lin = lin + i0 * stride
-        offsets.insert(0, stride)
-        weights.insert(0, (1.0 - frac, frac))
-        stride *= nodes.size
-    # corner c has bit ax set when it sits at the upper node of axis ax;
-    # grow the (weight, offset) table one axis at a time, low bits first
-    corners = [(None, 0)]
-    for ax in range(d):
-        corners = [
-            (weights[ax][bit] if w is None else w * weights[ax][bit], off + bit * offsets[ax])
-            for bit in (0, 1)
-            for w, off in corners
-        ]
-    return pts.shape[:-1], lin, corners
+    return [_axis_plan(axes, ax, pts[..., ax]) for ax in range(len(axes))]
 
 
 def _interp_apply(stack: np.ndarray, plan) -> np.ndarray:
-    """Interpolate each slice of a (k, *grid) stack at a plan's queries: (*lead, k).
+    """Multilinear interpolation of each slice of a (k, *grid) stack on a uniform
+    box grid at a plan's clamped queries: (*lead, k).  Per slice the corners are
+    summed in bit order from zeros, bit for bit a read with one index array per
+    axis; each corner's weight is formed once for all slices."""
+    lin = sum(base for base, _, _ in plan)
+    # slice c starts c grid sizes into the stack's flat buffer
+    starts = np.arange(0, stack.size, stack[0].size).reshape((-1,) + (1,) * np.ndim(lin))
+    lin = lin + starts
+    flat = stack.ravel()
+    out = np.zeros(lin.shape)
+    for weight, off in _corners(plan):
+        read = flat[off:].take(lin)
+        read *= weight
+        out += read
+    return np.moveaxis(out, 0, -1)
 
-    Per slice the corners are summed in bit order, starting from zeros.
-    """
-    lead, lin, corners = plan
-    flat = stack.reshape(len(stack), -1)
-    out = np.zeros((len(stack), lin.size))
-    for weight, off in corners:
-        out += weight * flat.take(lin + off, axis=1)
-    return out.T.reshape(lead + (len(stack),))
 
-
-def _interp_box(filled: np.ndarray, axes, pts: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of one slice on a uniform box grid; queries are
-    clamped.  Bit for bit the same as a read with one index array per axis.
-    """
-    return _interp_apply(filled[None], _interp_plan(axes, pts))[..., 0]
+def _interp_box(filled: np.ndarray, plan) -> np.ndarray:
+    """`_interp_apply` on one slice: the solvers' reads."""
+    return _interp_apply(filled[None], plan)[..., 0]
 
 
 def _interp_periodic(values: np.ndarray, theta) -> np.ndarray:
@@ -795,7 +799,7 @@ def _fd_rhs_qubit(spec: GridSpec, params: ModelParams, geo: _Geometry):
 
         def rhs(v, g, slope, u):
             drift = _counting_drift_xyz(px, py, pz, u[:, 0], u[:, 1], lam)
-            j_ground = float(_interp_apply(_fill_inactive(v, geo.fill)[None], ground)[0])
+            j_ground = float(_interp_box(_fill_inactive(v, geo.fill), ground))
             step = _advection_upwind(g, drift, spacings) + lam * (j_ground - _nb(g))
             return step + np.sum(u * u, axis=-1)
 
@@ -854,10 +858,10 @@ def _check_dp_mode(spec: GridSpec, mode: str) -> None:
 
 def _dp_step(v, spec, params, mode, geo):
     """(value, control) on the active nodes after one DP step: the model's
-    objective minimized by the blocked control scan or at the limited
+    objective minimized by its control scan or at the limited
     completed-squares control."""
     build = _dp_step_angle if spec.record.periodic else _dp_step_qubit
-    objective = build(v, spec, params, geo)
+    objective, scan = build(v, spec, params, geo)
     if mode == CLOSED_FORM:
         best_u = _feedback(geo.gather(v), spec, geo, limited=True)[1]
         return objective(best_u), best_u
@@ -868,10 +872,9 @@ def _dp_step(v, spec, params, mode, geo):
     best = np.full(m, np.inf)
     best_k = np.zeros(m, dtype=int)
     better = np.empty(m, dtype=bool)
-    # candidates in meshgrid order, DP_BLOCK at a time; the strict < keeps
-    # the first of equal values
-    for start in range(0, len(cands), DP_BLOCK):
-        vals = objective(cands[start : start + DP_BLOCK, None])
+    # the scan yields blocks of candidates in meshgrid order; the strict <
+    # keeps the first of equal values
+    for start, vals in scan(grid[:, None]):
         for k, val in enumerate(vals, start):
             np.less(val, best, out=better)
             np.copyto(best, val, where=better)
@@ -880,7 +883,8 @@ def _dp_step(v, spec, params, mode, geo):
 
 
 def _dp_step_angle(v, spec, params, geo):
-    """Objective of an angle step: periodic reads at the two Wiener kicks."""
+    """(objective, scan) of an angle step: periodic reads at the two Wiener
+    kicks, DP_BLOCK candidates a call."""
     theta = geo.flat
     delta = spec.delta
     kick = 2.0 * params.alpha * np.sqrt(delta)
@@ -892,13 +896,20 @@ def _dp_step_angle(v, spec, params, geo):
         )
         return b * b * delta + mean_next
 
-    return objective
+    def scan(col):
+        for start in range(0, len(col), DP_BLOCK):
+            yield start, objective(col[start : start + DP_BLOCK])
+
+    return objective, scan
 
 
 def _dp_step_qubit(v, spec, params, geo):
-    """Objective of a qubit step: Wiener quadrature or the Bernoulli jump pair."""
+    """(objective, scan) of a qubit step: Wiener quadrature or the Bernoulli
+    jump pair.  The post-step x reads u_plus only and y u_minus only, so the
+    scan builds their axis plans once per control value, z's per candidate in
+    blocks of DP_BLOCK of one u_plus row, and broadcasts the three together."""
     axes = geo.axes
-    px, py, pz = geo.flat.T.copy()
+    nodes = geo.flat.T.copy()
     delta = spec.delta
     filled = _fill_inactive(v, geo.fill)
 
@@ -906,42 +917,61 @@ def _dp_step_qubit(v, spec, params, geo):
     # coefficients come from the unchecked component encodings; u_plus and
     # u_minus broadcast against the (m,) node components.  The post-step
     # queries go unclipped: the interpolation plan clamps every axis into
-    # [-1, 1]
+    # [-1, 1].  post(c, b) is axis c's (kicks, ...) post-step coordinates
+    # from its drift b, and expect(r) the mean over the kicks of what they read
     if spec.model == COUNTING:
-        lam = _jump_intensity_z(pz, params.kappa_s_sq)
+        lam = _jump_intensity_z(nodes[2], params.kappa_s_sq)
         if delta * float(lam.max()) >= 1.0:
             raise ValueError("delta * max jump intensity >= 1; increase n_steps")
         jump_prob = lam * delta
-        j_ground = float(_interp_box(filled, axes, np.asarray(GROUND_STATE, float)))
+        j_ground = float(_interp_box(filled, _interp_plan(axes, GROUND_STATE)))
 
-        def mean_next(u_plus, u_minus):
-            drift = _counting_drift_xyz(px, py, pz, u_plus, u_minus, lam)
-            q = np.empty((3,) + drift[2].shape)
-            for c, (p, b) in enumerate(zip((px, py, pz), drift)):
-                np.add(p, b * delta, out=q[c])
-            out = (1.0 - jump_prob) * _interp_box(filled, axes, np.moveaxis(q, 0, -1))
+        def drift(u_plus, u_minus):
+            return _counting_drift_xyz(*nodes, u_plus, u_minus, lam)
+
+        def post(c, b):
+            return (nodes[c] + b * delta)[None]
+
+        def expect(r):
+            out = (1.0 - jump_prob) * r[0]
             out += jump_prob * j_ground
             return out
 
     else:
         sqrt_delta = np.sqrt(delta)
-        kick = [s * sqrt_delta for s in _diffusive_diffusion_xyz(px, py, pz, params.kappa_s)]
+        kick = [s * sqrt_delta for s in _diffusive_diffusion_xyz(*nodes, params.kappa_s)]
 
-        def mean_next(u_plus, u_minus):
-            drift = _diffusive_drift_xyz(px, py, pz, u_plus, u_minus)
-            # (3, 2, ...): both kicks of each component, read in one call
-            q = np.empty((3, 2) + drift[2].shape)
-            for c, (p, b, k) in enumerate(zip((px, py, pz), drift, kick)):
-                drifted = p + b * delta
-                np.add(drifted, k, out=q[c, 0])
-                np.subtract(drifted, k, out=q[c, 1])
-            r = _interp_box(filled, axes, np.moveaxis(q, 0, -1))
+        def drift(u_plus, u_minus):
+            return _diffusive_drift_xyz(*nodes, u_plus, u_minus)
+
+        def post(c, b):
+            drifted = nodes[c] + b * delta
+            q = np.empty((2,) + drifted.shape)
+            np.add(drifted, kick[c], out=q[0])
+            np.subtract(drifted, kick[c], out=q[1])
+            return q
+
+        def expect(r):
             return 0.5 * (r[0] + r[1])
 
     def objective(u):
-        return np.sum(u**2, axis=-1) * delta + mean_next(u[..., 0], u[..., 1])
+        b = drift(u[..., 0], u[..., 1])
+        plan = [_axis_plan(axes, c, post(c, b[c])) for c in range(3)]
+        return np.sum(u**2, axis=-1) * delta + expect(_interp_box(filled, plan))
 
-    return objective
+    def scan(col):
+        # u_plus rows (1, 1) broadcast against u_minus blocks (B, 1)
+        starts = range(0, len(col), DP_BLOCK)
+        blocks = [col[s : s + DP_BLOCK] for s in starts]
+        y_plans = [_axis_plan(axes, 1, post(1, drift(0.0, u)[1])) for u in blocks]
+        for i, u_plus in enumerate(col[:, None]):
+            x_plan = _axis_plan(axes, 0, post(0, drift(u_plus, 0.0)[0]))
+            for s, u_minus, y_plan in zip(starts, blocks, y_plans):
+                z_plan = _axis_plan(axes, 2, post(2, drift(u_plus, u_minus)[2]))
+                mean = expect(_interp_box(filled, [x_plan, y_plan, z_plan]))
+                yield i * len(col) + s, (u_plus**2 + u_minus**2) * delta + mean
+
+    return objective, scan
 
 
 def solve_dp(spec: GridSpec, params: ModelParams, mode: str = CLOSED_FORM) -> ValueGrid:

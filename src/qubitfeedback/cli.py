@@ -380,6 +380,12 @@ def cmd_solve(cfg: dict) -> dict:
         control_box=cfg.get("control_box"),
         control_resolution=cfg.get("control_resolution"),
     )
+    # the DP's interpolation error grows like h^2/delta; the slack keeps a grid
+    # exactly at the bound (h = 0.1, delta = 0.01) quiet
+    ratio = min(spec.spacings()) ** 2 / spec.delta if spec.n_steps else 0.0
+    if cfg["method"] == "dp" and ratio > 1.0 + 1e-9:
+        sys.stderr.write(f"warning: h^2/delta = {ratio:.3g} > 1 with the smallest spacing h; "
+                         "the DP's interpolation error grows with it: use fewer steps or more nodes\n")
     t0 = time.perf_counter()
     if cfg["method"] == "fd":
         vg = solve_backward(spec, params)

@@ -776,7 +776,7 @@ def test_interp_box_matches_tuple_index_reference(shape):
     outside = rng.uniform(-3.0, 3.0, size=(400, 3))
     for pts in (nodes, inside, upper_edge, outside, inside.reshape(2, 200, 3), nodes[7]):
         want = _reference_interp(filled, axes, pts)
-        got = bm._interp_box(filled, axes, pts)
+        got = bm._interp_box(filled, bm._interp_plan(axes, pts))
         assert got.shape == want.shape
         assert np.array_equal(_bits(got), _bits(want))
 
@@ -799,7 +799,8 @@ def test_interp_plan_applied_to_a_stack_matches_one_call_per_slice():
         got = bm._interp_apply(stack, bm._interp_plan(axes, pts))
         assert got.shape == pts.shape[:-1] + (2,)
         for c in range(2):
-            assert np.array_equal(_bits(got[..., c]), _bits(bm._interp_box(stack[c], axes, pts)))
+            want = bm._interp_box(stack[c], bm._interp_plan(axes, pts))
+            assert np.array_equal(_bits(got[..., c]), _bits(want))
 
 
 def test_qubit_grid_policy_matches_clipped_per_component_reads():
@@ -817,7 +818,8 @@ def test_qubit_grid_policy_matches_clipped_per_component_reads():
     states[:4] = [[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [1.0, 1.0, 1.0], [-2.0, 0.5, 3.0]]
     for t, k in ((0.0, 0), (0.1, 10), (0.3, 30)):
         q = np.clip(states, -1.0, 1.0)
-        want = np.stack([bm._interp_box(bm._fill_inactive(vg.controls[k, c], plan), axes, q)
+        want = np.stack([bm._interp_box(bm._fill_inactive(vg.controls[k, c], plan),
+                                        bm._interp_plan(axes, q))
                          for c in range(2)], axis=-1)
         assert np.array_equal(_bits(policy(t, states)), _bits(want))
         assert np.array_equal(_bits(policy(t, states[0])), _bits(want[0]))
@@ -976,6 +978,98 @@ def test_exhaustive_dp_step_memory_stays_near_the_slice():
     assert peak < 128 * terminal.nbytes
 
 
+def _reference_exhaustive_step(v, spec, params):
+    # the blocked control scan as it stood before the separable one: each
+    # block of DP_BLOCK candidates in meshgrid order reads all three axes of
+    # every query afresh
+    geo = spec._geometry
+    axes = geo.axes
+    px, py, pz = geo.flat.T.copy()
+    delta = spec.delta
+    filled = bm._fill_inactive(v, geo.fill)
+    if spec.model == "counting":
+        lam = filters._jump_intensity_z(pz, params.kappa_s_sq)
+        jump_prob = lam * delta
+        j_ground = float(_reference_interp(filled, axes, np.asarray(GROUND_STATE, float)))
+
+        def mean_next(u_plus, u_minus):
+            drift = filters._counting_drift_xyz(px, py, pz, u_plus, u_minus, lam)
+            q = np.empty((3,) + drift[2].shape)
+            for c, (p, b) in enumerate(zip((px, py, pz), drift)):
+                np.add(p, b * delta, out=q[c])
+            out = (1.0 - jump_prob) * _reference_interp(filled, axes, np.moveaxis(q, 0, -1))
+            out += jump_prob * j_ground
+            return out
+
+    else:
+        sqrt_delta = np.sqrt(delta)
+        kick = [s * sqrt_delta for s in filters._diffusive_diffusion_xyz(px, py, pz, params.kappa_s)]
+
+        def mean_next(u_plus, u_minus):
+            drift = filters._diffusive_drift_xyz(px, py, pz, u_plus, u_minus)
+            q = np.empty((3, 2) + drift[2].shape)
+            for c, (p, b, k) in enumerate(zip((px, py, pz), drift, kick)):
+                drifted = p + b * delta
+                np.add(drifted, k, out=q[c, 0])
+                np.subtract(drifted, k, out=q[c, 1])
+            r = _reference_interp(filled, axes, np.moveaxis(q, 0, -1))
+            return 0.5 * (r[0] + r[1])
+
+    def objective(u):
+        return np.sum(u**2, axis=-1) * delta + mean_next(u[..., 0], u[..., 1])
+
+    grid = spec.control_values()
+    cands = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
+    m = len(geo.flat)
+    best = np.full(m, np.inf)
+    best_k = np.zeros(m, dtype=int)
+    better = np.empty(m, dtype=bool)
+    for start in range(0, len(cands), bm.DP_BLOCK):
+        vals = objective(cands[start : start + bm.DP_BLOCK, None])
+        for k, val in enumerate(vals, start):
+            np.less(val, best, out=better)
+            np.copyto(best, val, where=better)
+            np.copyto(best_k, k, where=better)
+    return best, cands[best_k]
+
+
+@pytest.mark.parametrize("model", ["diffusive", "counting"])
+@pytest.mark.parametrize("resolution", [1, 4, 5])
+def test_separable_control_scan_matches_the_blocked_reference(model, resolution):
+    # resolution 5 leaves a partial last block of each u_plus row (and made
+    # the reference's blocks straddle rows); on the zero slice at resolution
+    # 4 the four (+-1, +-1) tie exactly, and the first of them must win; a
+    # box of 3 takes post-step queries past the cube, where the plan clamps
+    params = ModelParams(kappa_s_sq=0.5, horizon_T=0.2)
+    spec = bm.GridSpec(model=model, n_nodes=(9, 8, 9), n_steps=4, horizon_T=0.2,
+                       control_box=3.0, control_resolution=resolution)
+    geo = spec._geometry
+    rng = np.random.default_rng(17)
+    slices = [np.where(geo.mask, 1.0 - spec.points()[..., 2], np.nan),
+              np.where(geo.mask, rng.normal(size=spec.shape), np.nan)]
+    if resolution == 4:
+        slices.append(np.where(geo.mask, 0.0, np.nan))
+    for v in slices:
+        want_value, want_u = _reference_exhaustive_step(v, spec, params)
+        got_value, got_u = bm._dp_step(v, spec, params, bm.EXHAUSTIVE, geo)
+        assert np.array_equal(_bits(got_value), _bits(want_value))
+        assert np.array_equal(_bits(got_u), _bits(want_u))
+    if resolution == 4:
+        assert (got_u == -1.0).all()
+
+
+def test_exhaustive_solve_dp_peak_stays_at_the_blocked_scan():
+    # one 21^3 x 20 exhaustive solve on a fresh spec (geometry included)
+    # peaked at 11,833,947 traced bytes (11.29 MiB) with the blocked scan
+    # that built all three axes of every candidate's plan; the separable
+    # scan must not need more, so no rewrite scans all 81 candidates at once
+    params = ModelParams(kappa_s_sq=0.5, horizon_T=0.2)
+    spec = bm.GridSpec(model="diffusive", n_nodes=21, n_steps=20, horizon_T=0.2,
+                       control_box=2.0, control_resolution=9)
+    _, peak = _traced_peak(lambda: bm.solve_dp(spec, params, bm.EXHAUSTIVE))
+    assert peak <= 1.05 * 11_833_947
+
+
 def test_solve_dp_angle_small_alpha_reaches_the_noise_free_limit():
     # diffusion too weak for the explicit stencil, fine for the recursion
     params = ModelParams(alpha=0.05, horizon_T=1.0)
@@ -987,6 +1081,22 @@ def test_solve_dp_angle_small_alpha_reaches_the_noise_free_limit():
     assert np.abs(vg.values[0][sel] - exact).max() < 5e-3
     # and the alpha -> 0 limit value theta^2 / (4T + 1) is already close
     assert np.abs(vg.values[0][sel] - theta[sel] ** 2 / 5.0).max() < 1e-2
+
+
+def test_solve_dp_angle_error_grows_like_h2_over_delta():
+    # closed-form angle DP on 201 nodes against the Riccati value over
+    # |theta| <= 2: 0.0109 at 100 steps (h^2/delta = 0.098), 0.1009 at 1600
+    # (h^2/delta = 1.56), where `solve --method dp` warns
+    spec = bm.GridSpec(model="angle", n_nodes=(201,), n_steps=100, horizon_T=1.0)
+    theta = spec.axes()[0]
+    sel = np.abs(theta) <= 2.0
+    exact = value(0.0, theta[sel], 1.0, 0.5)
+    errors = []
+    for n_steps in (100, 1600):
+        spec = bm.GridSpec(model="angle", n_nodes=(201,), n_steps=n_steps, horizon_T=1.0)
+        errors.append(np.abs(bm.solve_dp(spec, ANGLE).values[0][sel] - exact).max())
+    assert errors[0] <= 0.02
+    assert errors[1] > 0.05
 
 
 def test_solve_dp_modes_agree_within_documented_tolerance():

@@ -189,6 +189,22 @@ def test_solve_dp_exhaustive_records_mode(tmp_path, capsys):
     assert ValueGrid.load(grid).control_mode == "exhaustive"
 
 
+@pytest.mark.parametrize("n_steps, warned", [(100, False), (1600, True)])
+def test_solve_dp_warns_on_stderr_when_h2_over_delta_exceeds_1(tmp_path, capsys, n_steps, warned):
+    # 201 nodes: h^2/delta is 0.098 at 100 steps and 1.56 at 1600; stdout is the
+    # same JSON summary either way
+    code, out, err = run_cli(
+        capsys, "solve", "--model", "angle-lq", "--n-nodes", "201", "--n-steps", str(n_steps),
+        "--method", "dp", "--grid", str(tmp_path / "a.vgrid"), "--no-timings",
+    )
+    assert code == 0
+    assert json.loads(out)["n_steps"] == n_steps
+    lines = [line for line in err.splitlines() if line.startswith("warning: h^2/delta")]
+    assert lines == (["warning: h^2/delta = 1.56 > 1 with the smallest spacing h; the DP's "
+                      "interpolation error grows with it: use fewer steps or more nodes"]
+                     if warned else [])
+
+
 @pytest.mark.parametrize("via", ["flag", "ini"])
 def test_solve_fd_rejects_a_given_mode_before_any_work(tmp_path, capsys, monkeypatch, via):
     # the fd sweep always takes the closed-form control, so a mode is an error
