@@ -5,7 +5,8 @@
 # output bit fails here, and so does one that renames a function the
 # tracer wraps without marking it optional.  The traced pass also fails
 # when a named layer reads 0, as it does when the engine captures a kernel
-# at import and so bypasses the tracer's wrapper.
+# at import and so bypasses the tracer's wrapper, or, where the layers are
+# given with counts, when a layer's calls per operation differ from them.
 #
 #   bash scripts/bench_smoke.sh
 set -euo pipefail
@@ -30,7 +31,10 @@ if result["correct"] is not True:
 got = info["digests"]
 if got != want:
     sys.exit(f"{workload} (trace {trace}): digests {got} differ from {want}")
-blind = [name for name in traced if not result["metrics"].get(name, {}).get("value", 0) > 0]
+seen = {name: result["metrics"].get(name, {}).get("value", 0) for name in traced}
+if isinstance(traced, dict) and seen != traced:
+    sys.exit(f"{workload} (trace {trace}): traced calls per op {seen} differ from {traced}")
+blind = [name for name, value in seen.items() if not value > 0]
 if blind:
     sys.exit(f"{workload} (trace {trace}): traced layers read 0: {blind}")
 print(f"{workload} (trace {trace}): correct, digests match")
@@ -42,8 +46,10 @@ engine='"trajectories.step.calls", "trajectories.policy.calls"'
 check mc-diffusive '{"mc_costs": "df39d5e77df09d8034e280354b2020116c68a42d1f6be4017a813b5e18372f7e"}' \
     "[$engine]"
 # the solver's interpolation and mask fill are optional hooks, so a rename
-# or a scan that reads around them would otherwise pass with the layer at 0
-check dp-exhaustive '{"dp_grids": "d5a7a83592831ce7320a15218b42425d8bab70e05036fc7c599243caf24b9ed3"}' \
-    '["bellman.interp.calls", "bellman.fill_inactive.calls"]'
-check grid-pipeline '{"compare_csv": "32304d3e5e194d979a5bb8d23100bf0d1e6b286044359246e3d5d6de3ee42b97", "vgrid": "dddc96a5f05c74e652a251443cb025f84b298209c4e43d08646ff76c9ae007f5"}' \
+# or a scan that reads around them would otherwise pass unseen: per op, 20
+# closed-form reads and 20 steps x 9 u_plus rows x 3 u_minus blocks of scan
+# reads, and one fill per step of each of the two solves
+check dp-exhaustive '{"dp_grids": "09d8f1432e324e80a5bab8aad540b874946ee4d67558d29d6b18f2a43b6ae762"}' \
+    '{"bellman.interp.calls": 560, "bellman.fill_inactive.calls": 40}'
+check grid-pipeline '{"compare_csv": "32304d3e5e194d979a5bb8d23100bf0d1e6b286044359246e3d5d6de3ee42b97", "vgrid": "1091bf6297537129bdf4cec61395cad352d25e48071df207f596fef86f09e32d"}' \
     "[$engine, \"cli.solve.s\", \"cli.compare.s\"]"

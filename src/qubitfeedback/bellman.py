@@ -15,19 +15,24 @@ broadcast together, so the control scan builds the post-step x and y axes
 once per control value (x reads u_plus only, y u_minus only) and z per
 candidate.
 
-Qubit grids are uniform over the cube [-1, 1]^3 with nodes outside the
-closed unit ball masked out and stored as NaN; no ghost values are
-invented outside the ball, so stencils shorten to one-sided at the mask
-edge.  The angle model lives on a uniform periodic grid over [-pi, pi).
-Each grid spec builds its geometry once, from the mask alone: axes, active
-nodes and, on first use, the plan that extends a slice past the mask for
-interpolation and the neighbour table, the flat index of each active node's
-neighbour at every offset in {-1, 0, 1}^dim, wrapping on a periodic axis
-and one past the last node off the grid.  Each step gathers its slice at
-the table once; both families' stencils and feedback rule read that gather,
-on the active nodes only.  Value functions persist to ``.vgrid`` files: one
-JSON header line, then the value slices and control slices as little-endian
-float64 in row-major node order, finite exactly on the active nodes.
+Qubit grids are uniform over the cube [-1, 1]^3, node i of n at
+(2i - (n - 1)) / (n - 1), with nodes outside the closed unit ball masked out
+and stored as NaN; no ghost values are invented outside the ball, so
+stencils shorten to one-sided at the mask edge.  Both qubit models are
+invariant under px -> -px with u_plus -> -u_plus and under py -> -py with
+u_minus -> -u_minus, so a qubit step computes only the symmetry cell, the
+active nodes with px, py >= 0, and copies each other active node from its
+mirror image there, flipping the control signs.  The angle model lives on a
+uniform periodic grid over [-pi, pi), its own cell.  Each grid spec builds
+its geometry once, from the mask alone: axes, active nodes, the cell and, on
+first use, the fill plan that extends a slice past the mask and the
+neighbour table, the flat index of each cell node's neighbour at every
+offset in {-1, 0, 1}^dim (wrapping on a periodic axis, one past the last node
+off the grid).  Each step gathers its slice at the table once for the
+stencils and feedback rule; interpolation and the fill read the whole slice.
+Value functions persist to ``.vgrid`` files: one JSON header line, then the
+value and control slices as little-endian float64 in row-major node order,
+finite exactly on the active nodes.
 """
 
 from __future__ import annotations
@@ -48,7 +53,9 @@ from .filters import (
     _counting_drift_xyz,
     _diffusive_diffusion_xyz,
     _diffusive_drift_xyz,
+    _diffusive_drift_z,
     _jump_intensity_z,
+    _jump_pull_xyz,
     diffusive_diffusion,
     diffusive_drift,
 )
@@ -159,10 +166,12 @@ class GridSpec:
         return self.horizon_T / self.n_steps if self.n_steps else 0.0
 
     def axes(self) -> tuple[np.ndarray, ...]:
-        """Node coordinates per axis; a periodic axis leaves out its upper end."""
+        """Node coordinates per axis: a periodic one leaves out its upper end, a
+        bounded one is exactly antisymmetric, (2i - (n - 1)) / (n - 1) on [-1, 1]."""
         periodic = self.record.periodic
         return tuple(
-            lo + (hi - lo) * np.arange(n) / n if periodic else np.linspace(lo, hi, n)
+            lo + (hi - lo) * np.arange(n) / n if periodic
+            else 0.5 * (lo + hi) + 0.5 * (hi - lo) * (2 * np.arange(n) - (n - 1)) / (n - 1)
             for (lo, hi), n in zip(self.record.bounds, self.n_nodes)
         )
 
@@ -189,16 +198,28 @@ class GridSpec:
     def _geometry(self) -> _Geometry:
         """The solvers' reading of this grid, built on first use; read-only."""
         mask = self.active_mask()
-        flat = self.points()[mask]
-        mask.flags.writeable = flat.flags.writeable = False
-        active = slice(None) if mask.all() else mask
-        return _Geometry(self.axes(), self.spacings(), self.record.periodic, mask, active, flat)
+        image = np.arange(mask.size).reshape(mask.shape)
+        signs = np.ones((self.n_controls,) + self.shape)
+        # x mirrors flip u_plus, y mirrors u_minus; image ends at each node's image
+        for ax in () if self.record.periodic else (0, 1):
+            flipped = np.flip(image, ax)
+            signs[ax][flipped > image] = -1.0
+            image = np.maximum(image, flipped)
+        cell = np.flatnonzero(mask.ravel() & (image.ravel() == np.arange(mask.size)))
+        flat = self.points().reshape((-1,) + self.record.state_shape)[cell]
+        rep, signs = np.searchsorted(cell, image[mask]), signs[:, mask].T
+        for a in (mask, cell, flat, rep, signs):
+            a.flags.writeable = False
+        return _Geometry(self.axes(), self.spacings(), self.record.periodic, mask, cell, flat,
+                         rep, signs)
 
     def control_values(self) -> np.ndarray | None:
-        """Control grid for exhaustive minimization, None when unconfigured."""
+        """Control grid for exhaustive minimization, None when unconfigured;
+        exactly antisymmetric, box * (2i - (r - 1)) / (r - 1), and 0 for r = 1."""
         if self.control_box is None or self.control_resolution is None:
             return None
-        return np.linspace(-self.control_box, self.control_box, self.control_resolution)
+        r = self.control_resolution
+        return self.control_box * (2 * np.arange(r) - (r - 1)) / max(r - 1, 1)
 
 
 @dataclass(frozen=True)
@@ -646,10 +667,10 @@ def _interp_periodic(values: np.ndarray, theta) -> np.ndarray:
     return values[i0] * (1.0 - w) + values[np.mod(i0 + 1, n)] * w
 
 
-def _require_finite(active: np.ndarray, slice_idx: int, geo) -> None:
-    if not np.isfinite(active).all():
-        node = tuple(int(i) for i in np.argwhere(geo.mask)[np.argmin(np.isfinite(active))])
-        raise RuntimeError(f"non-finite value at slice {slice_idx}, node {node}")
+def _require_finite(cell: np.ndarray, slice_idx: int, geo) -> None:
+    if not np.isfinite(cell).all():
+        at = np.unravel_index(geo.cell[np.argmin(np.isfinite(cell))], geo.mask.shape)
+        raise RuntimeError(f"non-finite value at slice {slice_idx}, node {tuple(map(int, at))}")
 
 
 def _check_spec_params(spec: GridSpec, params: ModelParams) -> None:
@@ -670,15 +691,19 @@ def _require_stable(delta: float, bound: float) -> None:
 
 @dataclass(frozen=True)
 class _Geometry:
-    """What the solvers read of one grid (see the module docstring); the active
-    index is a full slice, read as views, on the all-active angle grid."""
+    """What the solvers read of one grid (see the module docstring): ``cell``,
+    the flat indices of the nodes the solvers compute, and ``flat``, their
+    coordinates; per active node, ``rep``, the position of its mirror image in
+    the cell, and ``signs`` (m, c), its control signs (on the angle, all +1)."""
 
     axes: tuple
     spacings: tuple
     periodic: bool
     mask: np.ndarray
-    active: object
+    cell: np.ndarray
     flat: np.ndarray
+    rep: np.ndarray
+    signs: np.ndarray
 
     @cached_property
     def fill(self) -> list:
@@ -686,9 +711,9 @@ class _Geometry:
 
     @cached_property
     def neighbours(self) -> np.ndarray:
-        """The neighbour table, (3,)*dim + (m,): [i, j, k] holds offset (i, j, k)."""
+        """The cell's neighbour table, (3,)*dim + (m,): [i, j, k] holds offset (i, j, k)."""
         offsets = (np.array(list(np.ndindex((3,) * self.mask.ndim))) + 1) % 3 - 1
-        table = _neighbours(self.mask.shape, self.periodic, np.flatnonzero(self.mask), offsets)
+        table = _neighbours(self.mask.shape, self.periodic, self.cell, offsets)
         return table.reshape((3,) * self.mask.ndim + (-1,))
 
     def gather(self, v: np.ndarray) -> np.ndarray:
@@ -710,14 +735,15 @@ def _feedback(g, spec: GridSpec, geo: _Geometry, limited: bool = False):
     return slope, u if box is None else np.clip(u, -box, box)
 
 
-def _place(out: np.ndarray, geo: _Geometry, active: np.ndarray) -> np.ndarray:
-    """Write per-node values, (m,) or (m, c), onto the active nodes of a NaN slice."""
-    if active.ndim == 1:
-        out.reshape(geo.mask.shape)[geo.active] = active
-    else:
-        # one boolean write per component: out[:, mask] = active.T is slower
-        for row, col in zip(out, active.T):
-            row[geo.active] = col
+def _place(out: np.ndarray, geo: _Geometry, cell: np.ndarray) -> np.ndarray:
+    """Mirror per-node values on the cell, (m,) or (m, c), onto a NaN slice's active
+    nodes with one gather at ``rep``; controls take ``signs``."""
+    active = cell[geo.rep]
+    if active.ndim > 1:
+        active *= geo.signs
+    # one boolean write per component: out[:, mask] = active.T is slower
+    for row, col in zip(out.reshape((-1,) + geo.mask.shape), active.reshape(len(active), -1).T):
+        row[geo.mask] = col
     return out
 
 
@@ -831,8 +857,9 @@ def dp_recursion_step(values, spec: GridSpec, params: ModelParams, mode: str = C
     grid; in ``"closed-form"`` mode it evaluates the completed-squares
     control read off the slice gradient.  Over a full horizon the two modes
     agree to about T * (control grid spacing)^2; tests pin the measured
-    constant.  The slice must be finite on the active nodes; what it holds
-    on masked nodes is ignored.  Returns the new slice.
+    constant.  The slice must be finite and mirror-symmetric on the active
+    nodes, as a solve's are: the step computes the symmetry cell.  What it
+    holds on masked nodes is ignored.  Returns the new slice.
     """
     _check_dp_mode(spec, mode)
     if spec.n_steps < 1:
@@ -843,6 +870,8 @@ def dp_recursion_step(values, spec: GridSpec, params: ModelParams, mode: str = C
     geo = spec._geometry
     if not np.isfinite(values[geo.mask]).all():
         raise ValueError("slice must be finite on the active nodes")
+    if not np.array_equal(values[geo.mask], values.ravel()[geo.cell][geo.rep]):
+        raise ValueError("slice must be symmetric under the mirrors px -> -px and py -> -py")
     # the solvers' slices are NaN exactly off the mask
     values = np.where(geo.mask, values, np.nan)
     best = _dp_step(values, spec, params, mode, geo)[0]
@@ -857,7 +886,7 @@ def _check_dp_mode(spec: GridSpec, mode: str) -> None:
 
 
 def _dp_step(v, spec, params, mode, geo):
-    """(value, control) on the active nodes after one DP step: the model's
+    """(value, control) on the cell's nodes after one DP step: the model's
     objective minimized by its control scan or at the limited
     completed-squares control."""
     build = _dp_step_angle if spec.record.periodic else _dp_step_qubit
@@ -925,6 +954,7 @@ def _dp_step_qubit(v, spec, params, geo):
             raise ValueError("delta * max jump intensity >= 1; increase n_steps")
         jump_prob = lam * delta
         j_ground = float(_interp_box(filled, _interp_plan(axes, GROUND_STATE)))
+        pull_z = _jump_pull_xyz(*nodes, lam)[2]
 
         def drift(u_plus, u_minus):
             return _counting_drift_xyz(*nodes, u_plus, u_minus, lam)
@@ -940,6 +970,7 @@ def _dp_step_qubit(v, spec, params, geo):
     else:
         sqrt_delta = np.sqrt(delta)
         kick = [s * sqrt_delta for s in _diffusive_diffusion_xyz(*nodes, params.kappa_s)]
+        pull_z = 0.0  # no jumps
 
         def drift(u_plus, u_minus):
             return _diffusive_drift_xyz(*nodes, u_plus, u_minus)
@@ -967,7 +998,8 @@ def _dp_step_qubit(v, spec, params, geo):
         for i, u_plus in enumerate(col[:, None]):
             x_plan = _axis_plan(axes, 0, post(0, drift(u_plus, 0.0)[0]))
             for s, u_minus, y_plan in zip(starts, blocks, y_plans):
-                z_plan = _axis_plan(axes, 2, post(2, drift(u_plus, u_minus)[2]))
+                b_z = _diffusive_drift_z(*nodes, 2.0 * u_plus, 2.0 * u_minus) + pull_z
+                z_plan = _axis_plan(axes, 2, post(2, b_z))
                 mean = expect(_interp_box(filled, [x_plan, y_plan, z_plan]))
                 yield i * len(col) + s, (u_plus**2 + u_minus**2) * delta + mean
 

@@ -195,13 +195,18 @@ def _project_xyz(xyz: np.ndarray, ball_tol: float) -> np.ndarray:
     return xyz
 
 
+def _diffusive_drift_z(px, py, pz, two_up, two_um):
+    """The homodyne drift's z component from 2 u_plus and 2 u_minus, alone."""
+    return -(1.0 + pz) + two_up * px - two_um * py
+
+
 def _diffusive_drift_xyz(px, py, pz, u_plus, u_minus):
     two_up = 2.0 * u_plus
     two_um = 2.0 * u_minus
     return (
         -0.5 * px - two_up * pz,
         -0.5 * py + two_um * pz,
-        -(1.0 + pz) + two_up * px - two_um * py,
+        _diffusive_drift_z(px, py, pz, two_up, two_um),
     )
 
 
@@ -219,12 +224,15 @@ def _jump_intensity_z(pz, kappa_s_sq: float):
     return 0.5 * kappa_s_sq * (1.0 + pz)
 
 
+def _jump_pull_xyz(px, py, pz, lam):
+    """lam * (p - ground state): the compensator of the reset jumps."""
+    return tuple(lam * (c - g) for c, g in zip((px, py, pz), GROUND_STATE))
+
+
 def _counting_drift_xyz(px, py, pz, u_plus, u_minus, lam):
     """Between-jump drift given the jump intensity ``lam`` at the state."""
     base = _diffusive_drift_xyz(px, py, pz, u_plus, u_minus)
-    return tuple(
-        b + lam * (c - g) for b, c, g in zip(base, (px, py, pz), GROUND_STATE)
-    )
+    return tuple(b + j for b, j in zip(base, _jump_pull_xyz(px, py, pz, lam)))
 
 
 def bloch_to_density(p) -> np.ndarray:

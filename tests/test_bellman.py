@@ -1,5 +1,6 @@
 """Tests for the grid solvers: pointwise formulas, stencils, sweeps, files."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -454,9 +455,11 @@ def test_extract_policy_fills_the_controls_in_one_array(counting_grid):
     assert peak <= 1.2 * counting_grid.controls.nbytes
 
 
-# sha256 of the .vgrid bytes of every solver on one small grid per model,
-# recorded before the per-model record replaced the model branches in the
-# solvers and the file header.
+# sha256 of the .vgrid bytes of every solver on one small grid per model.
+# The angle digests were recorded before the per-model record replaced the
+# model branches in the solvers and the file header; the qubit ones when the
+# qubit solvers began to compute one symmetry cell and mirror it, on exactly
+# antisymmetric axes (at 7 nodes np.linspace is not).
 PINNED_VGRID_CASES = {
     "diffusive": (
         dict(n_nodes=7, n_steps=10, horizon_T=0.1, control_box=1.0,
@@ -476,12 +479,12 @@ PINNED_VGRID_CASES = {
 }
 
 PINNED_VGRIDS = {
-    ("diffusive", "fd"): "a5ff7503cfe61293c712d9cce0ca0bc2c9cec549d15bc651f93c38bbb24f7559",
-    ("diffusive", "closed-form"): "14fa4d65c95c3915cbcd17d2a7caf2a1e692a84db8becba4a6e49e841f1a362f",
-    ("diffusive", "exhaustive"): "a41188b91044382843e84435b416321fd69da3517af5b72cc22e25fc5c2bcc1f",
-    ("counting", "fd"): "b6baa82574a993b3dd71ba5de64d7947a4248fbcf99f3c116196b9bce5cdc16e",
-    ("counting", "closed-form"): "508906f76f9e85eb06d03dd3cc27835699479df10ec4bcb8479a08d882e6d790",
-    ("counting", "exhaustive"): "15a2ee12b9f9eebbcc4629bad8a5d4afaed439d24d873a5c2326a6c7b1fe32c0",
+    ("diffusive", "fd"): "16dba192fccf79655a7567c12cb3912e4c1d474f983e9b027fb7b61c4dbb91af",
+    ("diffusive", "closed-form"): "da0b0c742e8e1cf8202bbab6625f2ee6a08e5abd6393978dce2e6b596635833f",
+    ("diffusive", "exhaustive"): "dea495392d0d61e413b601ceccc19cc3aab35bc54bef501e2a16505ad8a74174",
+    ("counting", "fd"): "2434753f4b4b873caac9ffe6b4aa512b6d108d320f38ad95896486ec8156ee64",
+    ("counting", "closed-form"): "3631815ca08779ed284736f7c5e104a0d512130a11602b7684a8a85b7ea5c610",
+    ("counting", "exhaustive"): "a73f7470d6e37cbd8baeba1f88af501a16a75c60d5cacfea52c5e2413c565a1c",
     ("angle", "fd"): "3b885976fc314cc2d95fe58d863f877dba9b6c0b0fd9a944271c88c3f7a7b19e",
     ("angle", "closed-form"): "1076ee1ea12afbaeec940ad1897aa024e295d9942d7297d28b5e4d9ad87b0c10",
     ("angle", "exhaustive"): "a64d8bfb1a009ff9635fb123d2cc499e83e137f9fd8ddf8b8a1659f2d4eabd1e",
@@ -880,15 +883,20 @@ def test_stencils_on_the_gather_match_whole_array_reference(shape):
     drift = rng.normal(size=shape + (3,))
     drift[rng.random(shape) < 0.1] = 0.0
     sigma = rng.normal(size=shape + (3,))
+    # the gather reads the symmetry cell's nodes, the stencils the whole slice
     g = geo.gather(values)
-    assert g.shape == (3, 3, 3, np.count_nonzero(mask))
+    assert g.shape == (3, 3, 3, geo.cell.size)
+
+    def cell(a):
+        return a.reshape((mask.size,) + a.shape[3:])[geo.cell]
+
     for limited in (False, True):
-        want = _reference_gradient(values, spacings, limited)[mask]
+        want = cell(_reference_gradient(values, spacings, limited))
         assert np.array_equal(_bits(bm._gradient(g, spacings, limited)), _bits(want))
-    want = _reference_advection(values, drift, spacings)[mask]
-    assert np.array_equal(_bits(bm._advection_upwind(g, drift[mask].T, spacings)), _bits(want))
-    want = _reference_diffusion(values, sigma, spacings)[mask]
-    assert np.array_equal(_bits(bm._diffusion_term(g, sigma[mask].T, spacings)), _bits(want))
+    want = cell(_reference_advection(values, drift, spacings))
+    assert np.array_equal(_bits(bm._advection_upwind(g, cell(drift).T, spacings)), _bits(want))
+    want = cell(_reference_diffusion(values, sigma, spacings))
+    assert np.array_equal(_bits(bm._diffusion_term(g, cell(sigma).T, spacings)), _bits(want))
 
 
 def test_angle_stencils_on_the_gather_match_the_rolled_slice():
@@ -919,17 +927,19 @@ def test_angle_stencils_on_the_gather_match_the_rolled_slice():
                                               (31, 3320, 14147)])
 def test_neighbour_table_counts_the_nodes_with_a_dropped_stencil_term(n, shell, active):
     # the FD stencils read the axis and in-plane diagonal neighbours; a node
-    # with one of them masked or off the grid drops a term
+    # with one of them masked or off the grid drops a term.  The table holds
+    # the symmetry cell's nodes, and each active node counts as its image
     geo = bm.GridSpec(model="diffusive", n_nodes=n, n_steps=1, horizon_T=1.0)._geometry
     table = geo.neighbours
-    assert table.shape == (3, 3, 3, active)
-    assert np.array_equal(table[0, 0, 0], np.flatnonzero(geo.mask))
+    assert np.count_nonzero(geo.mask) == geo.rep.size == active
+    assert table.shape == (3, 3, 3, geo.cell.size)
+    assert np.array_equal(table[0, 0, 0], geo.cell)
     # the +x neighbour of the node (1, 0, 0) is off the grid: the sentinel
     assert table[1, 0, 0][np.argmax(geo.flat[:, 0])] == geo.mask.size
     readable = np.append(geo.mask.ravel(), False)[table]
     stencil = [at for at in np.ndindex(3, 3, 3) if 0 < np.count_nonzero(at) <= 2]
     dropped = ~np.all([readable[at] for at in stencil], axis=0)
-    assert np.count_nonzero(dropped) == shell
+    assert np.count_nonzero(dropped[geo.rep]) == shell
 
 
 def test_angle_neighbour_table_wraps():
@@ -1068,6 +1078,147 @@ def test_exhaustive_solve_dp_peak_stays_at_the_blocked_scan():
                        control_box=2.0, control_resolution=9)
     _, peak = _traced_peak(lambda: bm.solve_dp(spec, params, bm.EXHAUSTIVE))
     assert peak <= 1.05 * 11_833_947
+
+
+# ---------------------------------------------------------------------------
+# the symmetry cell: each qubit step is computed on px >= 0, py >= 0 and mirrored
+
+
+def test_axes_and_control_grids_are_exactly_antisymmetric():
+    # np.linspace is not, at 7, 8, 11, 13, ... nodes; where it is (3, 5, 9,
+    # 17, 33), the axes keep its bits
+    for n in range(3, 42):
+        spec = bm.GridSpec(model="diffusive", n_nodes=n, n_steps=1, horizon_T=1.0,
+                           control_box=2.0, control_resolution=n)
+        for a in (*spec.axes(), spec.control_values(), spec.control_values() / 2.0):
+            assert np.array_equal(a, -a[::-1])
+        if n in (3, 5, 9, 17, 33):
+            assert np.array_equal(_bits(spec.axes()[0]), _bits(np.linspace(-1.0, 1.0, n)))
+        if n in (3, 9):
+            assert np.array_equal(_bits(spec.control_values()), _bits(np.linspace(-2.0, 2.0, n)))
+    one = bm.GridSpec(model="diffusive", n_nodes=3, n_steps=1, horizon_T=1.0,
+                      control_box=2.0, control_resolution=1)
+    assert np.array_equal(one.control_values(), [0.0])
+
+
+def _full_grid_geometry(spec):
+    # the geometry as it stood before the symmetry cell: every active node
+    # is computed, and each is its own image
+    geo = spec._geometry
+    cell = np.flatnonzero(geo.mask)
+    return dataclasses.replace(geo, cell=cell, flat=spec.points()[geo.mask],
+                               rep=np.arange(cell.size), signs=np.ones((cell.size, 2)))
+
+
+def _full_grid_solve(spec, params, solver):
+    # the solvers' loops on the full-grid geometry
+    geo = _full_grid_geometry(spec)
+    values, controls = bm._terminal_slices(spec, geo)
+    if solver == "fd":
+        rhs = bm._fd_rhs_qubit(spec, params, geo)
+        for k in range(spec.n_steps, -1, -1):
+            g = geo.gather(values[k])
+            slope, u = bm._feedback(g, spec, geo)
+            bm._place(controls[k], geo, u)
+            if k:
+                bm._place(values[k - 1], geo, bm._nb(g) + spec.delta * rhs(values[k], g, slope, u))
+        return values, controls
+    bm._place(controls[-1], geo, bm._feedback(geo.gather(values[-1]), spec, geo)[1])
+    for k in range(spec.n_steps, 0, -1):
+        best, best_u = bm._dp_step(values[k], spec, params, solver, geo)
+        bm._place(values[k - 1], geo, best)
+        bm._place(controls[k - 1], geo, best_u)
+    return values, controls
+
+
+def _cell_solve(model, solver, shape):
+    spec = bm.GridSpec(model=model, n_nodes=shape, n_steps=10, horizon_T=0.1,
+                       control_box=1.0, control_resolution=5)
+    params = ModelParams(kappa_s_sq=0.5, horizon_T=0.1)
+    if solver == "fd":
+        return spec, params, bm.solve_backward(spec, params)
+    return spec, params, bm.solve_dp(spec, params, solver)
+
+
+SOLVERS = ["fd", bm.CLOSED_FORM, bm.EXHAUSTIVE]
+ODD_AND_EVEN = [(9, 9, 9), (7, 6, 7)]
+
+
+@pytest.mark.parametrize("shape", ODD_AND_EVEN)
+@pytest.mark.parametrize("solver", SOLVERS)
+@pytest.mark.parametrize("model", ["diffusive", "counting"])
+def test_qubit_solves_are_mirror_symmetric(model, solver, shape):
+    # values are bit-equal under px -> -px and py -> -py; off the mirror
+    # plane, u_plus flips sign under the x mirror and u_minus under the y one
+    spec, _, vg = _cell_solve(model, solver, shape)
+    mask = spec.active_mask()
+    for ax in (1, 2):
+        assert np.array_equal(_bits(vg.values), _bits(np.flip(vg.values, ax)))
+    for comp, (ax, other) in enumerate(((1, 2), (2, 1))):
+        u = vg.controls[:, comp]
+        n = u.shape[ax]
+        off = np.expand_dims(np.arange(n) != (n - 1) / 2, tuple(d for d in range(3) if d != ax - 1))
+        assert np.array_equal(_bits(u), _bits(np.flip(u, other)))
+        assert np.array_equal(_bits(u[:, mask & off]), _bits(-np.flip(u, ax)[:, mask & off]))
+
+
+# control entries where the cell solve picks another candidate than the
+# full-grid loop: exhaustive near-ties, whose objectives differ by an ulp
+NEAR_TIES = {("diffusive", (9, 9, 9)): 31}
+
+
+@pytest.mark.parametrize("shape", ODD_AND_EVEN)
+@pytest.mark.parametrize("solver", SOLVERS)
+@pytest.mark.parametrize("model", ["diffusive", "counting"])
+def test_cell_solves_match_the_full_grid_loop(model, solver, shape):
+    spec, params, vg = _cell_solve(model, solver, shape)
+    values, controls = _full_grid_solve(spec, params, solver)
+    mask = spec.active_mask()
+    assert np.array_equal(np.isnan(vg.values), np.isnan(values))
+    assert np.nanmax(np.abs(vg.values - values)) <= 1e-13
+    if solver != bm.EXHAUSTIVE:
+        assert np.nanmax(np.abs(vg.controls - controls)) <= 1e-13
+        return
+    geo = _full_grid_geometry(spec)
+    ties = 0
+    for k in range(spec.n_steps):
+        got, want = vg.controls[k][:, mask].T, controls[k][:, mask].T
+        differ = np.any(got != want, axis=1)
+        if differ.any():
+            objective = bm._dp_step_qubit(values[k + 1], spec, params, geo)[0]
+            gap = np.abs(objective(got) - objective(want))[differ]
+            assert gap.max() <= 1e-15
+        ties += np.count_nonzero(got != want)
+    assert ties == NEAR_TIES.get((model, shape), 0)
+
+
+@pytest.mark.parametrize("model", ["diffusive", "counting"])
+def test_dp_recursion_step_is_the_first_step_of_solve_dp(model):
+    params = ModelParams(kappa_s_sq=0.5, horizon_T=0.1)
+    spec = bm.GridSpec(model=model, n_nodes=(9, 8, 9), n_steps=10, horizon_T=0.1,
+                       control_box=1.0, control_resolution=5)
+    for mode in bm.CONTROL_MODES:
+        vg = bm.solve_dp(spec, params, mode)
+        got = bm.dp_recursion_step(vg.values[-1], spec, params, mode)
+        assert np.array_equal(_bits(got), _bits(vg.values[-2]))
+    # a slice off the mirror symmetry would be mirrored wrongly: refused
+    lopsided = vg.values[-1] + spec.points()[..., 0]
+    with pytest.raises(ValueError, match="symmetric under the mirrors"):
+        bm.dp_recursion_step(lopsided, spec, params)
+
+
+@pytest.mark.parametrize("model", ["diffusive", "counting"])
+def test_mirrored_exhaustive_controls_are_control_grid_points(model):
+    # at 7 points np.linspace(-1, 1, 7) is not antisymmetric, so a mirrored
+    # control would miss its candidate by an ulp
+    assert not np.array_equal(np.linspace(-1.0, 1.0, 7), -np.linspace(-1.0, 1.0, 7)[::-1])
+    params = ModelParams(kappa_s_sq=0.5, horizon_T=0.1)
+    spec = bm.GridSpec(model=model, n_nodes=9, n_steps=5, horizon_T=0.1,
+                       control_box=1.0, control_resolution=7)
+    # the terminal slice holds the completed-squares feedback, not a scan's
+    controls = bm.solve_dp(spec, params, bm.EXHAUSTIVE).controls[:-1, :, spec.active_mask()]
+    assert np.isin(controls, spec.control_values()).all()
+    assert (controls < 0.0).any() and (controls > 0.0).any()
 
 
 def test_solve_dp_angle_small_alpha_reaches_the_noise_free_limit():
