@@ -91,6 +91,10 @@ CFL_SAFETY = 0.25
 # few enough that the queries stay a small multiple of the slice in memory
 DP_BLOCK = 3
 
+# extract_policy fills up to this many control slices per `_fill_inactive`
+# call, and at most 1/16 of them, so the stack stays small beside the controls
+FILL_BLOCK = 32
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -548,7 +552,7 @@ def _diffusion_term(g: np.ndarray, sigma, spacings) -> np.ndarray:
     return total
 
 
-def _fill_inactive(values: np.ndarray, plan) -> np.ndarray:
+def _fill_inactive(values: np.ndarray, plan, stacked: bool = False) -> np.ndarray:
     """Extend a slice over the nodes outside the state space by repeated
     neighbor averaging.
 
@@ -560,17 +564,21 @@ def _fill_inactive(values: np.ndarray, plan) -> np.ndarray:
     is never read.  The neighbors are summed in the order of the
     whole-array sweep (axis by axis, +1 before -1), so a slice that is NaN
     exactly off the mask is filled bit for bit as that sweep fills it.
+    With ``stacked``, ``values`` is a (k, *grid) stack whose k slices are
+    filled together, one gather per neighbor slot and sweep.
     """
     filled = np.asarray(values, dtype=float)
-    # one trailing 0.0 stands in for every neighbor a sweep does not count
-    ext = np.zeros(filled.size + 1)
-    ext[:-1] = filled.ravel()
+    # nodes along axis 0 (a stack's slices along axis 1); one trailing row
+    # of 0.0 stands in for every neighbor a sweep does not count
+    nodes = filled.reshape(len(filled), -1).T if stacked else filled.ravel()
+    ext = np.zeros((len(nodes) + 1,) + nodes.shape[1:])
+    ext[:-1] = nodes
     for targets, neighbors, counts in plan:
-        acc = np.zeros(targets.size)
+        acc = np.zeros((targets.size,) + nodes.shape[1:])
         for slot in neighbors:
-            acc += ext.take(slot)
-        ext[targets] = acc / counts
-    return ext[:-1].reshape(filled.shape)
+            acc += ext.take(slot, axis=0)
+        ext[targets] = acc / (counts[:, None] if stacked else counts)
+    return (ext[:-1].T if stacked else ext[:-1]).reshape(filled.shape)
 
 
 def _fill_plan(missing: np.ndarray, good: np.ndarray) -> list:
@@ -1035,8 +1043,8 @@ def extract_policy(vg: ValueGrid):
     the controls on the active nodes are read: the masked nodes are filled
     from them by repeated neighbor averaging (`_fill_inactive`, one plan
     per grid), so queries near the sphere stay finite.  The filled slices
-    are written into one array the size of the controls, one slice at a
-    time.  Queries with t outside [0, T] raise ValueError.  The returned
+    are written into one array the size of the controls, FILL_BLOCK slices
+    at a time.  Queries with t outside [0, T] raise ValueError.  The returned
     callable accepts batched states.
     """
     spec = vg.spec
@@ -1064,8 +1072,10 @@ def extract_policy(vg: ValueGrid):
     geo = spec._geometry
     slices = (-1,) + spec.shape
     filled = np.empty(vg.controls.shape)
-    for out, c in zip(filled.reshape(slices), vg.controls.reshape(slices)):
-        out[...] = _fill_inactive(c, geo.fill)
+    out, controls = filled.reshape(slices), vg.controls.reshape(slices)
+    step = max(1, min(FILL_BLOCK, len(controls) // 16))
+    for lo in range(0, len(controls), step):
+        out[lo : lo + step] = _fill_inactive(controls[lo : lo + step], geo.fill, stacked=True)
 
     def policy(t, state):
         # the plan clamps every axis into [-1, 1]; one plan serves both components

@@ -179,60 +179,78 @@ def _stack_last(components) -> np.ndarray:
 # `trajectories` call them directly on states the engine has validated,
 # and both grid solvers in `bellman` (the finite-difference sweep and the
 # dynamic-programming step) on grid nodes valid by construction.
+# Each writes into ``out`` (3 rows, or 1) and the drifts keep intermediates
+# in ``work``; every operation names its destination or None, so the
+# solvers (no buffers) and the engine run the same operations in order.
 
 
-def _project_xyz(xyz: np.ndarray, ball_tol: float) -> np.ndarray:
+def _rows(a):
+    """The rows of a (3, ...) buffer as arrays (0-d for one state), or Nones."""
+    return (None, None, None) if a is None else (a[0, ...], a[1, ...], a[2, ...])
+
+
+def _project_xyz(xyz: np.ndarray, ball_tol: float, work=None) -> np.ndarray:
     """Radial projection, in place, of a (3, ...) array of components.
 
     The squared norm is summed in the order np.linalg.norm uses on a
     trailing axis, so both layouts project the same states bit for bit.
+    A contiguous ``work`` holds the norms, and the mask in its last row.
     """
     px, py, pz = xyz
-    norms = np.sqrt((px * px + py * py) + pz * pz)
-    outside = norms > 1.0 + ball_tol
+    w0, w1, w2 = _rows(work)
+    norms = np.add(np.multiply(px, px, w0), np.multiply(py, py, w1), w0)
+    norms = np.sqrt(np.add(norms, np.multiply(pz, pz, w1), w0), w0)
+    outside = np.greater(norms, 1.0 + ball_tol, w2 if w2 is None else np.ndarray(w2.shape, bool, w2))
     if outside.any():
         np.divide(xyz, norms, out=xyz, where=outside)
     return xyz
 
 
-def _diffusive_drift_z(px, py, pz, two_up, two_um):
+def _diffusive_drift_z(px, py, pz, two_up, two_um, out=None, work=None):
     """The homodyne drift's z component from 2 u_plus and 2 u_minus, alone."""
-    return -(1.0 + pz) + two_up * px - two_um * py
+    bz = np.negative(np.add(1.0, pz, out), out)
+    bz = np.add(bz, np.multiply(two_up, px, work), out)
+    return np.subtract(bz, np.multiply(two_um, py, work), out)
 
 
-def _diffusive_drift_xyz(px, py, pz, u_plus, u_minus):
-    two_up = 2.0 * u_plus
-    two_um = 2.0 * u_minus
-    return (
-        -0.5 * px - two_up * pz,
-        -0.5 * py + two_um * pz,
-        _diffusive_drift_z(px, py, pz, two_up, two_um),
-    )
+def _diffusive_drift_xyz(px, py, pz, u_plus, u_minus, out=None, work=None):
+    """The homodyne drift; in place, 2 u_plus and 2 u_minus wait in out's x and y."""
+    ox, oy, oz = _rows(out)
+    two_up = np.multiply(2.0, u_plus, ox)
+    two_um = np.multiply(2.0, u_minus, oy)
+    bz = _diffusive_drift_z(px, py, pz, two_up, two_um, oz, work)
+    up_pz = np.multiply(two_up, pz, work)
+    bx = np.subtract(np.multiply(-0.5, px, ox), up_pz, ox)
+    um_pz = np.multiply(two_um, pz, work)
+    by = np.add(np.multiply(-0.5, py, oy), um_pz, oy)
+    return bx, by, bz
 
 
-def _diffusive_diffusion_xyz(px, py, pz, kappa_s: float):
-    neg_px = -px
-    one_pz = 1.0 + pz
-    return (
-        kappa_s * (one_pz - px * px),
-        kappa_s * (neg_px * py),
-        kappa_s * (neg_px * one_pz),
-    )
+def _diffusive_diffusion_xyz(px, py, pz, kappa_s: float, out=None):
+    ox, oy, oz = _rows(out)
+    one_pz = np.add(1.0, pz, oz)
+    neg_px = np.negative(px, oy)
+    sx = np.multiply(kappa_s, np.subtract(one_pz, np.multiply(px, px, ox), ox), ox)
+    sz = np.multiply(kappa_s, np.multiply(neg_px, one_pz, oz), oz)
+    sy = np.multiply(kappa_s, np.multiply(neg_px, py, oy), oy)
+    return sx, sy, sz
 
 
-def _jump_intensity_z(pz, kappa_s_sq: float):
-    return 0.5 * kappa_s_sq * (1.0 + pz)
+def _jump_intensity_z(pz, kappa_s_sq: float, out=None):
+    return np.multiply(0.5 * kappa_s_sq, np.add(1.0, pz, out), out)
 
 
-def _jump_pull_xyz(px, py, pz, lam):
+def _jump_pull_xyz(px, py, pz, lam, out=None):
     """lam * (p - ground state): the compensator of the reset jumps."""
-    return tuple(lam * (c - g) for c, g in zip((px, py, pz), GROUND_STATE))
+    return tuple(np.multiply(lam, np.subtract(c, g, o), o)
+                 for c, g, o in zip((px, py, pz), GROUND_STATE, _rows(out)))
 
 
-def _counting_drift_xyz(px, py, pz, u_plus, u_minus, lam):
-    """Between-jump drift given the jump intensity ``lam`` at the state."""
-    base = _diffusive_drift_xyz(px, py, pz, u_plus, u_minus)
-    return tuple(b + j for b, j in zip(base, _jump_pull_xyz(px, py, pz, lam)))
+def _counting_drift_xyz(px, py, pz, u_plus, u_minus, lam, out=None, work=None):
+    """Between-jump drift given the jump intensity ``lam``; work holds the pull."""
+    base = _diffusive_drift_xyz(px, py, pz, u_plus, u_minus, out, _rows(work)[0])
+    pull = _jump_pull_xyz(px, py, pz, lam, work)
+    return tuple(np.add(b, j, o) for b, j, o in zip(base, pull, _rows(out)))
 
 
 def bloch_to_density(p) -> np.ndarray:

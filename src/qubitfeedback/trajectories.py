@@ -20,14 +20,17 @@ noise (common random numbers).  ``run_batches``, which the CLI's
 policy; each policy gets the result its own batch would give.
 ``simulate`` is path 0 of its seed.  Paths run serially in chunks of
 ``CHUNK_PATHS`` = 4096; each path's noise is drawn in blocks of
-``NOISE_BLOCK`` = 256 steps into one reused buffer, so the engine's noise
-memory is about 4096 * 256 * 8 bytes whatever the horizon.  Block-wise
-draws are the same numbers as one draw over the horizon, so fixed-seed
-results are unchanged bit for bit by the blocking.
+``NOISE_BLOCK`` = 256 steps, via a tile of ``TILE_PATHS`` paths, into one
+reused (256, 4096) buffer of per-step rows, so the engine's noise memory
+is about 4096 * 256 * 8 bytes whatever the horizon.  Block-wise draws are
+the same numbers as one draw over the horizon, so fixed-seed results are
+unchanged bit for bit by the blocking.  A step allocates nothing: each
+policy has two state buffers, written in turn, and the qubit kernels keep
+their intermediates in one scratch array per chunk.
 
 What differs between the models is data in one frozen `ModelRecord` per
 model (`MODEL_RECORDS`): the CLI and ``.vgrid`` id, state and control
-shapes, noise kind, how one column of noise becomes a step (``advance``)
+shapes, noise kind, how one row of noise becomes a step (``advance``)
 and a measurement record (``observe``), CSV header, grid bounds and
 terminal cost.  The engine, the policy factories, the CSV writer, the
 grid solvers and the CLI all read it; the engine is one loop for all
@@ -82,50 +85,56 @@ def wrap_angle(theta):
 
 # The qubit kernels work on components, so a state handed in as the (n, 3)
 # transpose of a (3, n) array reads contiguous rows, and they return that
-# same layout.  They do no checking (see the module docstring).
+# same layout, written into ``out``; ``work`` holds the intermediates.  Both
+# are allocated when not given.  They do no checking (see the module docstring).
 
 
-def _projected(components, ball_tol: float) -> np.ndarray:
-    """Stack new components, project them into the ball, return (..., 3).
+def _step_buffers(p, out, work, u, noise):
+    """p's components padded to the step's ndim, out, its (3, ...) view, work."""
+    xyz = _xyz(p)
+    if out is None or work is None:
+        shape = np.broadcast_shapes(xyz.shape[1:], np.shape(u)[:-1], np.shape(noise))
+        out = np.moveaxis(np.empty((3,) + shape), 0, -1) if out is None else out
+        work = np.empty((3,) + shape) if work is None else work
+    new = _xyz(out)
+    return xyz.reshape((3,) + (1,) * (new.ndim - xyz.ndim) + xyz.shape[1:]), out, new, work
 
-    The components share one shape: each is built from all of the step's
-    inputs.
-    """
-    xyz = np.stack(list(components))
-    _project_xyz(xyz, ball_tol)
-    return xyz.transpose(*range(1, xyz.ndim), 0)
 
-
-def step_diffusive(p, u, dt, dW, params: ModelParams, ball_tol: float = BALL_TOL):
+def step_diffusive(p, u, dt, dW, params: ModelParams, ball_tol: float = BALL_TOL,
+                   out=None, work=None):
     """One Euler-Maruyama step of the homodyne filter, then ball projection.
 
     ``dW`` is the Wiener increment over the step (scalar or batch-shaped).
-    Inputs are not validated; see the engine's boundary checks.
+    ``out`` is the transpose of a (3, ...) array, ``work`` a contiguous
+    one.  Inputs are not validated; see the engine's boundary checks.
     """
-    xyz = _xyz(p)
-    drift = _diffusive_drift_xyz(*xyz, *_xyz(u))
-    sigma = _diffusive_diffusion_xyz(*xyz, params.kappa_s)
-    dW = np.asarray(dW, dtype=float)
-    return _projected(
-        (c + d * dt + s * dW for c, d, s in zip(xyz, drift, sigma)), ball_tol
-    )
+    xyz, out, new, work = _step_buffers(p, out, work, u, dW)
+    _diffusive_drift_xyz(*xyz, *_xyz(u), new, work[0, ...])
+    np.add(xyz, np.multiply(new, dt, new), new)
+    _diffusive_diffusion_xyz(*xyz, params.kappa_s, work)
+    np.add(new, np.multiply(work, dW, work), new)
+    _project_xyz(new, ball_tol, work)
+    return out
 
 
-def step_counting(p, u, dt, jumped, params: ModelParams, ball_tol: float = BALL_TOL):
+def step_counting(p, u, dt, jumped, params: ModelParams, ball_tol: float = BALL_TOL,
+                  out=None, work=None, lam=None):
     """One step of the counting filter.
 
     The compensated drift is applied first; paths flagged in ``jumped``
     are then reset to the ground state, so a jump lands exactly on
-    ``jump_target()`` regardless of dt.  Inputs are not validated.
+    ``jump_target()`` regardless of dt.  ``lam``, the jump intensity at
+    ``p``, is computed when not given.  Inputs are not validated.
     """
-    xyz = _xyz(p)
-    lam = _jump_intensity_z(xyz[2], params.kappa_s_sq)
-    drift = _counting_drift_xyz(*xyz, *_xyz(u), lam)
     jumped = np.asarray(jumped, dtype=bool)
-    return _projected(
-        (np.where(jumped, g, c + d * dt) for c, d, g in zip(xyz, drift, GROUND_STATE)),
-        ball_tol,
-    )
+    xyz, out, new, work = _step_buffers(p, out, work, u, jumped)
+    if lam is None:
+        lam = _jump_intensity_z(xyz[2], params.kappa_s_sq)
+    _counting_drift_xyz(*xyz, *_xyz(u), lam, new, work)
+    np.add(xyz, np.multiply(new, dt, new), new)
+    np.copyto(new, GROUND_STATE.reshape((3,) + (1,) * (new.ndim - 1)), where=jumped)
+    _project_xyz(new, ball_tol, work)
+    return out
 
 
 def step_angle(theta, B, dt, dW, params: ModelParams):
@@ -136,11 +145,11 @@ def step_angle(theta, B, dt, dW, params: ModelParams):
     return wrap_angle(theta + 2.0 * B * dt + 2.0 * params.alpha * dW)
 
 
-def _thinned(pz, uniforms, dt, params: ModelParams):
+def _thinned(lam, uniforms, dt, out=None, work=None):
     """Bernoulli thinning: True where a uniform draw falls below the pre-step
-    intensity times dt.  The engine's counting step and `sample_jump` both
-    flag their detections here."""
-    return uniforms < _jump_intensity_z(pz, params.kappa_s_sq) * dt
+    intensity ``lam`` times dt.  The engine's counting step and
+    `sample_jump` both flag their detections here."""
+    return np.less(uniforms, np.multiply(lam, dt, out=work), out=out)
 
 
 def sample_jump(p, dt, rng: np.random.Generator, params: ModelParams):
@@ -156,8 +165,7 @@ def sample_jump(p, dt, rng: np.random.Generator, params: ModelParams):
             f"dt * intensity reaches {np.max(prob)}; decrease dt below "
             f"{1.0 / max(float(np.max(lam)), 1e-300)}"
         )
-    pz = np.asarray(p, dtype=float)[..., 2]
-    return _thinned(pz, rng.random(np.shape(prob)), dt, params)
+    return _thinned(lam, rng.random(np.shape(prob)), dt)
 
 
 # ---------------------------------------------------------------------------
@@ -171,9 +179,10 @@ class ModelRecord:
     ``model_id`` is the public name on the command line and in ``.vgrid``
     headers.  Shapes are per path (``()`` for the scalar angle model).
     ``noise`` names the ``numpy.random.Generator`` method drawing each
-    step's noise.  ``advance(state, u, dt, draws, params)`` turns one
-    column of those draws into the step's increment (the Wiener increment
-    dW, or the 0/1 jump indicator) and returns ``(new_state, increment)``.
+    step's noise, scaled by sqrt(dt) into dW when ``wiener``.
+    ``advance(state, u, dt, noise, params, out, work, rate, flags)`` steps
+    on one row of it (dW, or the uniforms) into the buffers given, or
+    allocated, and returns ``(new_state, increment)``: dW or the jump flags.
     ``observe(states, increments, dt, params)`` gives the measurement
     record of those steps (the dY or dN column), or None for the angle.
     ``bounds`` and ``periodic`` describe the value-grid axes.
@@ -186,6 +195,7 @@ class ModelRecord:
     state_shape: tuple[int, ...]
     control_shape: tuple[int, ...]
     noise: str
+    wiener: bool
     advance: Callable
     observe: Callable
     csv_header: str
@@ -203,18 +213,18 @@ class ModelRecord:
 # benchmark's tracer does) is the one that runs.
 
 
-def _advance_diffusive(p, u, dt, draws, params):
-    dW = draws * np.sqrt(dt)
-    return step_diffusive(p, u, dt, dW, params), dW
+def _advance_diffusive(p, u, dt, dW, params, out=None, work=None, *_):
+    return step_diffusive(p, u, dt, dW, params, BALL_TOL, out, work), dW
 
 
-def _advance_counting(p, u, dt, draws, params):
-    jumped = _thinned(p[..., 2], draws, dt, params)
-    return step_counting(p, u, dt, jumped, params), jumped.astype(float)
+def _advance_counting(p, u, dt, uniforms, params, out=None, work=None, rate=None, flags=None):
+    # the pre-step intensity both thins the uniforms and drives the drift
+    lam = _jump_intensity_z(p[..., 2], params.kappa_s_sq, rate)
+    jumped = _thinned(lam, uniforms, dt, flags, None if work is None else work[0])
+    return step_counting(p, u, dt, jumped, params, BALL_TOL, out, work, lam), jumped
 
 
-def _advance_angle(theta, B, dt, draws, params):
-    dW = draws * np.sqrt(dt)
+def _advance_angle(theta, B, dt, dW, params, *_):
     return step_angle(theta, B, dt, dW, params), dW
 
 
@@ -225,16 +235,16 @@ _QUBIT = dict(
 )
 MODEL_RECORDS = {
     DIFFUSIVE: ModelRecord(
-        "diffusive-qubit", noise="standard_normal", advance=_advance_diffusive,
+        "diffusive-qubit", noise="standard_normal", wiener=True, advance=_advance_diffusive,
         observe=lambda p, dW, dt, params: observation_drift(p, params) * dt + dW, **_QUBIT,
     ),
     COUNTING: ModelRecord(
-        "counting-qubit", noise="random", advance=_advance_counting,
+        "counting-qubit", noise="random", wiener=False, advance=_advance_counting,
         observe=lambda p, jumps, dt, params: jumps.copy(), **_QUBIT,
     ),
     ANGLE: ModelRecord(
         "angle-lq", state_shape=(), control_shape=(), noise="standard_normal",
-        advance=_advance_angle, observe=lambda *_: None,
+        wiener=True, advance=_advance_angle, observe=lambda *_: None,
         csv_header="t,theta,B,dW,running_cost", bounds=((-np.pi, np.pi),),
         periodic=True, terminal_cost=lambda theta: theta * theta,
     ),
@@ -377,10 +387,11 @@ class CostStatistics:
 
 
 # paths are advanced in lockstep in chunks of this many; noise is drawn per
-# path in blocks of NOISE_BLOCK steps, so a chunk's noise buffer holds
-# CHUNK_PATHS * NOISE_BLOCK doubles whatever the horizon
+# path in blocks of NOISE_BLOCK steps, via tiles of TILE_PATHS paths, so a
+# chunk's noise buffer holds CHUNK_PATHS * NOISE_BLOCK doubles whatever the horizon
 CHUNK_PATHS = 4096
 NOISE_BLOCK = 256
+TILE_PATHS = 128
 
 
 def _path_rngs(seed, indices) -> list[np.random.Generator]:
@@ -454,42 +465,53 @@ def _simulate_paths(model, policies, start, n_steps, params, dt, rngs, watch=Non
     per-path total costs, one row per policy.  Each noise block is drawn
     once for all policies.
 
-    ``start`` and the other inputs come from `_validated_start`.  Qubit
-    states are kept as a (3, n) array per policy; the policy and the
-    model's ``advance`` see its (n, 3) transpose.  ``watch(k, i, u,
-    increment, state_after)``, when given, sees step k of policy i.
+    ``start`` and the other inputs come from `_validated_start`.  Each
+    policy has two state buffers, written in turn; a qubit one is the
+    (n, 3) transpose of a (3, n) array.  The noise is kept as one row per
+    step.  ``watch(k, i, u, increment, state_after)``, when given, sees
+    step k of policy i; its arguments are reused buffers, valid only
+    during the call.
     """
     rec = MODEL_RECORDS[model]
     n_paths = len(rngs)
     ctrl_shape = (n_paths,) + rec.control_shape
-    states = [np.repeat(np.asarray(start)[..., None], n_paths, axis=-1) for _ in policies]
+    first = np.repeat(np.asarray(start)[..., None], n_paths, axis=-1)
+    states = [[np.moveaxis(b, -1, 0) for b in (first.copy(), np.empty_like(first))] for _ in policies]
     costs = np.zeros((len(policies), n_paths))
     draw = getattr(np.random.Generator, rec.noise)
-    # row i holds path i's next block of draws: the same numbers, in the
+    # column i of a block holds path i's draws: the same numbers, in the
     # same order, as one draw of n_steps from its generator
-    draws = np.empty((n_paths, min(NOISE_BLOCK, n_steps)))
+    block = min(NOISE_BLOCK, n_steps)
+    noise, tile = np.empty((block, n_paths)), np.empty((min(TILE_PATHS, n_paths), block))
+    dW, rate, flags = np.empty(n_paths), np.empty(n_paths), np.empty(n_paths, dtype=bool)
+    work = np.empty((3, n_paths))
 
     for block_start in range(0, n_steps, NOISE_BLOCK):
         block_len = min(NOISE_BLOCK, n_steps - block_start)
-        for row, r in zip(draws, rngs):
-            draw(r, out=row[:block_len])
+        for lo in range(0, n_paths, len(tile)):
+            rows = tile[: n_paths - lo, :block_len]
+            for row, r in zip(rows, rngs[lo : lo + len(rows)]):
+                draw(r, out=row)
+            noise[:block_len, lo : lo + len(rows)] = rows.T
         for j in range(block_len):
             k = block_start + j
+            step_noise = np.multiply(noise[j], np.sqrt(dt), dW) if rec.wiener else noise[j]
             for i, policy in enumerate(policies):
-                view = states[i].T
-                u = _checked_control(policy(k * dt, view), ctrl_shape)
+                state, spare = states[i]
+                u = _checked_control(policy(k * dt, state), ctrl_shape)
                 costs[i] += _effort(u) * dt
-                new_state, increment = rec.advance(view, u, dt, draws[:, j], params)
+                new_state, increment = rec.advance(state, u, dt, step_noise, params,
+                                                   spare, work, rate, flags)
                 if watch is not None:
                     watch(k, i, u, increment, new_state)
-                states[i] = new_state.T
-        if not all(np.isfinite(state).all() for state in states):
+                states[i] = [new_state, state]
+        if not all(np.isfinite(state).all() for state, _ in states):
             raise ValueError(
                 f"state became non-finite before t = {(block_start + block_len) * dt!r}"
             )
 
-    for cost, state in zip(costs, states):
-        cost += rec.terminal_cost(state.T)
+    for cost, (state, _) in zip(costs, states):
+        cost += rec.terminal_cost(state)
     return costs
 
 

@@ -12,7 +12,14 @@ import pytest
 from qubitfeedback import bellman as bm
 from qubitfeedback import lq
 from qubitfeedback import trajectories as tj
-from qubitfeedback.filters import GROUND_STATE, ModelParams
+from qubitfeedback.filters import (
+    GROUND_STATE,
+    ModelParams,
+    counting_drift,
+    diffusive_diffusion,
+    diffusive_drift,
+    project_to_ball,
+)
 
 
 QUBIT = ModelParams(kappa_s_sq=1.0, kappa_f_sq=0.0, horizon_T=1.0)
@@ -65,6 +72,74 @@ def test_step_angle():
     assert tj.step_angle(0.0, 1.0, 0.1, 0.0, ANGLE) == pytest.approx(0.2)
     # wraps into [-pi, pi)
     assert tj.step_angle(3.1, 1.0, 0.1, 0.0, ANGLE) == pytest.approx(3.3 - 2 * np.pi)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def _ball_states(rng, n, radius=1.0):
+    p = rng.normal(size=(n, 3))
+    return radius * p / np.linalg.norm(p, axis=-1, keepdims=True) * rng.uniform(0.2, 1.0, (n, 1))
+
+
+# (p, u, noise, ball_tol) per case; the noise is dW for the homodyne kernel
+# and the jump flags for the counting one.  Some of the "projected" states,
+# which start on the sphere, leave the ball by more than BALL_TOL and are
+# projected back; with ball_tol=inf none is.
+_rng = np.random.default_rng(40)
+_P, _U = _ball_states(_rng, 50), _rng.uniform(-2.0, 2.0, (50, 2))
+_SPHERE = _P / np.linalg.norm(_P, axis=-1, keepdims=True)
+_DW, _JUMPS = 0.3 * _rng.normal(size=50), _rng.random(50) < 0.5
+KERNEL_CASES = {
+    "batch": (_P, _U, _DW, _JUMPS, tj.BALL_TOL),
+    "scalar_noise": (_P, _U, 0.2, False, tj.BALL_TOL),
+    "control_broadcast": (_P, np.array([0.7, -0.4]), _DW, _JUMPS, tj.BALL_TOL),
+    "single_state": (_P[0], _U[0], -0.3, True, tj.BALL_TOL),
+    "single_state_batch_noise": (_P[1], _U[1], _DW, _JUMPS, tj.BALL_TOL),
+    "projected": (_SPHERE, _U, _DW, _JUMPS, tj.BALL_TOL),
+    "never_projected": (_SPHERE, _U, _DW, _JUMPS, np.inf),
+}
+
+
+def _kernel_reference(kernel, p, u, dt, noise, params, ball_tol):
+    """The step through the checked public coefficient functions."""
+    p, u = np.asarray(p, dtype=float), np.asarray(u, dtype=float)
+    if kernel is tj.step_diffusive:
+        new = p + diffusive_drift(p, u) * dt + diffusive_diffusion(p, params) * np.asarray(noise)[..., None]
+    else:
+        drifted = p + counting_drift(p, u, params) * dt
+        new = np.where(np.asarray(noise)[..., None], GROUND_STATE, drifted)
+    return project_to_ball(new, ball_tol)
+
+
+@pytest.mark.parametrize("kernel", [tj.step_diffusive, tj.step_counting], ids=["diffusive", "counting"])
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_kernels_give_the_same_bits_with_and_without_a_workspace(kernel, case):
+    p, u, dW, jumps, ball_tol = KERNEL_CASES[case]
+    noise = dW if kernel is tj.step_diffusive else jumps
+    inputs = [np.array(p, copy=True), np.array(u, copy=True)]
+    args = (p, u, 1e-2, noise, MIXED, ball_tol)
+    alone = kernel(*args)
+    shape = np.broadcast_shapes(np.shape(p)[:-1], np.shape(u)[:-1], np.shape(noise))
+    out = np.moveaxis(np.empty((3,) + shape), 0, -1)
+    work = np.full((3,) + shape, np.nan)
+    # twice into the same buffers: the second step reads none of the first's leftovers
+    for _ in range(2):
+        got = kernel(*args, out, work)
+        assert got is out
+        assert np.array_equal(_bits(got), _bits(alone))
+    assert np.array_equal(_bits(alone), _bits(_kernel_reference(kernel, *args)))
+    assert all(np.array_equal(a, b) for a, b in zip(inputs, (p, u)))
+    if kernel is tj.step_counting:
+        lam = 0.5 * MIXED.kappa_s_sq * (1.0 + np.asarray(p)[..., 2])
+        assert np.array_equal(_bits(kernel(*args, out, work, lam)), _bits(alone))
+    moved = np.linalg.norm(kernel(p, u, 1e-2, noise, MIXED, np.inf), axis=-1) > 1.0 + tj.BALL_TOL
+    if case == "projected":
+        assert 0 < moved.sum() < moved.size
+        np.testing.assert_allclose(np.linalg.norm(alone, axis=-1)[moved], 1.0)
+    if case == "never_projected":
+        assert moved.any()
 
 
 def test_sample_jump_rejects_coarse_dt():
@@ -215,6 +290,65 @@ def test_batch_is_chunk_invariant(monkeypatch):
     monkeypatch.setattr(tj, "CHUNK_PATHS", 7)
     _, b = tj.run_batch(tj.DIFFUSIVE, tj.zero_policy(tj.DIFFUSIVE), [1, 0, 0], MIXED, 0.02, 30, **kw)
     np.testing.assert_array_equal(a, b)
+
+
+# (policy, x0, params) per model with controls that move the state; 300
+# steps are one noise block and 44 steps of another
+CHUNKED = {
+    tj.DIFFUSIVE: (lambda t, s: -0.5 * s[..., :2], [1.0, 0.0, 0.0],
+                   ModelParams(kappa_s_sq=0.5, horizon_T=0.3)),
+    tj.COUNTING: (tj.constant_policy(tj.COUNTING, (0.3, -0.2)), [0.0, 0.6, 0.8],
+                  ModelParams(kappa_s_sq=1.0, horizon_T=0.3)),
+    tj.ANGLE: (tj.lq_policy(ModelParams(alpha=0.5, horizon_T=0.3)), 1.0,
+               ModelParams(alpha=0.5, horizon_T=0.3)),
+}
+
+
+@pytest.mark.parametrize("model", tj.MODELS)
+def test_costs_do_not_depend_on_the_chunk_or_noise_tile(model, monkeypatch):
+    policy, x0, params = CHUNKED[model]
+
+    def costs():
+        _, c = tj.run_batch(model, policy, x0, params, 1e-3, 300, seed=41, return_costs=True)
+        return c
+
+    whole = costs()  # one chunk of 300 paths: tiles of 128, 128 and 44
+    assert 300 % tj.NOISE_BLOCK and 300 > tj.NOISE_BLOCK and tj.TILE_PATHS == 128
+    for chunk in (7, 130):
+        monkeypatch.setattr(tj, "CHUNK_PATHS", chunk)
+        assert np.array_equal(_bits(costs()), _bits(whole))
+
+
+def _stepwise_costs(model, policy, x0, params, dt, n_paths, seed):
+    """Per-path costs from the public kernels, one allocating call per step,
+    with each path's noise drawn over the whole horizon at once."""
+    n_steps = round(params.horizon_T / dt)
+    noise = np.array([getattr(np.random.default_rng(np.random.SeedSequence((seed, i))),
+                              tj.MODEL_RECORDS[model].noise)(n_steps) for i in range(n_paths)])
+    state, cost = np.tile(np.asarray(x0, dtype=float), (n_paths, 1)), np.zeros(n_paths)
+    for k in range(n_steps):
+        u = np.array(policy(k * dt, state))
+        cost += tj._effort(u) * dt
+        if model == tj.DIFFUSIVE:
+            state = tj.step_diffusive(state, u, dt, noise[:, k] * np.sqrt(dt), params)
+        else:
+            jumped = noise[:, k] < tj.jump_intensity(state, params) * dt
+            state = tj.step_counting(state, u, dt, jumped, params)
+    return cost + (1.0 - state[:, 2])
+
+
+@pytest.mark.parametrize("model", [tj.DIFFUSIVE, tj.COUNTING])
+def test_a_policy_may_return_a_view_of_its_state(model, monkeypatch):
+    # the engine writes each step into the policy's other buffer, so a
+    # control that aliases the state it was computed from stays valid for
+    # the step; two such policies share the noise and the scratch
+    monkeypatch.setattr(tj, "CHUNK_PATHS", 7)
+    policies = [lambda t, s: s[..., :2], lambda t, s: -s[..., 1::-1]]
+    kw = dict(x0=[0.3, 0.4, 0.5], params=MIXED, dt=1e-2, n_paths=20, seed=43)
+    together = tj.run_batches(model, policies, **kw, return_costs=True)
+    for policy, (_, costs) in zip(policies, together):
+        assert np.array_equal(_bits(costs), _bits(_stepwise_costs(model, policy, **kw)))
+    assert not np.array_equal(together[0][1], together[1][1])
 
 
 def test_common_random_numbers_share_noise():
