@@ -10,10 +10,10 @@ replacing derivatives with interpolation of the next slice at the
 post-step states: a two-point quadrature stands in for the Wiener
 increment and a Bernoulli branch pair for the detection events, and the
 minimization runs either over an explicit control grid or through the
-same completed-squares formula.  Interpolation plans are built per axis and
-broadcast together, so the control scan builds the post-step x and y axes
-once per control value (x reads u_plus only, y u_minus only) and z per
-candidate.
+same completed-squares formula.  Every interpolated read goes through one
+per-axis plan (a box axis clamps, the circle wraps onto a slice padded with
+its first node), so the qubit scan builds the post-step x and y plans once
+per control value (x reads u_plus only, y u_minus only) and z's per candidate.
 
 Qubit grids are uniform over the cube [-1, 1]^3, node i of n at
 (2i - (n - 1)) / (n - 1), with nodes outside the closed unit ball masked out
@@ -609,14 +609,17 @@ def _fill_plan(missing: np.ndarray, good: np.ndarray) -> list:
     return plan
 
 
-def _axis_plan(axes, ax, q):
-    """Axis ``ax`` of an interpolation plan at coordinates ``q`` along it,
-    clamped into the box: (flat offset of the lower node, stride,
-    (1 - frac, frac))."""
-    nodes = axes[ax]
-    stride = math.prod(a.size for a in axes[ax + 1 :])
-    h = nodes[1] - nodes[0]
-    f = (np.clip(q, nodes[0], nodes[-1]) - nodes[0]) / h
+def _axis_plan(geo, ax, q):
+    """Axis ``ax`` of an interpolation plan at coordinates ``q``: (flat offset of
+    the lower node, stride, (1 - frac, frac)); a box axis clamps ``q``, the
+    circle (the angle grid's one axis) wraps it onto a `_wrapped` slice."""
+    nodes = geo.axes[ax]
+    stride = math.prod(a.size for a in geo.axes[ax + 1 :])
+    if geo.periodic:
+        f = (q - nodes[0]) / geo.spacings[ax]
+        i0 = np.floor(f).astype(int)
+        return np.mod(i0, nodes.size) * stride, stride, (1.0 - (f - i0), f - i0)
+    f = (np.clip(q, nodes[0], nodes[-1]) - nodes[0]) / (nodes[1] - nodes[0])
     i0 = np.clip(np.floor(f).astype(int), 0, nodes.size - 2)
     frac = np.clip(f - i0, 0.0, 1.0)
     return i0 * stride, stride, (1.0 - frac, frac)
@@ -634,10 +637,11 @@ def _corners(plan):
             yield (weights[bit] if w is None else w * weights[bit]), off + bit * stride
 
 
-def _interp_plan(axes, pts):
-    """The plan of queries at points (..., dim): one `_axis_plan` per axis."""
+def _interp_plan(geo, pts):
+    """The plan of queries at states (..., *state_shape): one `_axis_plan` per axis."""
     pts = np.asarray(pts, dtype=float)
-    return [_axis_plan(axes, ax, pts[..., ax]) for ax in range(len(axes))]
+    coords = (pts,) if geo.periodic else np.moveaxis(pts, -1, 0)
+    return [_axis_plan(geo, ax, q) for ax, q in enumerate(coords)]
 
 
 def _interp_apply(stack: np.ndarray, plan) -> np.ndarray:
@@ -663,16 +667,14 @@ def _interp_box(filled: np.ndarray, plan) -> np.ndarray:
     return _interp_apply(filled[None], plan)[..., 0]
 
 
-def _interp_periodic(values: np.ndarray, theta) -> np.ndarray:
-    """Linear interpolation on the periodic angle grid; any real angle works."""
-    theta = np.asarray(theta, dtype=float)
-    n = values.size
-    h = 2.0 * np.pi / n
-    f = (theta + np.pi) / h
-    i0 = np.floor(f).astype(int)
-    w = f - i0
-    i0 = np.mod(i0, n)
-    return values[i0] * (1.0 - w) + values[np.mod(i0 + 1, n)] * w
+def _wrapped(geo, v: np.ndarray) -> np.ndarray:
+    """A slice or stack as the plans read it: the circle padded by its wrap node."""
+    return np.concatenate((v, v[..., :1]), axis=-1) if geo.periodic else v
+
+
+def _interp_slice(geo, v: np.ndarray, pts) -> np.ndarray:
+    """A solved slice read at states: extended past the mask, wrapped, interpolated."""
+    return _interp_box(_wrapped(geo, _fill_inactive(v, geo.fill)), _interp_plan(geo, pts))
 
 
 def _require_finite(cell: np.ndarray, slice_idx: int, geo) -> None:
@@ -829,7 +831,7 @@ def _fd_rhs_qubit(spec: GridSpec, params: ModelParams, geo: _Geometry):
         if worst > 0.0:
             _require_stable(spec.delta, CFL_SAFETY / worst)
         # the detection term reads J at the ground state, one query per solve
-        ground = _interp_plan(geo.axes, GROUND_STATE)
+        ground = _interp_plan(geo, GROUND_STATE)
 
         def rhs(v, g, slope, u):
             drift = _counting_drift_xyz(px, py, pz, u[:, 0], u[:, 1], lam)
@@ -894,18 +896,17 @@ def _check_dp_mode(spec: GridSpec, mode: str) -> None:
 
 
 def _dp_step(v, spec, params, mode, geo):
-    """(value, control) on the cell's nodes after one DP step: the model's
-    objective minimized by its control scan or at the limited
-    completed-squares control."""
-    build = _dp_step_angle if spec.record.periodic else _dp_step_qubit
-    objective, scan = build(v, spec, params, geo)
+    """(value, control (m, c)) on the cell's nodes after one DP step on any model:
+    the `_dp_parts` objective, read through the one per-axis plan, minimized by
+    its control scan or at the limited completed-squares control."""
+    objective, scan = _dp_parts(v, spec, params, geo)
+    m = len(geo.flat)
     if mode == CLOSED_FORM:
-        best_u = _feedback(geo.gather(v), spec, geo, limited=True)[1]
+        best_u = _feedback(geo.gather(v), spec, geo, limited=True)[1].reshape(m, -1)
         return objective(best_u), best_u
     grid = spec.control_values()
     cands = np.stack(np.meshgrid(*(grid,) * spec.n_controls, indexing="ij"), axis=-1)
-    cands = cands.reshape((-1,) + spec.record.control_shape)
-    m = len(geo.flat)
+    cands = cands.reshape(-1, spec.n_controls)
     best = np.full(m, np.inf)
     best_k = np.zeros(m, dtype=int)
     better = np.empty(m, dtype=bool)
@@ -919,49 +920,29 @@ def _dp_step(v, spec, params, mode, geo):
     return best, cands[best_k]
 
 
-def _dp_step_angle(v, spec, params, geo):
-    """(objective, scan) of an angle step: periodic reads at the two Wiener
-    kicks, DP_BLOCK candidates a call."""
-    theta = geo.flat
+def _dp_parts(v, spec, params, geo):
+    """(objective, scan) of one DP step: the Wiener quadrature on the circle and
+    the homodyne qubit, the Bernoulli jump pair on the counting qubit.  The
+    objective takes controls (..., c).  The circle's scan reads DP_BLOCK
+    candidates a call.  A qubit's post-step x reads u_plus only and y u_minus
+    only, so its scan builds their axis plans once per control value, z's per
+    candidate in blocks of DP_BLOCK of one u_plus row, and broadcasts the three."""
+    nodes = geo.flat.reshape(len(geo.flat), -1).T.copy()
     delta = spec.delta
-    kick = 2.0 * params.alpha * np.sqrt(delta)
-
-    def objective(b):
-        drifted = theta + 2.0 * b * delta
-        mean_next = 0.5 * (
-            _interp_periodic(v, drifted + kick) + _interp_periodic(v, drifted - kick)
-        )
-        return b * b * delta + mean_next
-
-    def scan(col):
-        for start in range(0, len(col), DP_BLOCK):
-            yield start, objective(col[start : start + DP_BLOCK])
-
-    return objective, scan
-
-
-def _dp_step_qubit(v, spec, params, geo):
-    """(objective, scan) of a qubit step: Wiener quadrature or the Bernoulli
-    jump pair.  The post-step x reads u_plus only and y u_minus only, so the
-    scan builds their axis plans once per control value, z's per candidate in
-    blocks of DP_BLOCK of one u_plus row, and broadcasts the three together."""
-    axes = geo.axes
-    nodes = geo.flat.T.copy()
-    delta = spec.delta
-    filled = _fill_inactive(v, geo.fill)
+    filled = _wrapped(geo, _fill_inactive(v, geo.fill))
 
     # the grid nodes and the controls are valid by construction, so the
-    # coefficients come from the unchecked component encodings; u_plus and
-    # u_minus broadcast against the (m,) node components.  The post-step
-    # queries go unclipped: the interpolation plan clamps every axis into
-    # [-1, 1].  post(c, b) is axis c's (kicks, ...) post-step coordinates
-    # from its drift b, and expect(r) the mean over the kicks of what they read
+    # coefficients come from the unchecked component encodings; the controls
+    # broadcast against the (m,) node components.  The post-step queries go
+    # unclipped: the plan clamps every box axis into [-1, 1] and wraps the
+    # circle.  post(c, b) is axis c's (kicks, ...) post-step coordinates from
+    # its drift b, and expect(r) the mean over the kicks of what they read
     if spec.model == COUNTING:
         lam = _jump_intensity_z(nodes[2], params.kappa_s_sq)
         if delta * float(lam.max()) >= 1.0:
             raise ValueError("delta * max jump intensity >= 1; increase n_steps")
         jump_prob = lam * delta
-        j_ground = float(_interp_box(filled, _interp_plan(axes, GROUND_STATE)))
+        j_ground = float(_interp_box(filled, _interp_plan(geo, GROUND_STATE)))
         pull_z = _jump_pull_xyz(*nodes, lam)[2]
 
         def drift(u_plus, u_minus):
@@ -977,11 +958,18 @@ def _dp_step_qubit(v, spec, params, geo):
 
     else:
         sqrt_delta = np.sqrt(delta)
-        kick = [s * sqrt_delta for s in _diffusive_diffusion_xyz(*nodes, params.kappa_s)]
         pull_z = 0.0  # no jumps
+        if geo.periodic:
+            kick = [2.0 * params.alpha * sqrt_delta]
 
-        def drift(u_plus, u_minus):
-            return _diffusive_drift_xyz(*nodes, u_plus, u_minus)
+            def drift(b):
+                return (2.0 * b,)
+
+        else:
+            kick = [s * sqrt_delta for s in _diffusive_diffusion_xyz(*nodes, params.kappa_s)]
+
+            def drift(u_plus, u_minus):
+                return _diffusive_drift_xyz(*nodes, u_plus, u_minus)
 
         def post(c, b):
             drifted = nodes[c] + b * delta
@@ -994,20 +982,24 @@ def _dp_step_qubit(v, spec, params, geo):
             return 0.5 * (r[0] + r[1])
 
     def objective(u):
-        b = drift(u[..., 0], u[..., 1])
-        plan = [_axis_plan(axes, c, post(c, b[c])) for c in range(3)]
+        b = drift(*np.moveaxis(u, -1, 0))
+        plan = [_axis_plan(geo, c, post(c, b[c])) for c in range(len(nodes))]
         return np.sum(u**2, axis=-1) * delta + expect(_interp_box(filled, plan))
+
+    if geo.periodic:  # blocks (B, 1, 1) of candidates against the (m,) nodes
+        return objective, lambda col: (
+            (s, objective(col[s : s + DP_BLOCK, None])) for s in range(0, len(col), DP_BLOCK))
 
     def scan(col):
         # u_plus rows (1, 1) broadcast against u_minus blocks (B, 1)
         starts = range(0, len(col), DP_BLOCK)
         blocks = [col[s : s + DP_BLOCK] for s in starts]
-        y_plans = [_axis_plan(axes, 1, post(1, drift(0.0, u)[1])) for u in blocks]
+        y_plans = [_axis_plan(geo, 1, post(1, drift(0.0, u)[1])) for u in blocks]
         for i, u_plus in enumerate(col[:, None]):
-            x_plan = _axis_plan(axes, 0, post(0, drift(u_plus, 0.0)[0]))
+            x_plan = _axis_plan(geo, 0, post(0, drift(u_plus, 0.0)[0]))
             for s, u_minus, y_plan in zip(starts, blocks, y_plans):
                 b_z = _diffusive_drift_z(*nodes, 2.0 * u_plus, 2.0 * u_minus) + pull_z
-                z_plan = _axis_plan(axes, 2, post(2, b_z))
+                z_plan = _axis_plan(geo, 2, post(2, b_z))
                 mean = expect(_interp_box(filled, [x_plan, y_plan, z_plan]))
                 yield i * len(col) + s, (u_plus**2 + u_minus**2) * delta + mean
 
@@ -1038,14 +1030,14 @@ def solve_dp(spec: GridSpec, params: ModelParams, mode: str = CLOSED_FORM) -> Va
 def extract_policy(vg: ValueGrid):
     """Feedback policy (t, state) -> control interpolated from a solved grid.
 
-    Time picks the nearest stored slice; the state is clamped into the grid
-    bounds and the stored controls are interpolated multilinearly.  Only
-    the controls on the active nodes are read: the masked nodes are filled
-    from them by repeated neighbor averaging (`_fill_inactive`, one plan
-    per grid), so queries near the sphere stay finite.  The filled slices
-    are written into one array the size of the controls, FILL_BLOCK slices
-    at a time.  Queries with t outside [0, T] raise ValueError.  The returned
-    callable accepts batched states.
+    Time picks the nearest stored slice, read through the one per-axis plan:
+    a qubit state is clamped into the cube, and an angle wraps onto the one
+    slice it reads, padded with its first node.  Only the controls on the
+    active nodes are read: masked nodes are filled from them by repeated
+    neighbor averaging (`_fill_inactive`, one plan per grid, FILL_BLOCK
+    slices at a time into one array the size of the controls), so queries
+    near the sphere stay finite.  Queries with t outside [0, T] raise
+    ValueError.  The returned callable accepts batched states.
     """
     spec = vg.spec
     n_steps = spec.n_steps
@@ -1061,24 +1053,18 @@ def extract_policy(vg: ValueGrid):
             return 0
         return min(n_steps, max(0, int(np.floor(t / delta + 0.5))))
 
-    if spec.record.periodic:
-        table = vg.controls[:, 0, :]
-
-        def policy(t, state):
-            return _interp_periodic(table[slice_index(t)], state)
-
-        return policy
-
     geo = spec._geometry
-    slices = (-1,) + spec.shape
-    filled = np.empty(vg.controls.shape)
-    out, controls = filled.reshape(slices), vg.controls.reshape(slices)
-    step = max(1, min(FILL_BLOCK, len(controls) // 16))
-    for lo in range(0, len(controls), step):
-        out[lo : lo + step] = _fill_inactive(controls[lo : lo + step], geo.fill, stacked=True)
+    filled = vg.controls
+    if geo.fill:  # some node is masked
+        filled = np.empty(vg.controls.shape)
+        out, controls = (a.reshape((-1,) + spec.shape) for a in (filled, vg.controls))
+        step = max(1, min(FILL_BLOCK, len(controls) // 16))
+        for lo in range(0, len(controls), step):
+            out[lo : lo + step] = _fill_inactive(controls[lo : lo + step], geo.fill, stacked=True)
 
     def policy(t, state):
-        # the plan clamps every axis into [-1, 1]; one plan serves both components
-        return _interp_apply(filled[slice_index(t)], _interp_plan(geo.axes, state))
+        # one plan serves every component; only the slice read is wrapped
+        u = _interp_apply(_wrapped(geo, filled[slice_index(t)]), _interp_plan(geo, state))
+        return u.reshape(u.shape[:-1] + spec.record.control_shape)
 
     return policy

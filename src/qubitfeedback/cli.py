@@ -27,7 +27,7 @@ from .bellman import (
     CONTROL_MODES,
     GridSpec,
     ValueGrid,
-    _interp_periodic,
+    _interp_slice,
     extract_policy,
     solve_backward,
     solve_dp,
@@ -407,7 +407,7 @@ def cmd_solve(cfg: dict) -> dict:
         "value_max": float(np.nanmax(vg.values)),
     }
     if model == ANGLE:
-        summary["j0_at_theta_1"] = float(_interp_periodic(vg.values[0], 1.0))
+        summary["j0_at_theta_1"] = float(_interp_slice(spec._geometry, vg.values[0], 1.0))
     if cfg["timings"]:
         summary["wall_time_s"] = wall
     _emit_table([

@@ -34,7 +34,6 @@ arrays of shape (..., 3) and controls arrays of shape (..., 2).
 from __future__ import annotations
 
 import dataclasses
-import warnings
 
 import numpy as np
 
@@ -106,23 +105,6 @@ class ModelParams:
     @property
     def kappa_f(self) -> float:
         return float(np.sqrt(self.kappa_f_sq))
-
-
-def warn_if_controls_unusable(params: ModelParams, control_box=None) -> None:
-    """Warn when controls are configured but the feedback mode is closed.
-
-    With kappa_f = 0 the control Hamiltonian vanishes identically, so any
-    nonzero control box or policy burns running cost without moving the
-    state.
-    """
-    if params.kappa_f_sq == 0.0 and control_box is not None:
-        box = np.asarray(control_box, dtype=float)
-        if np.any(box != 0.0):
-            warnings.warn(
-                "kappa_f_sq = 0: controls cannot act on the state, but a "
-                "nonzero control box was configured",
-                stacklevel=2,
-            )
 
 
 def _check_finite(arr: np.ndarray, name: str) -> None:

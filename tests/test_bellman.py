@@ -779,7 +779,7 @@ def test_interp_box_matches_tuple_index_reference(shape):
     outside = rng.uniform(-3.0, 3.0, size=(400, 3))
     for pts in (nodes, inside, upper_edge, outside, inside.reshape(2, 200, 3), nodes[7]):
         want = _reference_interp(filled, axes, pts)
-        got = bm._interp_box(filled, bm._interp_plan(axes, pts))
+        got = bm._interp_box(filled, bm._interp_plan(spec._geometry, pts))
         assert got.shape == want.shape
         assert np.array_equal(_bits(got), _bits(want))
 
@@ -787,7 +787,7 @@ def test_interp_box_matches_tuple_index_reference(shape):
 def test_interp_plan_applied_to_a_stack_matches_one_call_per_slice():
     rng = np.random.default_rng(13)
     spec = bm.GridSpec(model="diffusive", n_nodes=(9, 8, 9), n_steps=1, horizon_T=1.0)
-    axes = spec.axes()
+    geo = spec._geometry
     mask = spec.active_mask()
     stack = np.stack([_reference_fill(np.where(mask, rng.normal(size=spec.shape), np.nan))
                       for _ in range(2)])
@@ -799,10 +799,10 @@ def test_interp_plan_applied_to_a_stack_matches_one_call_per_slice():
     upper_edge[3] = 1.0
     outside = rng.uniform(-3.0, 3.0, size=(300, 3))
     for pts in (nodes, inside, upper_edge, outside, nodes[5]):
-        got = bm._interp_apply(stack, bm._interp_plan(axes, pts))
+        got = bm._interp_apply(stack, bm._interp_plan(geo, pts))
         assert got.shape == pts.shape[:-1] + (2,)
         for c in range(2):
-            want = bm._interp_box(stack[c], bm._interp_plan(axes, pts))
+            want = bm._interp_box(stack[c], bm._interp_plan(geo, pts))
             assert np.array_equal(_bits(got[..., c]), _bits(want))
 
 
@@ -814,7 +814,7 @@ def test_qubit_grid_policy_matches_clipped_per_component_reads():
                        control_box=1.0)
     vg = bm.solve_backward(spec, params)
     policy = bm.extract_policy(vg)
-    axes = spec.axes()
+    geo = spec._geometry
     mask = spec.active_mask()
     plan = bm._fill_plan(~mask, mask)
     states = np.random.default_rng(14).uniform(-1.5, 1.5, size=(200, 3))
@@ -822,7 +822,7 @@ def test_qubit_grid_policy_matches_clipped_per_component_reads():
     for t, k in ((0.0, 0), (0.1, 10), (0.3, 30)):
         q = np.clip(states, -1.0, 1.0)
         want = np.stack([bm._interp_box(bm._fill_inactive(vg.controls[k, c], plan),
-                                        bm._interp_plan(axes, q))
+                                        bm._interp_plan(geo, q))
                          for c in range(2)], axis=-1)
         assert np.array_equal(_bits(policy(t, states)), _bits(want))
         assert np.array_equal(_bits(policy(t, states[0])), _bits(want[0]))
@@ -952,22 +952,22 @@ def test_angle_neighbour_table_wraps():
 
 
 def test_exhaustive_angle_dp_step_scans_candidates_in_blocks(monkeypatch):
-    # the angle shares the blocked control scan: each block of DP_BLOCK
-    # candidates is one objective call, i.e. two periodic reads
+    # the angle keeps the blocked control scan: each block of DP_BLOCK
+    # candidates is one objective call, i.e. one read of both Wiener kicks
     calls = []
-    read = bm._interp_periodic
+    read = bm._interp_box
 
-    def counted(values, theta):
-        calls.append(np.shape(theta))
-        return read(values, theta)
+    def counted(filled, plan):
+        calls.append(np.shape(plan[0][0]))
+        return read(filled, plan)
 
-    monkeypatch.setattr(bm, "_interp_periodic", counted)
+    monkeypatch.setattr(bm, "_interp_box", counted)
     spec = bm.GridSpec(model="angle", n_nodes=(33,), n_steps=10, horizon_T=1.0,
                        control_box=2.0, control_resolution=9)
     theta = spec.axes()[0]
     bm.dp_recursion_step(theta**2, spec, ANGLE, bm.EXHAUSTIVE)
-    assert len(calls) == 2 * -(-9 // bm.DP_BLOCK) == 6
-    assert calls[0] == (bm.DP_BLOCK, 33)
+    assert len(calls) == -(-9 // bm.DP_BLOCK) == 3
+    assert calls == [(2, bm.DP_BLOCK, 33)] * 3
 
 
 def test_exhaustive_dp_step_memory_stays_near_the_slice():
@@ -1185,7 +1185,7 @@ def test_cell_solves_match_the_full_grid_loop(model, solver, shape):
         got, want = vg.controls[k][:, mask].T, controls[k][:, mask].T
         differ = np.any(got != want, axis=1)
         if differ.any():
-            objective = bm._dp_step_qubit(values[k + 1], spec, params, geo)[0]
+            objective = bm._dp_parts(values[k + 1], spec, params, geo)[0]
             gap = np.abs(objective(got) - objective(want))[differ]
             assert gap.max() <= 1e-15
         ties += np.count_nonzero(got != want)
@@ -1449,6 +1449,57 @@ def test_extract_policy_angle_is_odd():
     policy = bm.extract_policy(vg)
     th = np.linspace(-1.5, 1.5, 7)
     np.testing.assert_allclose(policy(0.3, th), -policy(0.3, -th), atol=1e-9)
+
+
+def _reference_interp_periodic(values, theta):
+    # the angle's own interpolation encoding as it stood before the circle
+    # read through the per-axis plan
+    theta = np.asarray(theta, dtype=float)
+    n = values.size
+    h = 2.0 * np.pi / n
+    f = (theta + np.pi) / h
+    i0 = np.floor(f).astype(int)
+    w = f - i0
+    i0 = np.mod(i0, n)
+    return values[i0] * (1.0 - w) + values[np.mod(i0 + 1, n)] * w
+
+
+@pytest.mark.parametrize("n", [8, 33, 37, 201])
+def test_periodic_plan_reads_match_the_old_angle_encoding(n):
+    rng = np.random.default_rng(n)
+    spec = bm.GridSpec(model="angle", n_nodes=n, n_steps=3, horizon_T=1.0)
+    geo = spec._geometry
+    theta = np.concatenate([rng.uniform(-10.0, 10.0, 2000), spec.axes()[0],
+                            [-np.pi, np.pi, 3.0 * np.pi, -3.0 * np.pi]])
+    for _ in range(5):
+        v = rng.normal(size=n)
+        got = bm._interp_slice(geo, v, theta)
+        assert np.array_equal(_bits(got), _bits(_reference_interp_periodic(v, theta)))
+    controls = rng.normal(size=(4, 1, n))
+    vg = bm.ValueGrid(spec=spec, kappa_s_sq=1.0, alpha=0.5, control_mode=bm.CLOSED_FORM,
+                      values=np.zeros((4, n)), controls=controls)
+    policy = bm.extract_policy(vg)
+    for t, k in ((0.0, 0), (0.5, 2), (1.0, 3)):
+        got = policy(t, theta)
+        assert got.shape == theta.shape
+        want = _reference_interp_periodic(controls[k, 0], theta)
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_angle_policy_pads_only_the_slice_it_reads():
+    # the wrap node is appended per query, never to a copy of every slice
+    spec = bm.GridSpec(model="angle", n_nodes=101, n_steps=2000, horizon_T=1.0)
+    controls = np.random.default_rng(3).normal(size=(2001, 1, 101))
+    vg = bm.ValueGrid(spec=spec, kappa_s_sq=1.0, alpha=0.5, control_mode=bm.CLOSED_FORM,
+                      values=np.zeros((2001, 101)), controls=controls)
+    theta = np.linspace(-4.0, 4.0, 256)
+
+    def build_and_query():
+        policy = bm.extract_policy(vg)
+        return [policy(t, theta) for t in (0.0, 0.4, 1.0)]
+
+    _, peak = _traced_peak(build_and_query)
+    assert peak < 0.1 * controls.nbytes
 
 
 # ---------------------------------------------------------------------------

@@ -110,15 +110,6 @@ def test_model_params_names_an_out_of_range_kappa_s_sq(kappa_s_sq):
         ModelParams(kappa_s_sq=kappa_s_sq)
 
 
-def test_unusable_controls_warn():
-    params = ModelParams(kappa_s_sq=1.0)  # kappa_f = 0
-    with pytest.warns(UserWarning):
-        filters.warn_if_controls_unusable(params, control_box=((-5, 5), (-5, 5)))
-    # zero box or open feedback mode: silent
-    filters.warn_if_controls_unusable(params, control_box=((0, 0), (0, 0)))
-    filters.warn_if_controls_unusable(ModelParams(kappa_s_sq=0.5), ((-5, 5), (-5, 5)))
-
-
 # ---------------------------------------------------------------------------
 # Lindblad generator
 
