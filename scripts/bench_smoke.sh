@@ -54,5 +54,9 @@ check mc-diffusive '{"mc_costs": "df39d5e77df09d8034e280354b2020116c68a42d1f6be4
 # reads, and one fill per step of each of the two solves
 check dp-exhaustive '{"dp_grids": "09d8f1432e324e80a5bab8aad540b874946ee4d67558d29d6b18f2a43b6ae762"}' \
     '{"bellman.interp.calls": 560, "bellman.fill_inactive.calls": 40}'
+# the FD counting solve reads J at the ground state once per step, through one
+# fill and one interpolation of the slice (200 per op), and extract_policy
+# fills its 201 control slices in 17 blocks: a ground read that is bypassed
+# or doubled moves these counts
 check grid-pipeline '{"compare_csv": "32304d3e5e194d979a5bb8d23100bf0d1e6b286044359246e3d5d6de3ee42b97", "vgrid": "1091bf6297537129bdf4cec61395cad352d25e48071df207f596fef86f09e32d"}' \
-    '{"trajectories.step.calls": 1000, "trajectories.policy.calls": 1000, "cli.solve.s": null, "cli.compare.s": null}'
+    '{"trajectories.step.calls": 1000, "trajectories.policy.calls": 1000, "bellman.interp.calls": 200, "bellman.fill_inactive.calls": 217, "cli.solve.s": null, "cli.compare.s": null}'

@@ -1,6 +1,8 @@
 """Backward grid solvers for the optimal feedback control problems.
 
-Two solver families share the grid machinery.  ``solve_backward`` steps the
+Two solver families share the grid machinery, one reading of each model's
+controlled dynamics on the grid (`_dynamics`: drift, noise vector, jump
+intensity) and one backward loop.  ``solve_backward`` steps the
 control-minimized equation for the cost-to-go explicitly backward in time
 with finite differences: upwind one-sided differences for the drift terms,
 central differences for the diffusion, and the completed-squares control
@@ -677,25 +679,11 @@ def _interp_slice(geo, v: np.ndarray, pts) -> np.ndarray:
     return _interp_box(_wrapped(geo, _fill_inactive(v, geo.fill)), _interp_plan(geo, pts))
 
 
-def _require_finite(cell: np.ndarray, slice_idx: int, geo) -> None:
-    if not np.isfinite(cell).all():
-        at = np.unravel_index(geo.cell[np.argmin(np.isfinite(cell))], geo.mask.shape)
-        raise RuntimeError(f"non-finite value at slice {slice_idx}, node {tuple(map(int, at))}")
-
-
 def _check_spec_params(spec: GridSpec, params: ModelParams) -> None:
     if abs(spec.horizon_T - params.horizon_T) > 1e-12 * params.horizon_T:
         raise ValueError(
             f"grid horizon {spec.horizon_T!r} differs from model horizon "
             f"{params.horizon_T!r}"
-        )
-
-
-def _require_stable(delta: float, bound: float) -> None:
-    if delta > bound:
-        raise ValueError(
-            f"time step {delta:.6g} violates the stability bound {bound:.6g}; "
-            "increase n_steps or coarsen the grid"
         )
 
 
@@ -757,13 +745,44 @@ def _place(out: np.ndarray, geo: _Geometry, cell: np.ndarray) -> np.ndarray:
     return out
 
 
-def _terminal_slices(spec: GridSpec, geo: _Geometry):
-    """(values, controls) of a sweep, NaN but for the terminal values."""
-    n_steps = spec.n_steps
+def _dynamics(spec: GridSpec, params: ModelParams, geo: _Geometry):
+    """(nodes, drift, sigma, lam): the model's controlled filter on the cell, the one
+    place the solvers tell the models apart.  ``nodes`` holds the cell's coordinates
+    one row per axis, and ``drift(*u)`` one row per axis at controls broadcasting
+    against them; ``sigma`` holds the noise vector's rows, None on the counting
+    qubit; ``lam`` is the intensity of the jumps to the ground state, None but on
+    the counting qubit.  The rows come from the unchecked encodings: the grid nodes
+    and the solvers' controls are valid by construction."""
+    nodes = geo.flat.reshape(len(geo.flat), -1).T.copy()
+    if geo.periodic:
+        return nodes, lambda b: (2.0 * b,), (2.0 * params.alpha,), None
+    if spec.model == COUNTING:
+        lam = _jump_intensity_z(nodes[2], params.kappa_s_sq)
+        return nodes, lambda up, um: _counting_drift_xyz(*nodes, up, um, lam), None, lam
+    sigma = _diffusive_diffusion_xyz(*nodes, params.kappa_s)
+    return nodes, lambda up, um: _diffusive_drift_xyz(*nodes, up, um), sigma, None
+
+
+def _sweep(spec: GridSpec, params: ModelParams, mode: str, step, lag: int) -> ValueGrid:
+    """The one backward loop of both solvers, from the terminal cost.  From slice k,
+    ``step`` returns the cell's values at slice k - 1 and a control, stored at
+    slice k - lag: the slice the FD read (lag 0), the slice the DP wrote (lag 1).
+    The one slice no step gives a control holds the central feedback read off its
+    own gather.  Raises RuntimeError, naming slice and node, on a non-finite value."""
+    geo, n_steps = spec._geometry, spec.n_steps
     values = np.full((n_steps + 1,) + spec.shape, np.nan)
     controls = np.full((n_steps + 1, spec.n_controls) + spec.shape, np.nan)
     _place(values[n_steps], geo, terminal_cost(spec.model, geo.flat))
-    return values, controls
+    for k in range(n_steps, 0, -1):
+        new, u = step(values[k])
+        if not np.isfinite(new).all():
+            at = np.unravel_index(geo.cell[np.argmin(np.isfinite(new))], geo.mask.shape)
+            raise RuntimeError(f"non-finite value at slice {k - 1}, node {tuple(map(int, at))}")
+        _place(values[k - 1], geo, new)
+        _place(controls[k - lag], geo, u)
+    free = lag * n_steps
+    _place(controls[free], geo, _feedback(geo.gather(values[free]), spec, geo)[1])
+    return ValueGrid(spec, params.kappa_s_sq, params.alpha, mode, values, controls)
 
 
 # ---------------------------------------------------------------------------
@@ -773,6 +792,8 @@ def _terminal_slices(spec: GridSpec, geo: _Geometry):
 def solve_backward(spec: GridSpec, params: ModelParams) -> ValueGrid:
     """Explicit finite-difference sweep of the backward equation.
 
+    It reads the model's dynamics from `_dynamics` and runs the backward loop
+    that `solve_dp` runs too, with the feedback of each slice stored on it.
     Checks the diffusion stability bound delta <= 0.25 h^2 / max_diffusion
     up front (the counting model, having no diffusion, gets the analogous
     drift-plus-intensity load bound with worst-case box controls instead;
@@ -781,76 +802,52 @@ def solve_backward(spec: GridSpec, params: ModelParams) -> ValueGrid:
     node, if a non-finite value appears anyway.
     """
     _check_spec_params(spec, params)
-    geo = spec._geometry
-    rhs = (_fd_rhs_angle if spec.record.periodic else _fd_rhs_qubit)(spec, params, geo)
-    values, controls = _terminal_slices(spec, geo)
-    # each slice stores the feedback read off its own gather, slice 0 too
-    for k in range(spec.n_steps, -1, -1):
-        g = geo.gather(values[k])
-        slope, u = _feedback(g, spec, geo)
-        _place(controls[k], geo, u)
-        if k:
-            new = _nb(g) + spec.delta * rhs(values[k], g, slope, u)
-            _require_finite(new, k - 1, geo)
-            _place(values[k - 1], geo, new)
-    return ValueGrid(spec, params.kappa_s_sq, params.alpha, CLOSED_FORM, values, controls)
+    return _sweep(spec, params, CLOSED_FORM, _fd_step(spec, params, spec._geometry), lag=0)
 
 
-# the builders check stability before any slice is allocated, then return
-# rhs(v, g, slope, u): minus the time derivative from a slice and its gather
-
-
-def _fd_rhs_angle(spec: GridSpec, params: ModelParams, geo: _Geometry):
-    h = geo.spacings[0]
-    diffusion = 2.0 * params.alpha**2
-    if diffusion > 0.0:
-        _require_stable(spec.delta, CFL_SAFETY * h * h / diffusion)
-    sigma = (2.0 * params.alpha,)
-
-    def rhs(v, g, slope, b):
-        return b * b + 2.0 * b * slope + _diffusion_term(g, sigma, geo.spacings)
-
-    return rhs
-
-
-def _fd_rhs_qubit(spec: GridSpec, params: ModelParams, geo: _Geometry):
-    spacings = geo.spacings
-    # the grid nodes and the completed-squares controls are valid by
-    # construction, so the coefficients come from the unchecked component
-    # encodings, as in the DP step
-    px, py, pz = geo.flat.T.copy()
-
-    if spec.model == COUNTING:
-        lam = _jump_intensity_z(pz, params.kappa_s_sq)
-        # monotone load of the drift/jump stepping, worst-case controls
-        u_max = spec.control_box if spec.control_box is not None else 0.0
-        b0 = np.stack(_counting_drift_xyz(px, py, pz, 0.0, 0.0, lam), axis=-1)
-        swing = 2.0 * u_max * np.stack([np.abs(pz), np.abs(pz), np.abs(px) + np.abs(py)], axis=-1)
-        load = np.sum((np.abs(b0) + swing) / np.asarray(spacings), axis=-1) + lam
-        worst = float(load.max())
-        if worst > 0.0:
-            _require_stable(spec.delta, CFL_SAFETY / worst)
-        # the detection term reads J at the ground state, one query per solve
+def _fd_step(spec: GridSpec, params: ModelParams, geo: _Geometry):
+    """The FD step, ``step(v) -> (cell values at k - 1, feedback at k)`` from slice
+    k, built after the stability check: upwind advection on a qubit and the
+    central slope on the circle, then the diffusion or, on the counting qubit,
+    the jumps, whose J at the ground state is read through one plan per solve."""
+    _, drift, sigma, lam = _dynamics(spec, params, geo)
+    spacings, delta, m = geo.spacings, spec.delta, len(geo.flat)
+    # the explicit step is monotone while delta * worst <= CFL_SAFETY * scale
+    if sigma is None:
+        # the drift/jump load at worst-case box controls: the drift is affine
+        # in u, so per axis it strays furthest from b0 at a corner of the box
+        box = spec.control_box or 0.0
+        b0 = np.stack(drift(0.0, 0.0))
+        load = np.abs(b0) + sum(np.abs(np.stack(drift(*u)) - b0) for u in ((box, 0.0), (0.0, box)))
+        load = np.sum(load / np.reshape(spacings, (-1, 1)), axis=0) + lam
+        worst, scale = float(load.max()), 1.0
         ground = _interp_plan(geo, GROUND_STATE)
+    else:  # the largest diffusion against the finest spacing
+        worst, scale = float(np.max(0.5 * sum(s * s for s in sigma))), min(spacings) ** 2
+    bound = CFL_SAFETY * scale / worst if worst > 0.0 else math.inf
+    if delta > bound:
+        raise ValueError(
+            f"time step {delta:.6g} violates the stability bound {bound:.6g}; "
+            "increase n_steps or coarsen the grid"
+        )
 
-        def rhs(v, g, slope, u):
-            drift = _counting_drift_xyz(px, py, pz, u[:, 0], u[:, 1], lam)
-            j_ground = float(_interp_box(_fill_inactive(v, geo.fill), ground))
-            step = _advection_upwind(g, drift, spacings) + lam * (j_ground - _nb(g))
-            return step + np.sum(u * u, axis=-1)
+    def step(v):
+        g = geo.gather(v)
+        slope, u = _feedback(g, spec, geo)
+        u = u.reshape(m, -1)
+        b = drift(*u.T)
+        if lam is None:
+            noise = _diffusion_term(g, sigma, spacings)
+        else:
+            noise = lam * (float(_interp_box(_fill_inactive(v, geo.fill), ground)) - _nb(g))
+        effort = np.sum(u * u, axis=-1)
+        if geo.periodic:  # the circle keeps its central-slope advection
+            rhs = effort + b[0] * slope + noise
+        else:
+            rhs = _advection_upwind(g, b, spacings) + noise + effort
+        return _nb(g) + delta * rhs, u
 
-    else:
-        sigma = _diffusive_diffusion_xyz(px, py, pz, params.kappa_s)
-        max_diffusion = float((0.5 * np.sum(np.stack(sigma, axis=-1) ** 2, axis=-1)).max())
-        if max_diffusion > 0.0:
-            _require_stable(spec.delta, CFL_SAFETY * min(spacings) ** 2 / max_diffusion)
-
-        def rhs(v, g, slope, u):
-            drift = _diffusive_drift_xyz(px, py, pz, u[:, 0], u[:, 1])
-            step = _advection_upwind(g, drift, spacings) + _diffusion_term(g, sigma, spacings)
-            return step + np.sum(u * u, axis=-1)
-
-    return rhs
+    return step
 
 
 # ---------------------------------------------------------------------------
@@ -921,32 +918,29 @@ def _dp_step(v, spec, params, mode, geo):
 
 
 def _dp_parts(v, spec, params, geo):
-    """(objective, scan) of one DP step: the Wiener quadrature on the circle and
-    the homodyne qubit, the Bernoulli jump pair on the counting qubit.  The
-    objective takes controls (..., c).  The circle's scan reads DP_BLOCK
-    candidates a call.  A qubit's post-step x reads u_plus only and y u_minus
-    only, so its scan builds their axis plans once per control value, z's per
-    candidate in blocks of DP_BLOCK of one u_plus row, and broadcasts the three."""
-    nodes = geo.flat.reshape(len(geo.flat), -1).T.copy()
+    """(objective, scan) of one DP step, from the reading of the model's dynamics
+    that the FD step reads too (`_dynamics`): the Wiener quadrature with kicks
+    sigma sqrt(delta) where there is noise, the Bernoulli jump pair where there
+    are jumps.  The objective takes controls (..., c).  The circle's scan reads
+    DP_BLOCK candidates a call.  A qubit's post-step x reads u_plus only and y
+    u_minus only, so its scan builds their axis plans once per control value,
+    z's per candidate in blocks of DP_BLOCK of one u_plus row, and broadcasts
+    the three."""
+    nodes, drift, sigma, lam = _dynamics(spec, params, geo)
     delta = spec.delta
     filled = _wrapped(geo, _fill_inactive(v, geo.fill))
 
-    # the grid nodes and the controls are valid by construction, so the
-    # coefficients come from the unchecked component encodings; the controls
-    # broadcast against the (m,) node components.  The post-step queries go
-    # unclipped: the plan clamps every box axis into [-1, 1] and wraps the
-    # circle.  post(c, b) is axis c's (kicks, ...) post-step coordinates from
-    # its drift b, and expect(r) the mean over the kicks of what they read
-    if spec.model == COUNTING:
-        lam = _jump_intensity_z(nodes[2], params.kappa_s_sq)
+    # the controls broadcast against the (m,) node components.  The post-step
+    # queries go unclipped: the plan clamps every box axis into [-1, 1] and
+    # wraps the circle.  post(c, b) is axis c's (kicks, ...) post-step
+    # coordinates from its drift b, and expect(r) the mean over the kicks of
+    # what they read
+    if lam is not None:
         if delta * float(lam.max()) >= 1.0:
             raise ValueError("delta * max jump intensity >= 1; increase n_steps")
         jump_prob = lam * delta
         j_ground = float(_interp_box(filled, _interp_plan(geo, GROUND_STATE)))
         pull_z = _jump_pull_xyz(*nodes, lam)[2]
-
-        def drift(u_plus, u_minus):
-            return _counting_drift_xyz(*nodes, u_plus, u_minus, lam)
 
         def post(c, b):
             return (nodes[c] + b * delta)[None]
@@ -958,18 +952,8 @@ def _dp_parts(v, spec, params, geo):
 
     else:
         sqrt_delta = np.sqrt(delta)
+        kick = [s * sqrt_delta for s in sigma]
         pull_z = 0.0  # no jumps
-        if geo.periodic:
-            kick = [2.0 * params.alpha * sqrt_delta]
-
-            def drift(b):
-                return (2.0 * b,)
-
-        else:
-            kick = [s * sqrt_delta for s in _diffusive_diffusion_xyz(*nodes, params.kappa_s)]
-
-            def drift(u_plus, u_minus):
-                return _diffusive_drift_xyz(*nodes, u_plus, u_minus)
 
         def post(c, b):
             drifted = nodes[c] + b * delta
@@ -1007,20 +991,15 @@ def _dp_parts(v, spec, params, geo):
 
 
 def solve_dp(spec: GridSpec, params: ModelParams, mode: str = CLOSED_FORM) -> ValueGrid:
-    """Full backward dynamic-programming sweep (see dp_recursion_step)."""
+    """Full backward dynamic-programming sweep (see dp_recursion_step): the
+    backward loop of `solve_backward`, with each step's control stored on the
+    slice it wrote and the terminal slice's read off its own gather."""
     _check_spec_params(spec, params)
     if spec.n_steps:
         _check_dp_mode(spec, mode)
     geo = spec._geometry
-    values, controls = _terminal_slices(spec, geo)
-    _place(controls[-1], geo, _feedback(geo.gather(values[-1]), spec, geo)[1])
     # no per-step input checks: the terminal slice is finite on the mask
-    for k in range(spec.n_steps, 0, -1):
-        best, best_u = _dp_step(values[k], spec, params, mode, geo)
-        _require_finite(best, k - 1, geo)
-        _place(values[k - 1], geo, best)
-        _place(controls[k - 1], geo, best_u)
-    return ValueGrid(spec, params.kappa_s_sq, params.alpha, mode, values, controls)
+    return _sweep(spec, params, mode, lambda v: _dp_step(v, spec, params, mode, geo), lag=1)
 
 
 # ---------------------------------------------------------------------------

@@ -916,11 +916,13 @@ def test_angle_stencils_on_the_gather_match_the_rolled_slice():
     diffusion = 2.0 * params.alpha**2
     got = bm._diffusion_term(g, (2.0 * params.alpha,), geo.spacings)
     assert np.array_equal(_bits(got), _bits(diffusion * second))
-    # the feedback and the right-hand side of one FD step, as the rolled forms gave them
+    # the feedback and one FD step, as the rolled forms gave them
     slope, b = bm._feedback(g, spec, geo)
     assert np.array_equal(_bits(b), _bits(np.clip(-central, -0.5, 0.5)))
-    rhs = bm._fd_rhs_angle(spec, params, geo)(v, g, slope, b)
-    assert np.array_equal(_bits(rhs), _bits(b * b + 2.0 * b * central + diffusion * second))
+    new, u = bm._fd_step(spec, params, geo)(v)
+    assert np.array_equal(_bits(u[:, 0]), _bits(b))
+    rhs = b * b + 2.0 * b * central + diffusion * second
+    assert np.array_equal(_bits(new), _bits(v + spec.delta * rhs))
 
 
 @pytest.mark.parametrize("n, shell, active", [(17, 872, 2109), (21, 1440, 4169),
@@ -1111,24 +1113,11 @@ def _full_grid_geometry(spec):
 
 
 def _full_grid_solve(spec, params, solver):
-    # the solvers' loops on the full-grid geometry
-    geo = _full_grid_geometry(spec)
-    values, controls = bm._terminal_slices(spec, geo)
-    if solver == "fd":
-        rhs = bm._fd_rhs_qubit(spec, params, geo)
-        for k in range(spec.n_steps, -1, -1):
-            g = geo.gather(values[k])
-            slope, u = bm._feedback(g, spec, geo)
-            bm._place(controls[k], geo, u)
-            if k:
-                bm._place(values[k - 1], geo, bm._nb(g) + spec.delta * rhs(values[k], g, slope, u))
-        return values, controls
-    bm._place(controls[-1], geo, bm._feedback(geo.gather(values[-1]), spec, geo)[1])
-    for k in range(spec.n_steps, 0, -1):
-        best, best_u = bm._dp_step(values[k], spec, params, solver, geo)
-        bm._place(values[k - 1], geo, best)
-        bm._place(controls[k - 1], geo, best_u)
-    return values, controls
+    # the solvers themselves on the full-grid geometry
+    full = dataclasses.replace(spec)
+    full.__dict__["_geometry"] = _full_grid_geometry(spec)
+    vg = bm.solve_backward(full, params) if solver == "fd" else bm.solve_dp(full, params, solver)
+    return vg.values, vg.controls
 
 
 def _cell_solve(model, solver, shape):
@@ -1405,6 +1394,65 @@ def test_solver_rejects_mismatched_horizon():
         bm.solve_backward(spec, ANGLE)
     with pytest.raises(ValueError, match="horizon"):
         bm.solve_dp(spec, ANGLE)
+
+
+@pytest.mark.parametrize("model", ["diffusive", "counting", "angle"])
+def test_one_reading_of_the_dynamics_matches_the_public_encodings(model):
+    rng = np.random.default_rng(20)
+    params = ModelParams(kappa_s_sq=0.37, alpha=0.61, horizon_T=1.0)
+    shape = (9,) if model == "angle" else (9, 8, 9)
+    spec = bm.GridSpec(model=model, n_nodes=shape, n_steps=1, horizon_T=1.0)
+    geo = spec._geometry
+    nodes, drift, sigma, lam = bm._dynamics(spec, params, geo)
+    assert np.array_equal(_bits(nodes.T.reshape(geo.flat.shape)), _bits(geo.flat))
+    assert (sigma is None) == (model == "counting")
+    assert (lam is None) == (model != "counting")
+    if model == "angle":
+        b = rng.normal(size=len(geo.flat))
+        (got,) = drift(b)
+        assert np.array_equal(_bits(got), _bits(2.0 * b))
+        assert sigma == (2.0 * params.alpha,)
+        return
+    u = rng.normal(size=(len(geo.flat), 2))
+    got = np.stack(drift(*u.T), axis=-1)
+    if model == "diffusive":
+        assert np.array_equal(_bits(got), _bits(diffusive_drift(geo.flat, u)))
+        want = diffusive_diffusion(geo.flat, params)
+        assert np.array_equal(_bits(np.stack(sigma, axis=-1)), _bits(want))
+    else:
+        assert np.array_equal(_bits(got), _bits(counting_drift(geo.flat, u, params)))
+        assert np.array_equal(_bits(lam), _bits(jump_intensity(geo.flat, params)))
+
+
+def _hand_written_counting_bound(geo, control_box, params):
+    # the counting FD's stability bound with the control swing of the drift
+    # written out by hand, as it stood before the bound read it off the drift
+    px, py, pz = geo.flat.T
+    lam = jump_intensity(geo.flat, params)
+    u_max = control_box if control_box is not None else 0.0
+    b0 = counting_drift(geo.flat, np.zeros((len(geo.flat), 2)), params)
+    swing = 2.0 * u_max * np.stack([np.abs(pz), np.abs(pz), np.abs(px) + np.abs(py)], axis=-1)
+    load = np.sum((np.abs(b0) + swing) / np.asarray(geo.spacings), axis=-1) + lam
+    return bm.CFL_SAFETY / float(load.max())
+
+
+@pytest.mark.parametrize("n", [5, 8, 11, 17, 21, 24, 31])
+def test_counting_fd_stability_bound_is_read_off_the_drift(n):
+    # one step of horizon just under the hand-written bound is accepted and one
+    # just over it refused, so the two bounds agree to 1e-15 relative
+    geo = bm.GridSpec(model="counting", n_nodes=n, n_steps=1, horizon_T=1.0)._geometry
+    for box in (None, 0.0, 0.5, 1.0, 2.0, 3.7):
+        for kappa_s_sq in (0.1, 0.5, 1.0):
+            params = ModelParams(kappa_s_sq=kappa_s_sq, horizon_T=1.0)
+            bound = _hand_written_counting_bound(geo, box, params)
+            for horizon in (bound * (1.0 - 1e-15), bound * (1.0 + 1e-15)):
+                spec = bm.GridSpec(model="counting", n_nodes=n, n_steps=1, horizon_T=horizon,
+                                   control_box=box)
+                if horizon < bound:
+                    assert callable(bm._fd_step(spec, params, geo))
+                else:
+                    with pytest.raises(ValueError, match="stability bound"):
+                        bm._fd_step(spec, params, geo)
 
 
 # ---------------------------------------------------------------------------
