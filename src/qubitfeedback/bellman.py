@@ -3,16 +3,16 @@
 Two solver families share the grid machinery, one reading of each model's
 controlled dynamics on the grid (`_dynamics`: drift, noise vector, jump
 intensity) and one backward loop.  ``solve_backward`` steps the
-control-minimized equation for the cost-to-go explicitly backward in time
-with finite differences: upwind one-sided differences for the drift terms,
-central differences for the diffusion, and the completed-squares control
-evaluated from the numerical gradient at each node.  ``solve_dp`` iterates
-the one-step dynamic-programming recursion instead (``dp_recursion_step``),
-replacing derivatives with interpolation of the next slice at the
-post-step states: a two-point quadrature stands in for the Wiener
+control-minimized equation for the cost-to-go explicitly backward in time:
+upwind differences for the drift, central ones on the circle, the qubit noise
+as a rate times the mean of J read through the interpolation plan minus J, and
+the completed-squares control from the numerical gradient at each node.
+``solve_dp`` iterates the one-step dynamic-programming recursion instead
+(``dp_recursion_step``), replacing derivatives with interpolation of the next
+slice at the post-step states: a two-point quadrature stands in for the Wiener
 increment and a Bernoulli branch pair for the detection events, and the
-minimization runs either over an explicit control grid or through the
-same completed-squares formula.  Every interpolated read goes through one
+minimization runs either over an explicit control grid or through the same
+completed-squares formula.  Every interpolated read goes through one
 per-axis plan (a box axis clamps, the circle wraps onto a slice padded with
 its first node), so the qubit scan builds the post-step x and y plans once
 per control value (x reads u_plus only, y u_minus only) and z's per candidate.
@@ -28,10 +28,10 @@ mirror image there, flipping the control signs.  The angle model lives on a
 uniform periodic grid over [-pi, pi), its own cell.  Each grid spec builds
 its geometry once, from the mask alone: axes, active nodes, the cell and, on
 first use, the fill plan that extends a slice past the mask and the
-neighbour table, the flat index of each cell node's neighbour at every
-offset in {-1, 0, 1}^dim (wrapping on a periodic axis, one past the last node
-off the grid).  Each step gathers its slice at the table once for the
-stencils and feedback rule; interpolation and the fill read the whole slice.
+neighbour table, the flat index of each cell node and of its 2 dim axis
+neighbours (wrapping on a periodic axis, one past the last node off the
+grid).  Each step gathers its slice at the table once for the stencils and
+feedback rule; interpolation and the fill read the whole slice.
 Value functions persist to ``.vgrid`` files: one JSON header line, then the
 value and control slices as little-endian float64 in row-major node order,
 finite exactly on the active nodes.
@@ -85,7 +85,8 @@ _HEADER_KEYS = ("format", "version", "bounds", "periodic", "n_controls", *_HEADE
 # the squared norm of exact on-sphere nodes
 MASK_TOL = 1e-12
 
-# explicit stepping keeps a factor-4 margin under the monotonicity limit
+# the FD stability bound: this share of a qubit step's monotonicity limit, and
+# twice this share of the circle's (see `solve_backward`)
 CFL_SAFETY = 0.25
 
 # exhaustive DP evaluates this many control candidates (of one u_plus row on
@@ -463,12 +464,14 @@ def _neighbours(shape, periodic: bool, nodes: np.ndarray, offsets) -> np.ndarray
     return np.stack([padded[tuple(coords + np.reshape(step, (-1, 1)))] for step in offsets])
 
 
-def _nb(g: np.ndarray, *moves) -> np.ndarray:
-    """A gather's row at the offset made of (axis, +-1) moves; none is the node."""
-    at = [0] * (g.ndim - 1)
-    for axis, step in moves:
-        at[axis] = step
-    return g[tuple(at)]
+def _axis_offsets(dim: int) -> list:
+    """The unit steps to a node's axis neighbours: axis by axis, +1 before -1."""
+    return [step * unit for unit in np.eye(dim, dtype=int) for step in (1, -1)]
+
+
+def _nb(g: np.ndarray, move=None) -> np.ndarray:
+    """A gather's row at one (axis, +-1) move; none is the node."""
+    return g[0] if move is None else g[1 + 2 * move[0] + (move[1] < 0)]
 
 
 def _gradient(g: np.ndarray, spacings, limited: bool = False) -> np.ndarray:
@@ -517,43 +520,6 @@ def _advection_upwind(g: np.ndarray, drift, spacings) -> np.ndarray:
     return total
 
 
-def _diffusion_term(g: np.ndarray, sigma, spacings) -> np.ndarray:
-    """(1/2) sigma sigma^T : Hessian from a gather, (m,), with central stencils.
-
-    Stencils needing a masked neighbor are dropped to zero: any one-sided
-    second difference puts a positive coefficient on the node itself, which
-    is explosive under explicit stepping.  The noise is tangent to the
-    sphere, so the dropped normal component is small where it matters.
-    """
-    values = _nb(g)
-    total = 0.0  # a sum from zero: a lone -0.0 term gives 0.0
-    ndim = len(spacings)
-    for axis, h in enumerate(spacings):
-        vp, vm = _nb(g, (axis, 1)), _nb(g, (axis, -1))
-        d2 = np.where(
-            np.isfinite(vp) & np.isfinite(vm),
-            (vp - 2.0 * values + vm) / (h * h),
-            0.0,
-        )
-        total = total + 0.5 * sigma[axis] ** 2 * d2
-    for i in range(ndim):
-        for j in range(i + 1, ndim):
-            vpp, vpm, vmp, vmm = (
-                _nb(g, (i, si), (j, sj)) for si in (1, -1) for sj in (1, -1)
-            )
-            ok = (
-                np.isfinite(vpp) & np.isfinite(vpm)
-                & np.isfinite(vmp) & np.isfinite(vmm)
-            )
-            cross = np.where(
-                ok,
-                (vpp - vpm - vmp + vmm) / (4.0 * spacings[i] * spacings[j]),
-                0.0,
-            )
-            total = total + sigma[i] * sigma[j] * cross
-    return total
-
-
 def _fill_inactive(values: np.ndarray, plan, stacked: bool = False) -> np.ndarray:
     """Extend a slice over the nodes outside the state space by repeated
     neighbor averaging.
@@ -592,7 +558,7 @@ def _fill_plan(missing: np.ndarray, good: np.ndarray) -> list:
     """
     shape = missing.shape
     size = missing.size
-    axis_offsets = [step * unit for unit in np.eye(len(shape), dtype=int) for step in (1, -1)]
+    axis_offsets = _axis_offsets(len(shape))
     missing = missing.ravel().copy()
     good = np.append(good.ravel(), False)
     plan = []
@@ -709,13 +675,13 @@ class _Geometry:
 
     @cached_property
     def neighbours(self) -> np.ndarray:
-        """The cell's neighbour table, (3,)*dim + (m,): [i, j, k] holds offset (i, j, k)."""
-        offsets = (np.array(list(np.ndindex((3,) * self.mask.ndim))) + 1) % 3 - 1
-        table = _neighbours(self.mask.shape, self.periodic, self.cell, offsets)
-        return table.reshape((3,) * self.mask.ndim + (-1,))
+        """The cell's neighbour table, (1 + 2 dim, m): the node, then `_axis_offsets`."""
+        dim = self.mask.ndim
+        offsets = [np.zeros(dim, dtype=int), *_axis_offsets(dim)]
+        return _neighbours(self.mask.shape, self.periodic, self.cell, offsets)
 
     def gather(self, v: np.ndarray) -> np.ndarray:
-        """A slice, NaN off the mask, read at the neighbour table: (3,)*dim + (m,)."""
+        """A slice, NaN off the mask, read at the neighbour table: (1 + 2 dim, m)."""
         return np.concatenate((v.ravel(), [np.nan])).take(self.neighbours)
 
 
@@ -794,12 +760,14 @@ def solve_backward(spec: GridSpec, params: ModelParams) -> ValueGrid:
 
     It reads the model's dynamics from `_dynamics` and runs the backward loop
     that `solve_dp` runs too, with the feedback of each slice stored on it.
-    Checks the diffusion stability bound delta <= 0.25 h^2 / max_diffusion
-    up front (the counting model, having no diffusion, gets the analogous
-    drift-plus-intensity load bound with worst-case box controls instead;
-    an unbounded counting solve is checked at zero control only).  Raises
-    ValueError when the bound fails and RuntimeError, naming slice and
-    node, if a non-finite value appears anyway.
+    A qubit step is monotone at fixed controls (raising a node lowers no new
+    value) while delta * (sum_i |b_i| / h_i + rate) <= 1, with the noise rate
+    of `_fd_step`; the bound takes CFL_SAFETY of that at the drift's
+    worst-case box controls (zero control when unbounded).  The circle's step
+    is monotone while delta sigma^2 <= h^2 and |b| h <= sigma^2; its bound is
+    delta <= CFL_SAFETY h^2 / (sigma^2 / 2).  Raises ValueError when the bound
+    fails and RuntimeError, naming slice and node, if a non-finite value
+    appears anyway.
     """
     _check_spec_params(spec, params)
     return _sweep(spec, params, CLOSED_FORM, _fd_step(spec, params, spec._geometry), lag=0)
@@ -807,23 +775,30 @@ def solve_backward(spec: GridSpec, params: ModelParams) -> ValueGrid:
 
 def _fd_step(spec: GridSpec, params: ModelParams, geo: _Geometry):
     """The FD step, ``step(v) -> (cell values at k - 1, feedback at k)`` from slice
-    k, built after the stability check: upwind advection on a qubit and the
-    central slope on the circle, then the diffusion or, on the counting qubit,
-    the jumps, whose J at the ground state is read through one plan per solve."""
+    k, built after the stability check: the central slope and second difference
+    on the circle; on a qubit upwind advection and rate * (mean of the reads
+    through one plan per solve - v), of J at the ground state at the jump
+    intensity, or at the node +- eps sigma at 1 / eps^2 with eps = sqrt(h): the
+    semi-Lagrangian (1/2) sigma^T Hess sigma of Debrabant & Jakobsen (2013)."""
     _, drift, sigma, lam = _dynamics(spec, params, geo)
-    spacings, delta, m = geo.spacings, spec.delta, len(geo.flat)
-    # the explicit step is monotone while delta * worst <= CFL_SAFETY * scale
-    if sigma is None:
-        # the drift/jump load at worst-case box controls: the drift is affine
-        # in u, so per axis it strays furthest from b0 at a corner of the box
+    spacings, delta, m, h = geo.spacings, spec.delta, len(geo.flat), min(geo.spacings)
+    if geo.periodic:
+        worst, scale = 0.5 * sigma[0] * sigma[0], h**2
+    else:
+        if lam is None:
+            eps = math.sqrt(h)
+            kick = eps * np.stack(sigma, axis=-1)
+            at, rate = geo.flat + np.stack([kick, -kick]), 1.0 / eps**2
+        else:
+            at, rate = GROUND_STATE[None], lam
+        reads = _interp_plan(geo, at)
+        # the drift is affine in u, so per axis it strays furthest from b0 at a
+        # corner of the box
         box = spec.control_box or 0.0
         b0 = np.stack(drift(0.0, 0.0))
         load = np.abs(b0) + sum(np.abs(np.stack(drift(*u)) - b0) for u in ((box, 0.0), (0.0, box)))
-        load = np.sum(load / np.reshape(spacings, (-1, 1)), axis=0) + lam
+        load = np.sum(load / np.reshape(spacings, (-1, 1)), axis=0) + rate
         worst, scale = float(load.max()), 1.0
-        ground = _interp_plan(geo, GROUND_STATE)
-    else:  # the largest diffusion against the finest spacing
-        worst, scale = float(np.max(0.5 * sum(s * s for s in sigma))), min(spacings) ** 2
     bound = CFL_SAFETY * scale / worst if worst > 0.0 else math.inf
     if delta > bound:
         raise ValueError(
@@ -836,15 +811,13 @@ def _fd_step(spec: GridSpec, params: ModelParams, geo: _Geometry):
         slope, u = _feedback(g, spec, geo)
         u = u.reshape(m, -1)
         b = drift(*u.T)
-        if lam is None:
-            noise = _diffusion_term(g, sigma, spacings)
-        else:
-            noise = lam * (float(_interp_box(_fill_inactive(v, geo.fill), ground)) - _nb(g))
         effort = np.sum(u * u, axis=-1)
-        if geo.periodic:  # the circle keeps its central-slope advection
-            rhs = effort + b[0] * slope + noise
+        if geo.periodic:
+            d2 = (_nb(g, (0, 1)) - 2.0 * _nb(g) + _nb(g, (0, -1))) / (h * h)
+            rhs = effort + b[0] * slope + 0.5 * sigma[0] ** 2 * d2
         else:
-            rhs = _advection_upwind(g, b, spacings) + noise + effort
+            mean = np.mean(_interp_box(_fill_inactive(v, geo.fill), reads), axis=0)
+            rhs = _advection_upwind(g, b, spacings) + rate * (mean - _nb(g)) + effort
         return _nb(g) + delta * rhs, u
 
     return step

@@ -366,8 +366,10 @@ def cmd_simulate(cfg: dict) -> dict:
 
 
 def cmd_solve(cfg: dict) -> dict:
-    if cfg["method"] == "fd" and "mode" in cfg["_given"]:
-        raise ConfigError("grid.mode applies to --method dp only; fd takes the closed-form control")
+    for key in ("mode", "control_resolution"):
+        if cfg["method"] == "fd" and key in cfg["_given"]:
+            raise ConfigError(f"grid.{key} applies to --method dp only; "
+                              "fd takes the closed-form control")
     model = _require(cfg, "model", "solve")
     params = _model_params(cfg)
     grid_path = _require(cfg, "grid", "solve")

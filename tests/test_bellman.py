@@ -479,7 +479,7 @@ PINNED_VGRID_CASES = {
 }
 
 PINNED_VGRIDS = {
-    ("diffusive", "fd"): "16dba192fccf79655a7567c12cb3912e4c1d474f983e9b027fb7b61c4dbb91af",
+    ("diffusive", "fd"): "5b23f227d33a0abd547a2590f3dc7357027595234f104a1e318ce536ab1c8673",
     ("diffusive", "closed-form"): "da0b0c742e8e1cf8202bbab6625f2ee6a08e5abd6393978dce2e6b596635833f",
     ("diffusive", "exhaustive"): "dea495392d0d61e413b601ceccc19cc3aab35bc54bef501e2a16505ad8a74174",
     ("counting", "fd"): "2434753f4b4b873caac9ffe6b4aa512b6d108d320f38ad95896486ec8156ee64",
@@ -691,26 +691,6 @@ def _reference_advection(values, drift, spacings):
     return total
 
 
-def _reference_diffusion(values, sigma, spacings):
-    total = np.zeros_like(values)
-    ndim = len(spacings)
-    for axis, h in enumerate(spacings):
-        vp = _shift(values, axis, +1)
-        vm = _shift(values, axis, -1)
-        d2 = np.where(np.isfinite(vp) & np.isfinite(vm), (vp - 2.0 * values + vm) / (h * h), 0.0)
-        total = total + 0.5 * sigma[..., axis] ** 2 * d2
-    for i in range(ndim):
-        for j in range(i + 1, ndim):
-            vpp = _shift(_shift(values, i, +1), j, +1)
-            vpm = _shift(_shift(values, i, +1), j, -1)
-            vmp = _shift(_shift(values, i, -1), j, +1)
-            vmm = _shift(_shift(values, i, -1), j, -1)
-            ok = np.isfinite(vpp) & np.isfinite(vpm) & np.isfinite(vmp) & np.isfinite(vmm)
-            cross = np.where(ok, (vpp - vpm - vmp + vmm) / (4.0 * spacings[i] * spacings[j]), 0.0)
-            total = total + sigma[..., i] * sigma[..., j] * cross
-    return total
-
-
 def _reference_fill(values):
     # whole-array sweeps: every NaN node with a finite axis neighbor takes
     # the mean of those neighbors, summed axis by axis, +1 before -1
@@ -882,10 +862,9 @@ def test_stencils_on_the_gather_match_whole_array_reference(shape):
     values = np.where(mask, rng.normal(size=shape), np.nan)
     drift = rng.normal(size=shape + (3,))
     drift[rng.random(shape) < 0.1] = 0.0
-    sigma = rng.normal(size=shape + (3,))
     # the gather reads the symmetry cell's nodes, the stencils the whole slice
     g = geo.gather(values)
-    assert g.shape == (3, 3, 3, geo.cell.size)
+    assert g.shape == (7, geo.cell.size)
 
     def cell(a):
         return a.reshape((mask.size,) + a.shape[3:])[geo.cell]
@@ -895,8 +874,6 @@ def test_stencils_on_the_gather_match_whole_array_reference(shape):
         assert np.array_equal(_bits(bm._gradient(g, spacings, limited)), _bits(want))
     want = cell(_reference_advection(values, drift, spacings))
     assert np.array_equal(_bits(bm._advection_upwind(g, cell(drift).T, spacings)), _bits(want))
-    want = cell(_reference_diffusion(values, sigma, spacings))
-    assert np.array_equal(_bits(bm._diffusion_term(g, cell(sigma).T, spacings)), _bits(want))
 
 
 def test_angle_stencils_on_the_gather_match_the_rolled_slice():
@@ -914,8 +891,6 @@ def test_angle_stencils_on_the_gather_match_the_rolled_slice():
     assert np.array_equal(_bits(bm._gradient(g, geo.spacings)[:, 0]), _bits(central))
     assert np.array_equal(_bits(bm._gradient(g, geo.spacings, limited=True)[:, 0]), _bits(limited))
     diffusion = 2.0 * params.alpha**2
-    got = bm._diffusion_term(g, (2.0 * params.alpha,), geo.spacings)
-    assert np.array_equal(_bits(got), _bits(diffusion * second))
     # the feedback and one FD step, as the rolled forms gave them
     slope, b = bm._feedback(g, spec, geo)
     assert np.array_equal(_bits(b), _bits(np.clip(-central, -0.5, 0.5)))
@@ -925,22 +900,29 @@ def test_angle_stencils_on_the_gather_match_the_rolled_slice():
     assert np.array_equal(_bits(new), _bits(v + spec.delta * rhs))
 
 
-@pytest.mark.parametrize("n, shell, active", [(17, 872, 2109), (21, 1440, 4169),
-                                              (31, 3320, 14147)])
+@pytest.mark.parametrize("n, shell, active", [(17, 606, 2109), (21, 978, 4169),
+                                              (31, 2262, 14147)])
 def test_neighbour_table_counts_the_nodes_with_a_dropped_stencil_term(n, shell, active):
-    # the FD stencils read the axis and in-plane diagonal neighbours; a node
-    # with one of them masked or off the grid drops a term.  The table holds
-    # the symmetry cell's nodes, and each active node counts as its image
+    # the FD stencils read the node's axis neighbours; a node with one of them
+    # masked or off the grid drops an upwind term.  The table holds the
+    # symmetry cell's nodes, and each active node counts as its image
     geo = bm.GridSpec(model="diffusive", n_nodes=n, n_steps=1, horizon_T=1.0)._geometry
     table = geo.neighbours
     assert np.count_nonzero(geo.mask) == geo.rep.size == active
-    assert table.shape == (3, 3, 3, geo.cell.size)
-    assert np.array_equal(table[0, 0, 0], geo.cell)
-    # the +x neighbour of the node (1, 0, 0) is off the grid: the sentinel
-    assert table[1, 0, 0][np.argmax(geo.flat[:, 0])] == geo.mask.size
+    assert table.shape == (7, geo.cell.size)
+    assert np.array_equal(table[0], geo.cell)
+    # row 1 + 2 axis (+1 for the -1 step) is the axis neighbour, or the
+    # sentinel one past the last node off the grid
+    coords = np.stack(np.unravel_index(geo.cell, geo.mask.shape))
+    for axis in range(3):
+        for row, step in ((1 + 2 * axis, 1), (2 + 2 * axis, -1)):
+            moved = coords.copy()
+            moved[axis] += step
+            inside = (moved[axis] >= 0) & (moved[axis] < n)
+            want = np.ravel_multi_index(np.clip(moved, 0, n - 1), geo.mask.shape)
+            assert np.array_equal(table[row], np.where(inside, want, geo.mask.size))
     readable = np.append(geo.mask.ravel(), False)[table]
-    stencil = [at for at in np.ndindex(3, 3, 3) if 0 < np.count_nonzero(at) <= 2]
-    dropped = ~np.all([readable[at] for at in stencil], axis=0)
+    dropped = ~readable.all(axis=0)
     assert np.count_nonzero(dropped[geo.rep]) == shell
 
 
@@ -1121,8 +1103,10 @@ def _full_grid_solve(spec, params, solver):
 
 
 def _cell_solve(model, solver, shape):
-    spec = bm.GridSpec(model=model, n_nodes=shape, n_steps=10, horizon_T=0.1,
-                       control_box=1.0, control_resolution=5)
+    # the FD's stability bound refuses 10 steps at 9^3; the DP keeps the 10
+    # steps at which NEAR_TIES was counted
+    spec = bm.GridSpec(model=model, n_nodes=shape, n_steps=20 if solver == "fd" else 10,
+                       horizon_T=0.1, control_box=1.0, control_resolution=5)
     params = ModelParams(kappa_s_sq=0.5, horizon_T=0.1)
     if solver == "fd":
         return spec, params, bm.solve_backward(spec, params)
@@ -1453,6 +1437,60 @@ def test_counting_fd_stability_bound_is_read_off_the_drift(n):
                 else:
                     with pytest.raises(ValueError, match="stability bound"):
                         bm._fd_step(spec, params, geo)
+
+
+def _zero_control_limit(geo, model, params):
+    # the qubit FD's monotonicity limit at zero control, from the public
+    # encodings: 1 / max(sum_i |b_i| / h_i + rate), with the rate 1 / h of the
+    # diffusion read at the node +- sqrt(h) sigma, or the jump intensity
+    zero = np.zeros((len(geo.flat), 2))
+    if model == "diffusive":
+        b, rate = diffusive_drift(geo.flat, zero), 1.0 / min(geo.spacings)
+    else:
+        b, rate = counting_drift(geo.flat, zero, params), jump_intensity(geo.flat, params)
+    return 1.0 / float(np.max(np.sum(np.abs(b) / np.asarray(geo.spacings), axis=-1) + rate))
+
+
+def _nodes_whose_raise_lowers_a_value(step, geo):
+    # at box 0 the step is linear and maps the zero slice to 0, so raising
+    # node j by 1 moves the new values by the step of the unit slice at j
+    zero = np.where(geo.mask, 0.0, np.nan)
+    lowered = 0
+    for node in geo.cell:
+        v = zero.copy()
+        v.flat[node] = 1.0
+        lowered += bool((step(v)[0] < 0.0).any())
+    return lowered
+
+
+@pytest.mark.parametrize("model, kappa_s_sq", [("diffusive", 0.5), ("diffusive", 1.0),
+                                               ("counting", 0.5)])
+def test_qubit_fd_step_is_monotone_up_to_its_stability_bound(monkeypatch, model, kappa_s_sq):
+    # every active node of 13^3 computed, box 0: raising any one node lowers no
+    # new value, and one step keeps a 0/1 slice in [0, 1].  The bound is the
+    # monotonicity limit itself: with CFL_SAFETY = 1 the step is monotone just
+    # under it and not at 1.05 times it.  (On the counting qubit at
+    # kappa_s^2 = 1 the most loaded nodes drop an upwind term at the mask, and
+    # the limit lies 5.6 % above the bound.)
+    params = ModelParams(kappa_s_sq=kappa_s_sq, horizon_T=1.0)
+
+    def step(delta):
+        spec = bm.GridSpec(model=model, n_nodes=13, n_steps=1, horizon_T=delta, control_box=0.0)
+        return bm._fd_step(spec, params, geo)
+
+    geo = _full_grid_geometry(bm.GridSpec(model=model, n_nodes=13, n_steps=1, horizon_T=1.0))
+    assert geo.cell.size == 925
+    zero_one = np.where(geo.mask, np.random.default_rng(21).integers(0, 2, geo.mask.shape), np.nan)
+    limit = _zero_control_limit(geo, model, params)
+    monkeypatch.setattr(bm, "CFL_SAFETY", 1.0)
+    with pytest.raises(ValueError, match="stability bound"):
+        step(limit * (1.0 + 1e-12))
+    for delta in (1e-3, limit * (1.0 - 1e-9)):
+        assert _nodes_whose_raise_lowers_a_value(step(delta), geo) == 0
+        new = step(delta)(zero_one)[0]
+        assert 0.0 <= new.min() and new.max() <= 1.0
+    monkeypatch.setattr(bm, "CFL_SAFETY", 1.05)
+    assert _nodes_whose_raise_lowers_a_value(step(1.05 * limit), geo) > 0
 
 
 # ---------------------------------------------------------------------------

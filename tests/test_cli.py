@@ -222,6 +222,22 @@ def test_solve_fd_rejects_a_given_mode_before_any_work(tmp_path, capsys, monkeyp
     assert not (tmp_path / "a.vgrid").exists()
 
 
+def test_solve_fd_rejects_a_given_control_resolution_before_any_work(tmp_path, capsys,
+                                                                     monkeypatch):
+    # the fd sweep scans no control grid: a resolution would go into the
+    # .vgrid header unread
+    for name in ("solve_backward", "solve_dp"):
+        monkeypatch.setattr(cli, name, _no_work)
+    code, out, err = run_cli(
+        capsys, "solve", "--model", "counting-qubit", "--method", "fd", "--control-box", "1",
+        "--control-resolution", "9", "--n-nodes", "9", "--n-steps", "100",
+        "--grid", str(tmp_path / "c.vgrid"), "--no-timings",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: grid.control_resolution applies to --method dp only")
+    assert not (tmp_path / "c.vgrid").exists()
+
+
 def test_evaluate_grid_policy_matches_closed_form_cost(tmp_path, capsys):
     grid = tmp_path / "fine.vgrid"
     code, _, _ = run_cli(
