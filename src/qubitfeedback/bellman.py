@@ -587,9 +587,12 @@ def _axis_plan(geo, ax, q):
         f = (q - nodes[0]) / geo.spacings[ax]
         i0 = np.floor(f).astype(int)
         return np.mod(i0, nodes.size) * stride, stride, (1.0 - (f - i0), f - i0)
-    f = (np.clip(q, nodes[0], nodes[-1]) - nodes[0]) / (nodes[1] - nodes[0])
-    i0 = np.clip(np.floor(f).astype(int), 0, nodes.size - 2)
-    frac = np.clip(f - i0, 0.0, 1.0)
+    f = np.empty(np.shape(q))  # a 0-d q stays an array, so out= takes it
+    f = np.minimum(np.maximum(q, nodes[0], out=f), nodes[-1], out=f)
+    f = np.divide(np.subtract(f, nodes[0], f), nodes[1] - nodes[0], f)
+    i0 = f.astype(int)  # the floor of f >= 0; a NaN gives INT_MIN, clamped to 0
+    i0 = np.minimum(np.maximum(i0, 0, out=i0), nodes.size - 2, out=i0)
+    frac = np.minimum(np.subtract(f, i0, f), 1.0, out=f)  # f - i0 >= 0 already
     return i0 * stride, stride, (1.0 - frac, frac)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import io
 import json
 import os
@@ -370,6 +371,8 @@ def cmd_solve(cfg: dict) -> dict:
         if cfg["method"] == "fd" and key in cfg["_given"]:
             raise ConfigError(f"grid.{key} applies to --method dp only; "
                               "fd takes the closed-form control")
+    if cfg["mode"] == CLOSED_FORM and "control_resolution" in cfg["_given"]:
+        raise ConfigError("grid.control_resolution applies to --mode exhaustive only")
     model = _require(cfg, "model", "solve")
     params = _model_params(cfg)
     grid_path = _require(cfg, "grid", "solve")
@@ -538,6 +541,8 @@ def cmd_lq(cfg: dict) -> None:
 # argument parsing
 
 
+# built once: each argparse parser leaves some 900 objects in reference cycles
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qubitfeedback",

@@ -24,9 +24,13 @@ policy; each policy gets the result its own batch would give.
 reused (256, 4096) buffer of per-step rows, so the engine's noise memory
 is about 4096 * 256 * 8 bytes whatever the horizon.  Block-wise draws are
 the same numbers as one draw over the horizon, so fixed-seed results are
-unchanged bit for bit by the blocking.  A step allocates nothing: each
-policy has two state buffers, written in turn, and the qubit kernels keep
-their intermediates in one scratch array per chunk.
+unchanged bit for bit by the blocking.  Each policy has two state buffers,
+written in turn, and the qubit kernels keep their intermediates in one
+scratch array per chunk.  Counting paths reset to the ground state on a
+detection and are deterministic between detections, so they share few
+states (the quantum-jump picture): the engine calls each policy and the
+kernel once on a table of the distinct states, which relies on a row's
+control depending only on t and that row.  Each path keeps its bits.
 
 What differs between the models is data in one frozen `ModelRecord` per
 model (`MODEL_RECORDS`): the CLI and ``.vgrid`` id, state and control
@@ -74,9 +78,9 @@ COUNTING = "counting"
 ANGLE = "angle"
 
 
-def wrap_angle(theta):
+def wrap_angle(theta, out=None):
     """Wrap angles into [-pi, pi)."""
-    return np.mod(np.asarray(theta, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
+    return np.subtract(np.mod(np.asarray(theta, dtype=float) + np.pi, 2.0 * np.pi), np.pi, out)
 
 
 # ---------------------------------------------------------------------------
@@ -137,19 +141,19 @@ def step_counting(p, u, dt, jumped, params: ModelParams, ball_tol: float = BALL_
     return out
 
 
-def step_angle(theta, B, dt, dW, params: ModelParams):
+def step_angle(theta, B, dt, dW, params: ModelParams, out=None):
     """One Euler step of the phase angle, wrapped into [-pi, pi)."""
     theta = np.asarray(theta, dtype=float)
     B = np.asarray(B, dtype=float)
     dW = np.asarray(dW, dtype=float)
-    return wrap_angle(theta + 2.0 * B * dt + 2.0 * params.alpha * dW)
+    return wrap_angle(theta + 2.0 * B * dt + 2.0 * params.alpha * dW, out)
 
 
-def _thinned(lam, uniforms, dt, out=None, work=None):
+def _thinned(lam, uniforms, dt, out=None):
     """Bernoulli thinning: True where a uniform draw falls below the pre-step
     intensity ``lam`` times dt.  The engine's counting step and
     `sample_jump` both flag their detections here."""
-    return np.less(uniforms, np.multiply(lam, dt, out=work), out=out)
+    return np.less(uniforms, np.multiply(lam, dt), out=out)
 
 
 def sample_jump(p, dt, rng: np.random.Generator, params: ModelParams):
@@ -180,9 +184,10 @@ class ModelRecord:
     headers.  Shapes are per path (``()`` for the scalar angle model).
     ``noise`` names the ``numpy.random.Generator`` method drawing each
     step's noise, scaled by sqrt(dt) into dW when ``wiener``.
-    ``advance(state, u, dt, noise, params, out, work, rate, flags)`` steps
-    on one row of it (dW, or the uniforms) into the buffers given, or
-    allocated, and returns ``(new_state, increment)``: dW or the jump flags.
+    ``advance(state, u, dt, noise, params, out, work, rate, flags, member)``
+    steps the states (path p on ``member[p]``, or p) on one row of it (dW, or
+    the uniforms) into the buffers given, or allocated, and returns ``(new_state,
+    increment)``: dW or the jump flags.  The caller resets to ``reset`` (or None).
     ``observe(states, increments, dt, params)`` gives the measurement
     record of those steps (the dY or dN column), or None for the angle.
     ``bounds`` and ``periodic`` describe the value-grid axes.
@@ -202,6 +207,7 @@ class ModelRecord:
     bounds: tuple[tuple[float, float], ...]
     periodic: bool
     terminal_cost: Callable[[np.ndarray], np.ndarray]
+    reset: np.ndarray | None = None
 
     @property
     def n_controls(self) -> int:
@@ -217,15 +223,16 @@ def _advance_diffusive(p, u, dt, dW, params, out=None, work=None, *_):
     return step_diffusive(p, u, dt, dW, params, BALL_TOL, out, work), dW
 
 
-def _advance_counting(p, u, dt, uniforms, params, out=None, work=None, rate=None, flags=None):
-    # the pre-step intensity both thins the uniforms and drives the drift
+def _advance_counting(p, u, dt, uniforms, params, out=None, work=None, rate=None, flags=None,
+                      member=None):
+    # each state's pre-step intensity thins the uniforms of its paths and drives its drift
     lam = _jump_intensity_z(p[..., 2], params.kappa_s_sq, rate)
-    jumped = _thinned(lam, uniforms, dt, flags, None if work is None else work[0])
-    return step_counting(p, u, dt, jumped, params, BALL_TOL, out, work, lam), jumped
+    jumped = _thinned(lam if member is None else lam[member], uniforms, dt, flags)
+    return step_counting(p, u, dt, False, params, BALL_TOL, out, work, lam), jumped
 
 
-def _advance_angle(theta, B, dt, dW, params, *_):
-    return step_angle(theta, B, dt, dW, params), dW
+def _advance_angle(theta, B, dt, dW, params, out=None, *_):
+    return step_angle(theta, B, dt, dW, params, out), dW
 
 
 _QUBIT = dict(
@@ -240,7 +247,7 @@ MODEL_RECORDS = {
     ),
     COUNTING: ModelRecord(
         "counting-qubit", noise="random", wiener=False, advance=_advance_counting,
-        observe=lambda p, jumps, dt, params: jumps.copy(), **_QUBIT,
+        observe=lambda p, jumps, dt, params: jumps.copy(), reset=GROUND_STATE, **_QUBIT,
     ),
     ANGLE: ModelRecord(
         "angle-lq", state_shape=(), control_shape=(), noise="standard_normal",
@@ -269,9 +276,10 @@ def model_from_id(model_id) -> str:
 
 
 # ---------------------------------------------------------------------------
-# policies: callables (t, state) -> control, vectorized over leading axes;
-# the engine requires one control per path: shape (n,) for the angle model,
-# (n, 2) for the qubit models
+# policies: callables (t, state) -> control, vectorized over leading axes,
+# one control per row: shape (n,) for the angle model, (n, 2) for the qubits.
+# A row's control must depend only on t and that row: the counting engine
+# calls a policy on its distinct states, not once per path
 
 
 def _control_shape(rec: ModelRecord, state) -> tuple[int, ...]:
@@ -460,6 +468,28 @@ def _effort(u: np.ndarray) -> np.ndarray:
     return sum(squares[1:], squares[0])
 
 
+def _on_paths(rows: np.ndarray, member) -> np.ndarray:
+    """Per-path values of per-state ones: the states' own when paths have their own."""
+    return rows if member is None else rows[member]
+
+
+def _reset(table: np.ndarray, n_rows: int, member, jumped, state) -> int:
+    """Point the paths that jumped at a row bit-equal to ``state`` (bytes, since
+    == equates -0.0 and 0.0), appended when there is none; return the row count."""
+    same = (table[:n_rows].view(np.uint64) == state.view(np.uint64)).all(axis=-1)
+    row = int(same.argmax()) if same.any() else n_rows
+    table[row], member[jumped] = state, row
+    return max(n_rows, row + 1)
+
+
+def _compact(table: np.ndarray, n_rows: int, member) -> int:
+    """Drop the rows no path points at, in place; return the rows kept."""
+    used = np.bincount(member, minlength=n_rows) > 0
+    remap = np.cumsum(used) - 1
+    member[:], table[: remap[-1] + 1] = remap[member], table[:n_rows][used]
+    return int(remap[-1]) + 1
+
+
 def _simulate_paths(model, policies, start, n_steps, params, dt, rngs, watch=None):
     """Advance len(rngs) paths in lockstep under each policy; return the
     per-path total costs, one row per policy.  Each noise block is drawn
@@ -467,24 +497,29 @@ def _simulate_paths(model, policies, start, n_steps, params, dt, rngs, watch=Non
 
     ``start`` and the other inputs come from `_validated_start`.  Each
     policy has two state buffers, written in turn; a qubit one is the
-    (n, 3) transpose of a (3, n) array.  The noise is kept as one row per
-    step.  ``watch(k, i, u, increment, state_after)``, when given, sees
-    step k of policy i; its arguments are reused buffers, valid only
-    during the call.
+    (n, 3) transpose of a (3, n) array.  With a ``reset`` state they hold
+    a table of distinct states, x0 alone at first, and ``member`` gives each
+    path's row: paths that jump point at a reset row, and unused rows are
+    dropped after each noise block.  The noise is one row per step.  ``watch(k,
+    i, u, increment, state_after)`` sees step k of policy i per path, if given;
+    its arguments are valid only during the call.
     """
     rec = MODEL_RECORDS[model]
     n_paths = len(rngs)
-    ctrl_shape = (n_paths,) + rec.control_shape
-    first = np.repeat(np.asarray(start)[..., None], n_paths, axis=-1)
+    resets = rec.reset is not None
+    size = n_paths + NOISE_BLOCK if resets else n_paths
+    first = np.repeat(np.asarray(start)[..., None], size, axis=-1)
     states = [[np.moveaxis(b, -1, 0) for b in (first.copy(), np.empty_like(first))] for _ in policies]
+    n_rows = [1 if resets else n_paths for _ in policies]
+    members = [np.zeros(n_paths, dtype=np.intp) if resets else None for _ in policies]
     costs = np.zeros((len(policies), n_paths))
     draw = getattr(np.random.Generator, rec.noise)
     # column i of a block holds path i's draws: the same numbers, in the
     # same order, as one draw of n_steps from its generator
     block = min(NOISE_BLOCK, n_steps)
     noise, tile = np.empty((block, n_paths)), np.empty((min(TILE_PATHS, n_paths), block))
-    dW, rate, flags = np.empty(n_paths), np.empty(n_paths), np.empty(n_paths, dtype=bool)
-    work = np.empty((3, n_paths))
+    dW, rate, flags = np.empty(n_paths), np.empty(size), np.empty(n_paths, dtype=bool)
+    work = np.empty((3, size))
 
     for block_start in range(0, n_steps, NOISE_BLOCK):
         block_len = min(NOISE_BLOCK, n_steps - block_start)
@@ -497,21 +532,26 @@ def _simulate_paths(model, policies, start, n_steps, params, dt, rngs, watch=Non
             k = block_start + j
             step_noise = np.multiply(noise[j], np.sqrt(dt), dW) if rec.wiener else noise[j]
             for i, policy in enumerate(policies):
-                state, spare = states[i]
-                u = _checked_control(policy(k * dt, state), ctrl_shape)
-                costs[i] += _effort(u) * dt
-                new_state, increment = rec.advance(state, u, dt, step_noise, params,
-                                                   spare, work, rate, flags)
+                (state, spare), n, member = states[i], n_rows[i], members[i]
+                u = _checked_control(policy(k * dt, state[:n]), (n,) + rec.control_shape)
+                costs[i] += _on_paths(_effort(u) * dt, member)
+                u_paths = None if watch is None else _on_paths(u, member)
+                _, increment = rec.advance(state[:n], u, dt, step_noise, params, spare[:n],
+                                           work[:, :n], rate[:n], flags, member)
+                if resets and increment.any():
+                    n_rows[i] = _reset(spare, n, member, increment, rec.reset)
                 if watch is not None:
-                    watch(k, i, u, increment, new_state)
-                states[i] = [new_state, state]
-        if not all(np.isfinite(state).all() for state, _ in states):
+                    watch(k, i, u_paths, increment, _on_paths(spare[: n_rows[i]], member))
+                states[i] = [spare, state]
+        if resets:
+            n_rows = [_compact(s, n, m) for (s, _), n, m in zip(states, n_rows, members)]
+        if not all(np.isfinite(state[:n]).all() for (state, _), n in zip(states, n_rows)):
             raise ValueError(
                 f"state became non-finite before t = {(block_start + block_len) * dt!r}"
             )
 
-    for cost, (state, _) in zip(costs, states):
-        cost += rec.terminal_cost(state)
+    for cost, (state, _), n, member in zip(costs, states, n_rows, members):
+        cost += _on_paths(rec.terminal_cost(state[:n]), member)
     return costs
 
 
@@ -605,7 +645,9 @@ def run_batches(
     results do not depend on the chunk size.  Each noise block is drawn
     once and fed to every policy (also with ``seed=None``), so each gets
     bit for bit the result of its own run.  Returns one CostStatistics, or
-    (CostStatistics, costs) with ``return_costs``, per policy.
+    (CostStatistics, costs) with ``return_costs``, per policy.  A row's
+    control must depend only on t and that row: on the counting model a
+    policy is called on the chunk's distinct states, not once per path.
     """
     n_steps, start = _validated_start(model, x0, params, dt, seed, n_paths)
 

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface (in-process, plus one
 subprocess smoke test)."""
 
+import gc
 import json
 import subprocess
 import sys
@@ -236,6 +237,40 @@ def test_solve_fd_rejects_a_given_control_resolution_before_any_work(tmp_path, c
     assert (code, out) == (2, "")
     assert err.startswith("error: grid.control_resolution applies to --method dp only")
     assert not (tmp_path / "c.vgrid").exists()
+
+
+def test_solve_closed_form_dp_rejects_a_given_control_resolution_before_any_work(
+        tmp_path, capsys, monkeypatch):
+    # only the exhaustive scan reads the resolution; closed form would write
+    # it into the .vgrid header unread
+    for name in ("solve_backward", "solve_dp"):
+        monkeypatch.setattr(cli, name, _no_work)
+    for mode in ((), ("--mode", "closed-form")):
+        code, out, err = run_cli(
+            capsys, "solve", "--model", "counting-qubit", "--method", "dp", *mode,
+            "--control-box", "1", "--control-resolution", "9", "--n-nodes", "9",
+            "--n-steps", "100", "--horizon-t", "0.5", "--grid", str(tmp_path / "c.vgrid"),
+            "--no-timings",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: grid.control_resolution applies to --mode exhaustive only")
+        assert not (tmp_path / "c.vgrid").exists()
+
+
+def test_main_leaves_no_argparse_objects_to_the_cyclic_collector(capsys):
+    # the parser is built once per process: one parser per call left some 900
+    # objects in reference cycles, holding freed heap memory until a collection
+    run_cli(capsys, "lq", "--t", "0", "--theta", "0", "--no-timings")
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert run_cli(capsys, "lq", "--t", "0", "--theta", "0", "--no-timings")[0] == 0
+        gc.collect()
+        leftover = [type(o).__name__ for o in gc.garbage if type(o).__module__ == "argparse"]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert leftover == []
 
 
 def test_evaluate_grid_policy_matches_closed_form_cost(tmp_path, capsys):

@@ -611,6 +611,57 @@ def test_run_batch_costs_are_pinned(case, monkeypatch):
     assert hashlib.sha256(costs.astype("<f8").tobytes()).hexdigest() == digest
 
 
+# sha256 of both arms' per-path costs, recorded from the engine that stepped
+# one row per path.  The constant control moves the ground state, so the
+# counting engine's table of distinct states grows with every detection step.
+COUNTING_TABLE_CASE = dict(
+    model=tj.COUNTING, x0=[0.0, 0.0, 1.0], params=ModelParams(kappa_s_sq=0.8, horizon_T=1.0),
+    dt=1e-3, n_paths=4096, seed=5,
+)
+PINNED_TABLE_COSTS = "e05e95d10f5c133f6e77e16a68e5717e3bd69ab1fcbfea19e2f7cad537160b98"
+
+
+def test_counting_table_costs_are_pinned():
+    policies = [tj.constant_policy(tj.COUNTING, (0.3, -0.2)), tj.zero_policy(tj.COUNTING)]
+    arms = tj.run_batches(policies=policies, **COUNTING_TABLE_CASE, return_costs=True)
+    costs = np.stack([c for _, c in arms])
+    assert hashlib.sha256(costs.astype("<f8").tobytes()).hexdigest() == PINNED_TABLE_COSTS
+
+
+def _recording(policy, seen):
+    """``policy``, recording the number of states of each call."""
+    return lambda t, s: seen.append(len(s)) or policy(t, s)
+
+
+def test_counting_policy_sees_the_start_and_ground_rows_when_ground_is_fixed():
+    # with no control the ground state is a fixed point (zero intensity, zero
+    # drift), so every path is on the start's row or on the ground row
+    seen = []
+    params = ModelParams(kappa_s_sq=0.5, horizon_T=0.5)
+    stats = tj.run_batch(tj.COUNTING, _recording(tj.zero_policy(tj.COUNTING), seen),
+                         [1.0, 0.0, 0.0], params, 1e-3, 4096, seed=3)
+    assert len(seen) == 500 and max(seen) == 2 and seen[0] == 1
+    assert stats.n == 4096
+
+
+def test_counting_table_grows_by_at_most_one_row_per_detection_step(monkeypatch):
+    seen, detected = [], []
+    thinned = tj._thinned
+
+    def spy(*args):
+        flags = thinned(*args)
+        detected.append(flags.any())
+        return flags
+
+    monkeypatch.setattr(tj, "_thinned", spy)
+    policy = _recording(tj.constant_policy(tj.COUNTING, (0.3, -0.2)), seen)
+    tj.run_batch(policy=policy, **COUNTING_TABLE_CASE)
+    bound = 1 + np.concatenate([[0], np.cumsum(detected)[:-1]])
+    assert len(seen) == len(detected) == 1000
+    assert np.all(np.array(seen) <= bound)
+    assert 50 < max(seen) < 4096
+
+
 def test_package_import_leaves_out_concurrent_futures():
     # the engine runs its chunks serially and needs no executor
     code = "import sys, qubitfeedback; print('concurrent.futures' in sys.modules)"
