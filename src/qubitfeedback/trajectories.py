@@ -15,9 +15,12 @@ theta^2).
 Reproducibility: path i of a batch draws its noise from the substream
 ``SeedSequence((seed, i))``, so results are independent of how the paths
 are split into chunks, and two batches with the same seed see identical
-noise (common random numbers).  ``run_batches``, which the CLI's
-``compare`` uses, draws each noise block once and feeds it to every
-policy; each policy gets the result its own batch would give.
+noise (common random numbers).  The PCG64 seeding words of a chunk's
+substreams are computed in one vectorised pass (``_substreams``),
+bit-equal to numpy's ``SeedSequence((seed, i))``, which a test pins; a
+run without a seed draws one fresh 128-bit seed.  ``run_batches``, which
+the CLI's ``compare`` uses, draws each noise block once and feeds it to
+every policy; each policy gets the result its own batch would give.
 ``simulate`` is path 0 of its seed.  Paths run serially in chunks of
 ``CHUNK_PATHS`` = 4096; each path's noise is drawn in blocks of
 ``NOISE_BLOCK`` = 256 steps, via a tile of ``TILE_PATHS`` paths, into one
@@ -402,14 +405,12 @@ NOISE_BLOCK = 256
 TILE_PATHS = 128
 
 
-def _path_rngs(seed, indices) -> list[np.random.Generator]:
-    if seed is None:
-        root = np.random.SeedSequence()
-        children = root.spawn(len(indices))
-    else:
-        children = (np.random.SeedSequence((int(seed), int(i))) for i in indices)
-    # what default_rng builds from a SeedSequence, minus its type dispatch
-    return [np.random.Generator(np.random.PCG64(child)) for child in children]
+def _path_rngs(seed: int, indices) -> list[np.random.Generator]:
+    """The generators of paths ``indices``: path i's is ``PCG64(SeedSequence((seed, i)))``,
+    seeded in one pass for all of them."""
+    from ._substreams import path_generators
+
+    return path_generators(seed, indices)
 
 
 def _n_steps(params: ModelParams, dt: float) -> int:
@@ -429,6 +430,8 @@ def _validated_start(model: str, x0, params: ModelParams, dt: float, seed, n_pat
     n_steps = _n_steps(params, dt)
     if not isinstance(n_paths, numbers.Integral) or n_paths < 1:
         raise ValueError(f"n_paths must be an integer >= 1, got {n_paths!r}")
+    if n_paths > 2**32:  # a path's substream takes its index as one 32-bit word
+        raise ValueError(f"n_paths must be at most 2**32, got {n_paths!r}")
     if seed is not None and not isinstance(seed, numbers.Integral):
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     if seed is not None and seed < 0:
@@ -462,10 +465,13 @@ def _checked_control(u, shape) -> np.ndarray:
     return u
 
 
-def _effort(u: np.ndarray) -> np.ndarray:
+def _effort(u: np.ndarray, out=None) -> np.ndarray:
     """|u|^2 per path, summed over the control components column by column."""
-    squares = (u * u).reshape(len(u), -1).T
-    return sum(squares[1:], squares[0])
+    first, *rest = u.reshape(len(u), -1).T
+    out = np.multiply(first, first, out)
+    for column in rest:
+        out += column * column
+    return out
 
 
 def _on_paths(rows: np.ndarray, member) -> np.ndarray:
@@ -519,6 +525,7 @@ def _simulate_paths(model, policies, start, n_steps, params, dt, rngs, watch=Non
     block = min(NOISE_BLOCK, n_steps)
     noise, tile = np.empty((block, n_paths)), np.empty((min(TILE_PATHS, n_paths), block))
     dW, rate, flags = np.empty(n_paths), np.empty(size), np.empty(n_paths, dtype=bool)
+    effort_row = np.empty(size)
     work = np.empty((3, size))
 
     for block_start in range(0, n_steps, NOISE_BLOCK):
@@ -534,7 +541,9 @@ def _simulate_paths(model, policies, start, n_steps, params, dt, rngs, watch=Non
             for i, policy in enumerate(policies):
                 (state, spare), n, member = states[i], n_rows[i], members[i]
                 u = _checked_control(policy(k * dt, state[:n]), (n,) + rec.control_shape)
-                costs[i] += _on_paths(_effort(u) * dt, member)
+                effort = _effort(u, effort_row[:n])
+                effort *= dt
+                costs[i] += _on_paths(effort, member)
                 u_paths = None if watch is None else _on_paths(u, member)
                 _, increment = rec.advance(state[:n], u, dt, step_noise, params, spare[:n],
                                            work[:, :n], rate[:n], flags, member)
@@ -560,12 +569,15 @@ def _run_chunks(seed, out: np.ndarray, simulate_chunk) -> np.ndarray:
 
     Axis 1 of ``out`` runs over the paths.  Chunks of ``CHUNK_PATHS``
     paths run one after another.  Path i always gets the substream of
-    (seed, i), so results do not depend on the split.
+    (seed, i), so results do not depend on the split.  A run without a
+    seed draws one fresh 128-bit seed for all its chunks.
     """
     n_paths = out.shape[1]
+    if seed is None:
+        seed = np.random.SeedSequence().entropy
     for lo in range(0, n_paths, CHUNK_PATHS):
         hi = min(lo + CHUNK_PATHS, n_paths)
-        simulate_chunk(_path_rngs(seed, range(lo, hi)), out[:, lo:hi])
+        simulate_chunk(_path_rngs(seed, np.arange(lo, hi)), out[:, lo:hi])
     return out
 
 
@@ -593,8 +605,10 @@ def simulate(
     def watch(k, i, u, increment, state_after):
         controls[k], increments[k], states[k + 1] = u[0], increment[0], state_after[0]
 
-    (total,) = _simulate_paths(model, [policy], start, n_steps, params, dt,
-                               _path_rngs(seed, [0]), watch)
+    def chunk_cost(rngs, out):
+        out[:] = _simulate_paths(model, [policy], start, n_steps, params, dt, rngs, watch)
+
+    ((total,),) = _run_chunks(seed, np.empty((1, 1)), chunk_cost)
     # the engine's left-to-right sum, kept at every node
     running = np.zeros(n_steps + 1)
     np.cumsum(_effort(controls) * dt, out=running[1:])
@@ -608,7 +622,7 @@ def simulate(
         observations=rec.observe(states[:-1], increments, dt, params),
         running_cost=running,
         terminal_cost=float(rec.terminal_cost(states[-1])),
-        total_cost=float(total[0]),
+        total_cost=float(total),
         seed=seed,
     )
 

@@ -670,6 +670,12 @@ def test_package_import_leaves_out_concurrent_futures():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_out_numpy_random():
+    # numpy.random costs the CLI's start-up memory; the engine imports it on its first run
+    code = "import sys, qubitfeedback.cli; assert 'numpy.random' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], timeout=120, check=True)
+
+
 def test_noise_memory_is_flat_in_the_horizon():
     def peak_bytes(horizon_T):
         params = ModelParams(kappa_s_sq=0.5, horizon_T=horizon_T)
@@ -756,6 +762,51 @@ def test_engine_entries_reject_non_integer_seeds_and_path_counts():
     a = tj.run_batch(tj.ANGLE, zero, 1.0, params, 0.1, np.int64(3), seed=np.uint8(4))
     b = tj.run_batch(tj.ANGLE, zero, 1.0, params, 0.1, 3, seed=4)
     assert a.mean == b.mean and a.stderr == b.stderr
+
+
+def test_run_batch_rejects_more_paths_than_32_bit_indices_before_allocating():
+    # a path's substream takes its index as one 32-bit word, so 2**32 paths
+    # are the most a run can have; the check comes before any array is made
+    zero = tj.zero_policy(tj.ANGLE)
+    with pytest.raises(ValueError, match=r"^n_paths must be at most 2\*\*32, got 4294967297$"):
+        tj.run_batch(tj.ANGLE, zero, 0.0, ModelParams(alpha=0.5, horizon_T=1.0), 0.1,
+                     2**32 + 1, seed=1)
+
+
+SUBSTREAM_INDICES = [0, 1, 2, 4095, 2**31, 2**32 - 1]
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7, 2**31, 2**32 - 1, 2**40, 2**64 + 5, 2**130])
+def test_path_generators_are_the_seed_sequence_substreams(seed):
+    # the one-pass seeding gives path i numpy's PCG64(SeedSequence((seed, i)))
+    rngs = tj._path_rngs(seed, SUBSTREAM_INDICES)
+    assert len(rngs) == len(SUBSTREAM_INDICES)
+    for rng, i in zip(rngs, SUBSTREAM_INDICES):
+        reference = np.random.PCG64(np.random.SeedSequence((seed, i)))
+        assert rng.bit_generator.state == reference.state
+        np.testing.assert_array_equal(rng.random(16), np.random.Generator(reference).random(16))
+
+
+def test_an_unseeded_run_is_the_run_of_one_fresh_seed(monkeypatch):
+    # seed=None draws one 128-bit seed for the whole run, here of three chunks
+    drawn, fresh = [], np.random.SeedSequence
+
+    def spy():
+        seq = fresh()
+        drawn.append(seq.entropy)
+        return seq
+
+    monkeypatch.setattr(tj, "CHUNK_PATHS", 4)
+    monkeypatch.setattr(np.random, "SeedSequence", spy)
+    zero = tj.zero_policy(tj.DIFFUSIVE)
+    _, unseeded = tj.run_batch(tj.DIFFUSIVE, zero, [1.0, 0.0, 0.0], MIXED, 0.1, 10,
+                               return_costs=True)
+    (seed,) = drawn
+    assert seed >= 2**64
+    _, seeded = tj.run_batch(tj.DIFFUSIVE, zero, [1.0, 0.0, 0.0], MIXED, 0.1, 10, seed=seed,
+                             return_costs=True)
+    assert np.array_equal(_bits(unseeded), _bits(seeded))
+    assert len(np.unique(seeded)) == 10
 
 
 def test_run_batch_rejects_a_state_that_turns_non_finite():
