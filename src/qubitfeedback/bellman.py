@@ -12,10 +12,11 @@ the completed-squares control from the numerical gradient at each node.
 slice at the post-step states: a two-point quadrature stands in for the Wiener
 increment and a Bernoulli branch pair for the detection events, and the
 minimization runs either over an explicit control grid or through the same
-completed-squares formula.  Every interpolated read goes through one
-per-axis plan (a box axis clamps, the circle wraps onto a slice padded with
-its first node), so the qubit scan builds the post-step x and y plans once
-per control value (x reads u_plus only, y u_minus only) and z's per candidate.
+completed-squares formula.  Each solver builds its step once per solve.  Every
+interpolated read goes through one per-axis plan (a box axis clamps, the
+circle wraps onto a slice padded with its first node); the qubit scan's
+post-step x reads u_plus only and y u_minus only, so it builds their plans
+once per solve and control value, and z's per step and candidate.
 
 Qubit grids are uniform over the cube [-1, 1]^3, node i of n at
 (2i - (n - 1)) / (n - 1), with nodes outside the closed unit ball masked out
@@ -55,9 +56,7 @@ from .filters import (
     _counting_drift_xyz,
     _diffusive_diffusion_xyz,
     _diffusive_drift_xyz,
-    _diffusive_drift_z,
     _jump_intensity_z,
-    _jump_pull_xyz,
     diffusive_diffusion,
     diffusive_drift,
 )
@@ -720,8 +719,9 @@ def _dynamics(spec: GridSpec, params: ModelParams, geo: _Geometry):
     one row per axis, and ``drift(*u)`` one row per axis at controls broadcasting
     against them; ``sigma`` holds the noise vector's rows, None on the counting
     qubit; ``lam`` is the intensity of the jumps to the ground state, None but on
-    the counting qubit.  The rows come from the unchecked encodings: the grid nodes
-    and the solvers' controls are valid by construction."""
+    the counting qubit.  Both solvers read the drift only through ``drift``, once
+    per solve.  The rows come from the unchecked encodings: the grid nodes and the
+    solvers' controls are valid by construction."""
     nodes = geo.flat.reshape(len(geo.flat), -1).T.copy()
     if geo.periodic:
         return nodes, lambda b: (2.0 * b,), (2.0 * params.alpha,), None
@@ -844,7 +844,7 @@ def dp_recursion_step(values, spec: GridSpec, params: ModelParams, mode: str = C
     nodes, as a solve's are: the step computes the symmetry cell.  What it
     holds on masked nodes is ignored.  Returns the new slice.
     """
-    _check_dp_mode(spec, mode)
+    _check_spec_params(spec, params)
     if spec.n_steps < 1:
         raise ValueError("dp_recursion_step needs n_steps >= 1 for a positive delta")
     values = np.asarray(values, dtype=float)
@@ -856,80 +856,24 @@ def dp_recursion_step(values, spec: GridSpec, params: ModelParams, mode: str = C
     if not np.array_equal(values[geo.mask], values.ravel()[geo.cell][geo.rep]):
         raise ValueError("slice must be symmetric under the mirrors px -> -px and py -> -py")
     # the solvers' slices are NaN exactly off the mask
-    values = np.where(geo.mask, values, np.nan)
-    best = _dp_step(values, spec, params, mode, geo)[0]
+    best = _dp_step(spec, params, geo, mode)(np.where(geo.mask, values, np.nan))[0]
     return _place(np.full(spec.shape, np.nan), geo, best)
 
 
-def _check_dp_mode(spec: GridSpec, mode: str) -> None:
-    if mode not in CONTROL_MODES:
-        raise ValueError(f"mode must be one of {CONTROL_MODES}")
-    if mode == EXHAUSTIVE and spec.control_values() is None:
-        raise ValueError("exhaustive mode needs control_box and control_resolution")
-
-
-def _dp_step(v, spec, params, mode, geo):
-    """(value, control (m, c)) on the cell's nodes after one DP step on any model:
-    the `_dp_parts` objective, read through the one per-axis plan, minimized by
-    its control scan or at the limited completed-squares control."""
-    objective, scan = _dp_parts(v, spec, params, geo)
-    m = len(geo.flat)
-    if mode == CLOSED_FORM:
-        best_u = _feedback(geo.gather(v), spec, geo, limited=True)[1].reshape(m, -1)
-        return objective(best_u), best_u
-    grid = spec.control_values()
-    cands = np.stack(np.meshgrid(*(grid,) * spec.n_controls, indexing="ij"), axis=-1)
-    cands = cands.reshape(-1, spec.n_controls)
-    best = np.full(m, np.inf)
-    best_k = np.zeros(m, dtype=int)
-    better = np.empty(m, dtype=bool)
-    # the scan yields blocks of candidates in meshgrid order; the strict <
-    # keeps the first of equal values
-    for start, vals in scan(grid[:, None]):
-        for k, val in enumerate(vals, start):
-            np.less(val, best, out=better)
-            np.copyto(best, val, where=better)
-            np.copyto(best_k, k, where=better)
-    return best, cands[best_k]
-
-
-def _dp_parts(v, spec, params, geo):
-    """(objective, scan) of one DP step, from the reading of the model's dynamics
-    that the FD step reads too (`_dynamics`): the Wiener quadrature with kicks
-    sigma sqrt(delta) where there is noise, the Bernoulli jump pair where there
-    are jumps.  The objective takes controls (..., c).  The circle's scan reads
-    DP_BLOCK candidates a call.  A qubit's post-step x reads u_plus only and y
-    u_minus only, so its scan builds their axis plans once per control value,
-    z's per candidate in blocks of DP_BLOCK of one u_plus row, and broadcasts
-    the three."""
+def _dp_reads(spec: GridSpec, params: ModelParams, geo: _Geometry):
+    """(drift, post, at): what a DP step reads, built once per solve from the
+    FD's reading of the dynamics (`_dynamics`).  ``post(c, b)`` is axis c's
+    post-step coordinates (kicks, ...) from its drift b, unclipped (the plan
+    clamps a box axis and wraps the circle): the Wiener kicks sigma sqrt(delta)
+    where there is noise.  ``at(v)`` fills slice v and returns (mean, objective):
+    ``mean(plan)``, the mean over the kicks, or over the Bernoulli pair of a
+    drift through and a jump to the ground state, of what a plan reads; and
+    ``objective(u)``, the step's cost at controls (..., c).  Raises ValueError
+    when delta * max jump intensity >= 1."""
     nodes, drift, sigma, lam = _dynamics(spec, params, geo)
     delta = spec.delta
-    filled = _wrapped(geo, _fill_inactive(v, geo.fill))
-
-    # the controls broadcast against the (m,) node components.  The post-step
-    # queries go unclipped: the plan clamps every box axis into [-1, 1] and
-    # wraps the circle.  post(c, b) is axis c's (kicks, ...) post-step
-    # coordinates from its drift b, and expect(r) the mean over the kicks of
-    # what they read
-    if lam is not None:
-        if delta * float(lam.max()) >= 1.0:
-            raise ValueError("delta * max jump intensity >= 1; increase n_steps")
-        jump_prob = lam * delta
-        j_ground = float(_interp_box(filled, _interp_plan(geo, GROUND_STATE)))
-        pull_z = _jump_pull_xyz(*nodes, lam)[2]
-
-        def post(c, b):
-            return (nodes[c] + b * delta)[None]
-
-        def expect(r):
-            out = (1.0 - jump_prob) * r[0]
-            out += jump_prob * j_ground
-            return out
-
-    else:
-        sqrt_delta = np.sqrt(delta)
-        kick = [s * sqrt_delta for s in sigma]
-        pull_z = 0.0  # no jumps
+    if lam is None:
+        kick = [s * np.sqrt(delta) for s in sigma]
 
         def post(c, b):
             drifted = nodes[c] + b * delta
@@ -938,32 +882,86 @@ def _dp_parts(v, spec, params, geo):
             np.subtract(drifted, kick[c], out=q[1])
             return q
 
-        def expect(r):
-            return 0.5 * (r[0] + r[1])
+    else:
+        if delta * float(lam.max()) >= 1.0:
+            raise ValueError("delta * max jump intensity >= 1; increase n_steps")
+        stay, ground = 1.0 - lam * delta, _interp_plan(geo, GROUND_STATE)
 
-    def objective(u):
-        b = drift(*np.moveaxis(u, -1, 0))
-        plan = [_axis_plan(geo, c, post(c, b[c])) for c in range(len(nodes))]
-        return np.sum(u**2, axis=-1) * delta + expect(_interp_box(filled, plan))
+        def post(c, b):
+            return (nodes[c] + b * delta)[None]
 
-    if geo.periodic:  # blocks (B, 1, 1) of candidates against the (m,) nodes
-        return objective, lambda col: (
-            (s, objective(col[s : s + DP_BLOCK, None])) for s in range(0, len(col), DP_BLOCK))
+    def at(v):
+        filled = _wrapped(geo, _fill_inactive(v, geo.fill))
+        jumped = None if lam is None else lam * delta * float(_interp_box(filled, ground))
 
-    def scan(col):
-        # u_plus rows (1, 1) broadcast against u_minus blocks (B, 1)
-        starts = range(0, len(col), DP_BLOCK)
-        blocks = [col[s : s + DP_BLOCK] for s in starts]
+        def mean(plan):
+            r = _interp_box(filled, plan)
+            return 0.5 * (r[0] + r[1]) if lam is None else stay * r[0] + jumped
+
+        def objective(u):
+            b = drift(*np.moveaxis(u, -1, 0))
+            plan = [_axis_plan(geo, c, post(c, b[c])) for c in range(len(nodes))]
+            return np.sum(u**2, axis=-1) * delta + mean(plan)
+
+        return mean, objective
+
+    return drift, post, at
+
+
+def _dp_step(spec: GridSpec, params: ModelParams, geo: _Geometry, mode: str):
+    """The DP step, ``step(v) -> (cell values at k - 1, control (m, c))`` from slice
+    k, built once per solve after the mode check: the `_dp_reads` objective at the
+    limited completed-squares control, or minimized over the control grid, DP_BLOCK
+    candidates a read.  A qubit's post-step x reads u_plus only and y u_minus only,
+    so their plans are built here; z's are built per step, as holding all of them
+    would cost more memory than they save time."""
+    if mode not in CONTROL_MODES:
+        raise ValueError(f"mode must be one of {CONTROL_MODES}")
+    grid = spec.control_values()
+    if mode == EXHAUSTIVE and grid is None:
+        raise ValueError("exhaustive mode needs control_box and control_resolution")
+    drift, post, at = _dp_reads(spec, params, geo)
+    m, delta = len(geo.flat), spec.delta
+    if mode == CLOSED_FORM:
+        def step(v):
+            u = _feedback(geo.gather(v), spec, geo, limited=True)[1].reshape(m, -1)
+            return at(v)[1](u), u
+
+        return step
+    cands = np.stack(np.meshgrid(*(grid,) * spec.n_controls, indexing="ij"), axis=-1)
+    cands = cands.reshape(-1, spec.n_controls)
+    # u_plus rows (1, 1) broadcast against u_minus blocks (B, 1), and the
+    # circle's blocks (B, 1, 1) against the (m,) nodes
+    rows, starts = grid[:, None, None], range(0, len(grid), DP_BLOCK)
+    blocks = [grid[s : s + DP_BLOCK, None] for s in starts]
+    if geo.periodic:
+        def scan(mean, objective):
+            return ((s, objective(u[:, None])) for s, u in zip(starts, blocks))
+    else:
+        x_plans = [_axis_plan(geo, 0, post(0, drift(u, 0.0)[0])) for u in rows]
         y_plans = [_axis_plan(geo, 1, post(1, drift(0.0, u)[1])) for u in blocks]
-        for i, u_plus in enumerate(col[:, None]):
-            x_plan = _axis_plan(geo, 0, post(0, drift(u_plus, 0.0)[0]))
-            for s, u_minus, y_plan in zip(starts, blocks, y_plans):
-                b_z = _diffusive_drift_z(*nodes, 2.0 * u_plus, 2.0 * u_minus) + pull_z
-                z_plan = _axis_plan(geo, 2, post(2, b_z))
-                mean = expect(_interp_box(filled, [x_plan, y_plan, z_plan]))
-                yield i * len(col) + s, (u_plus**2 + u_minus**2) * delta + mean
 
-    return objective, scan
+        def scan(mean, objective):
+            for i, (u_plus, x_plan) in enumerate(zip(rows, x_plans)):
+                for s, u_minus, y_plan in zip(starts, blocks, y_plans):
+                    z_plan = _axis_plan(geo, 2, post(2, drift(u_plus, u_minus)[2]))
+                    effort = (u_plus**2 + u_minus**2) * delta
+                    yield i * len(grid) + s, effort + mean([x_plan, y_plan, z_plan])
+
+    def step(v):
+        best = np.full(m, np.inf)
+        best_k = np.zeros(m, dtype=int)
+        better = np.empty(m, dtype=bool)
+        # the scan yields blocks of candidates in meshgrid order; the strict <
+        # keeps the first of equal values
+        for start, vals in scan(*at(v)):
+            for k, val in enumerate(vals, start):
+                np.less(val, best, out=better)
+                np.copyto(best, val, where=better)
+                np.copyto(best_k, k, where=better)
+        return best, cands[best_k]
+
+    return step
 
 
 def solve_dp(spec: GridSpec, params: ModelParams, mode: str = CLOSED_FORM) -> ValueGrid:
@@ -971,11 +969,7 @@ def solve_dp(spec: GridSpec, params: ModelParams, mode: str = CLOSED_FORM) -> Va
     backward loop of `solve_backward`, with each step's control stored on the
     slice it wrote and the terminal slice's read off its own gather."""
     _check_spec_params(spec, params)
-    if spec.n_steps:
-        _check_dp_mode(spec, mode)
-    geo = spec._geometry
-    # no per-step input checks: the terminal slice is finite on the mask
-    return _sweep(spec, params, mode, lambda v: _dp_step(v, spec, params, mode, geo), lag=1)
+    return _sweep(spec, params, mode, _dp_step(spec, params, spec._geometry, mode), lag=1)
 
 
 # ---------------------------------------------------------------------------

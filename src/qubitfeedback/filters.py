@@ -159,8 +159,10 @@ def _stack_last(components) -> np.ndarray:
 # caller holding a (3, n) state reads contiguous rows.  The public
 # functions below validate and then call these.  The step kernels in
 # `trajectories` call them directly on states the engine has validated,
-# and both grid solvers in `bellman` (the finite-difference sweep and the
-# dynamic-programming step) on grid nodes valid by construction.
+# and both grid solvers in `bellman` through its one reading of each
+# model's dynamics, on grid nodes valid by construction.  No caller reads
+# a component of a drift on its own: a factor added to a drift reaches
+# every caller.
 # Each writes into ``out`` (3 rows, or 1) and the drifts keep intermediates
 # in ``work``; every operation names its destination or None, so the
 # solvers (no buffers) and the engine run the same operations in order.
@@ -188,19 +190,14 @@ def _project_xyz(xyz: np.ndarray, ball_tol: float, work=None) -> np.ndarray:
     return xyz
 
 
-def _diffusive_drift_z(px, py, pz, two_up, two_um, out=None, work=None):
-    """The homodyne drift's z component from 2 u_plus and 2 u_minus, alone."""
-    bz = np.negative(np.add(1.0, pz, out), out)
-    bz = np.add(bz, np.multiply(two_up, px, work), out)
-    return np.subtract(bz, np.multiply(two_um, py, work), out)
-
-
 def _diffusive_drift_xyz(px, py, pz, u_plus, u_minus, out=None, work=None):
     """The homodyne drift; in place, 2 u_plus and 2 u_minus wait in out's x and y."""
     ox, oy, oz = _rows(out)
     two_up = np.multiply(2.0, u_plus, ox)
     two_um = np.multiply(2.0, u_minus, oy)
-    bz = _diffusive_drift_z(px, py, pz, two_up, two_um, oz, work)
+    bz = np.negative(np.add(1.0, pz, oz), oz)
+    bz = np.add(bz, np.multiply(two_up, px, work), oz)
+    bz = np.subtract(bz, np.multiply(two_um, py, work), oz)
     up_pz = np.multiply(two_up, pz, work)
     bx = np.subtract(np.multiply(-0.5, px, ox), up_pz, ox)
     um_pz = np.multiply(two_um, pz, work)

@@ -1043,9 +1043,10 @@ def test_separable_control_scan_matches_the_blocked_reference(model, resolution)
               np.where(geo.mask, rng.normal(size=spec.shape), np.nan)]
     if resolution == 4:
         slices.append(np.where(geo.mask, 0.0, np.nan))
+    step = bm._dp_step(spec, params, geo, bm.EXHAUSTIVE)
     for v in slices:
         want_value, want_u = _reference_exhaustive_step(v, spec, params)
-        got_value, got_u = bm._dp_step(v, spec, params, bm.EXHAUSTIVE, geo)
+        got_value, got_u = step(v)
         assert np.array_equal(_bits(got_value), _bits(want_value))
         assert np.array_equal(_bits(got_u), _bits(want_u))
     if resolution == 4:
@@ -1152,13 +1153,13 @@ def test_cell_solves_match_the_full_grid_loop(model, solver, shape):
     if solver != bm.EXHAUSTIVE:
         assert np.nanmax(np.abs(vg.controls - controls)) <= 1e-13
         return
-    geo = _full_grid_geometry(spec)
+    at = bm._dp_reads(spec, params, _full_grid_geometry(spec))[2]
     ties = 0
     for k in range(spec.n_steps):
         got, want = vg.controls[k][:, mask].T, controls[k][:, mask].T
         differ = np.any(got != want, axis=1)
         if differ.any():
-            objective = bm._dp_parts(values[k + 1], spec, params, geo)[0]
+            objective = at(values[k + 1])[1]
             gap = np.abs(objective(got) - objective(want))[differ]
             assert gap.max() <= 1e-15
         ties += np.count_nonzero(got != want)
@@ -1178,6 +1179,36 @@ def test_dp_recursion_step_is_the_first_step_of_solve_dp(model):
     lopsided = vg.values[-1] + spec.points()[..., 0]
     with pytest.raises(ValueError, match="symmetric under the mirrors"):
         bm.dp_recursion_step(lopsided, spec, params)
+
+
+def test_dp_refuses_a_jump_probability_of_one_per_step():
+    # delta * max jump intensity = 1 * (1 / 2) * (1 + 1) = 1: the Bernoulli
+    # pair would put all weight on the jump, or negative weight on the drift
+    params = ModelParams(kappa_s_sq=1.0, horizon_T=1.0)
+    spec = bm.GridSpec(model="counting", n_nodes=5, n_steps=1, horizon_T=1.0,
+                       control_box=1.0, control_resolution=3)
+    terminal = np.where(spec.active_mask(), 1.0 - spec.points()[..., 2], np.nan)
+    for mode in bm.CONTROL_MODES:
+        with pytest.raises(ValueError, match="max jump intensity"):
+            bm.solve_dp(spec, params, mode)
+        with pytest.raises(ValueError, match="max jump intensity"):
+            bm.dp_recursion_step(terminal, spec, params, mode)
+
+
+@pytest.mark.parametrize("model", ["diffusive", "counting"])
+def test_solve_dp_reads_the_dynamics_once(monkeypatch, model):
+    # the DP step is built once per solve, as the FD step is: no step
+    # re-reads the model's dynamics
+    calls = []
+    dynamics = bm._dynamics
+    monkeypatch.setattr(bm, "_dynamics", lambda *a: calls.append(1) or dynamics(*a))
+    params = ModelParams(kappa_s_sq=0.5, horizon_T=0.1)
+    spec = bm.GridSpec(model=model, n_nodes=7, n_steps=10, horizon_T=0.1,
+                       control_box=1.0, control_resolution=3)
+    for mode in bm.CONTROL_MODES:
+        calls.clear()
+        bm.solve_dp(spec, params, mode)
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("model", ["diffusive", "counting"])
@@ -1378,6 +1409,8 @@ def test_solver_rejects_mismatched_horizon():
         bm.solve_backward(spec, ANGLE)
     with pytest.raises(ValueError, match="horizon"):
         bm.solve_dp(spec, ANGLE)
+    with pytest.raises(ValueError, match="horizon"):
+        bm.dp_recursion_step(np.zeros(9), spec, ANGLE)
 
 
 @pytest.mark.parametrize("model", ["diffusive", "counting", "angle"])

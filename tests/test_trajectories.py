@@ -15,9 +15,11 @@ from qubitfeedback import trajectories as tj
 from qubitfeedback.filters import (
     GROUND_STATE,
     ModelParams,
+    bloch_to_density,
     counting_drift,
     diffusive_diffusion,
     diffusive_drift,
+    lindblad,
     project_to_ball,
 )
 
@@ -510,6 +512,53 @@ def test_ensemble_means_matches_noise_off_euler():
         if (k + 1) * dt in checkpoints:
             dead.append(p.copy())
     np.testing.assert_array_less(np.abs(means - dead), 3.0 * errs + 1e-12)
+
+
+def _expm(a):
+    # scaling and squaring: a Taylor series on a / 2^s, with |a| / 2^s <= 1/2
+    s = max(0, int(np.ceil(np.log2(max(np.abs(a).sum(axis=1).max(), 1e-300) / 0.5))))
+    b = a / 2.0**s
+    out, term = np.eye(len(a)), np.eye(len(a))
+    for k in range(1, 20):
+        term = term @ b / k
+        out = out + term
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
+def _lindblad_bloch_flow(u, params):
+    # the master equation is affine in the Bloch vector: dp/dt = A p + c, read
+    # off `lindblad` at p = 0 and the unit vectors, as the augmented 4 x 4
+    # generator of (p, 1)
+    def bloch_rate(p):
+        gen = lindblad(bloch_to_density(p), u, params)
+        return np.array([2.0 * gen[1, 0].real, 2.0 * gen[1, 0].imag,
+                         (gen[0, 0] - gen[1, 1]).real])
+
+    c = bloch_rate(np.zeros(3))
+    gen = np.zeros((4, 4))
+    gen[:3, 3] = c
+    for i, e in enumerate(np.eye(3)):
+        gen[:3, i] = bloch_rate(e) - c
+    return gen
+
+
+@pytest.mark.parametrize("model", [tj.DIFFUSIVE, tj.COUNTING])
+def test_ensemble_means_follow_the_lindblad_flow_under_a_constant_control(model):
+    # criterion 7 checks the unravelings against the master equation at zero
+    # control only; a control that acts in one picture and not the other,
+    # or acts differently, fails here
+    u = np.array([0.5, -0.3])
+    params = ModelParams(kappa_s_sq=0.5, horizon_T=2.0)
+    x0 = np.array([1.0, 0.0, 0.0])
+    times = np.linspace(0.2, 2.0, 10)
+    gen = _lindblad_bloch_flow(u, params)
+    exact = np.stack([(_expm(gen * t) @ np.append(x0, 1.0))[:3] for t in times])
+    means, errs = tj.ensemble_means(model, tj.constant_policy(model, u), x0, params, 1e-3,
+                                    10_000, times, seed=0)
+    assert (errs > 0.0).all()
+    assert np.max(np.abs(means - exact) / errs) < 3.0
 
 
 def test_ensemble_means_chunk_invariant(monkeypatch):
