@@ -14,9 +14,10 @@ increment and a Bernoulli branch pair for the detection events, and the
 minimization runs either over an explicit control grid or through the same
 completed-squares formula.  Each solver builds its step once per solve.  Every
 interpolated read goes through one per-axis plan (a box axis clamps, the
-circle wraps onto a slice padded with its first node); the qubit scan's
-post-step x reads u_plus only and y u_minus only, so it builds their plans
-once per solve and control value, and z's per step and candidate.
+circle wraps onto a slice padded with its first node).  The scan's post-step
+coordinates that read one control alone (the circle's angle, a qubit's x from
+u_plus and y from u_minus) have their plans built once per solve and control
+value; a qubit's z has its built per step and candidate block.
 
 Qubit grids are uniform over the cube [-1, 1]^3, node i of n at
 (2i - (n - 1)) / (n - 1), with nodes outside the closed unit ball masked out
@@ -61,7 +62,7 @@ from .filters import (
     diffusive_drift,
 )
 from .persist import atomic_write_bytes
-from .trajectories import COUNTING, ModelRecord, model_from_id, model_record
+from .trajectories import COUNTING, ModelRecord, _effort, model_from_id, model_record
 
 CLOSED_FORM = "closed-form"
 EXHAUSTIVE = "exhaustive"
@@ -814,7 +815,7 @@ def _fd_step(spec: GridSpec, params: ModelParams, geo: _Geometry):
         slope, u = _feedback(g, spec, geo)
         u = u.reshape(m, -1)
         b = drift(*u.T)
-        effort = np.sum(u * u, axis=-1)
+        effort = _effort(u)
         if geo.periodic:
             d2 = (_nb(g, (0, 1)) - 2.0 * _nb(g) + _nb(g, (0, -1))) / (h * h)
             rhs = effort + b[0] * slope + 0.5 * sigma[0] ** 2 * d2
@@ -860,102 +861,88 @@ def dp_recursion_step(values, spec: GridSpec, params: ModelParams, mode: str = C
     return _place(np.full(spec.shape, np.nan), geo, best)
 
 
-def _dp_reads(spec: GridSpec, params: ModelParams, geo: _Geometry):
-    """(drift, post, at): what a DP step reads, built once per solve from the
-    FD's reading of the dynamics (`_dynamics`).  ``post(c, b)`` is axis c's
-    post-step coordinates (kicks, ...) from its drift b, unclipped (the plan
-    clamps a box axis and wraps the circle): the Wiener kicks sigma sqrt(delta)
-    where there is noise.  ``at(v)`` fills slice v and returns (mean, objective):
-    ``mean(plan)``, the mean over the kicks, or over the Bernoulli pair of a
-    drift through and a jump to the ground state, of what a plan reads; and
-    ``objective(u)``, the step's cost at controls (..., c).  Raises ValueError
-    when delta * max jump intensity >= 1."""
-    nodes, drift, sigma, lam = _dynamics(spec, params, geo)
-    delta = spec.delta
-    if lam is None:
-        kick = [s * np.sqrt(delta) for s in sigma]
-
-        def post(c, b):
-            drifted = nodes[c] + b * delta
-            q = np.empty((2,) + drifted.shape)
-            np.add(drifted, kick[c], out=q[0])
-            np.subtract(drifted, kick[c], out=q[1])
-            return q
-
-    else:
-        if delta * float(lam.max()) >= 1.0:
-            raise ValueError("delta * max jump intensity >= 1; increase n_steps")
-        stay, ground = 1.0 - lam * delta, _interp_plan(geo, GROUND_STATE)
-
-        def post(c, b):
-            return (nodes[c] + b * delta)[None]
-
-    def at(v):
-        filled = _wrapped(geo, _fill_inactive(v, geo.fill))
-        jumped = None if lam is None else lam * delta * float(_interp_box(filled, ground))
-
-        def mean(plan):
-            r = _interp_box(filled, plan)
-            return 0.5 * (r[0] + r[1]) if lam is None else stay * r[0] + jumped
-
-        def objective(u):
-            b = drift(*np.moveaxis(u, -1, 0))
-            plan = [_axis_plan(geo, c, post(c, b[c])) for c in range(len(nodes))]
-            return np.sum(u**2, axis=-1) * delta + mean(plan)
-
-        return mean, objective
-
-    return drift, post, at
-
-
 def _dp_step(spec: GridSpec, params: ModelParams, geo: _Geometry, mode: str):
     """The DP step, ``step(v) -> (cell values at k - 1, control (m, c))`` from slice
-    k, built once per solve after the mode check: the `_dp_reads` objective at the
-    limited completed-squares control, or minimized over the control grid, DP_BLOCK
-    candidates a read.  A qubit's post-step x reads u_plus only and y u_minus only,
-    so their plans are built here; z's are built per step, as holding all of them
-    would cost more memory than they save time."""
+    k, built once per solve from the FD's reading of the dynamics (`_dynamics`),
+    after the mode check and the refusal of delta * max jump intensity >= 1.
+    ``plan(c, b)`` is axis c's post-step plan from its drift b: the drifted node
+    +- the Wiener kick sigma sqrt(delta), or the drifted node beside the jump to
+    the ground state.  A step fills the slice and reads the ground state once,
+    and ``cost(effort, plans)`` is effort * delta plus the mean over the kicks, or
+    over the Bernoulli pair, of what the plans read: at the limited
+    completed-squares control, or minimized over the control grid, DP_BLOCK
+    candidates a read.  The circle's post-step angle reads its control alone, a
+    qubit's x u_plus alone and y u_minus alone, so their plans are built here;
+    z's are built per step, as holding all of them would cost more memory than
+    they save time."""
     if mode not in CONTROL_MODES:
         raise ValueError(f"mode must be one of {CONTROL_MODES}")
     grid = spec.control_values()
     if mode == EXHAUSTIVE and grid is None:
         raise ValueError("exhaustive mode needs control_box and control_resolution")
-    drift, post, at = _dp_reads(spec, params, geo)
+    nodes, drift, sigma, lam = _dynamics(spec, params, geo)
     m, delta = len(geo.flat), spec.delta
+    if lam is None:
+        kick = [s * np.sqrt(delta) for s in sigma]
+    elif delta * float(lam.max()) >= 1.0:
+        raise ValueError("delta * max jump intensity >= 1; increase n_steps")
+    else:
+        stay, ground = 1.0 - lam * delta, _interp_plan(geo, GROUND_STATE)
+
+    def plan(c, b):
+        drifted = nodes[c] + b * delta
+        if lam is not None:
+            return _axis_plan(geo, c, drifted[None])
+        q = np.empty((2,) + drifted.shape)
+        np.add(drifted, kick[c], out=q[0])
+        np.subtract(drifted, kick[c], out=q[1])
+        return _axis_plan(geo, c, q)
+
+    def reader(v):
+        filled = _wrapped(geo, _fill_inactive(v, geo.fill))
+        jumped = None if lam is None else lam * delta * float(_interp_box(filled, ground))
+
+        def cost(effort, plans):
+            r = _interp_box(filled, plans)
+            return effort * delta + (0.5 * (r[0] + r[1]) if lam is None else stay * r[0] + jumped)
+
+        return cost
+
     if mode == CLOSED_FORM:
         def step(v):
             u = _feedback(geo.gather(v), spec, geo, limited=True)[1].reshape(m, -1)
-            return at(v)[1](u), u
+            b = drift(*u.T)
+            return reader(v)(_effort(u), [plan(c, row) for c, row in enumerate(b)]), u
 
         return step
     cands = np.stack(np.meshgrid(*(grid,) * spec.n_controls, indexing="ij"), axis=-1)
     cands = cands.reshape(-1, spec.n_controls)
-    # u_plus rows (1, 1) broadcast against u_minus blocks (B, 1), and the
-    # circle's blocks (B, 1, 1) against the (m,) nodes
+    effort = _effort(cands)[:, None]
+    # candidate blocks in meshgrid order as (start, n, plans): u_plus rows
+    # (1, 1) broadcast against u_minus blocks (B, 1), and the circle's blocks
+    # (B, 1) against the (m,) nodes
     rows, starts = grid[:, None, None], range(0, len(grid), DP_BLOCK)
     blocks = [grid[s : s + DP_BLOCK, None] for s in starts]
     if geo.periodic:
-        def scan(mean, objective):
-            return ((s, objective(u[:, None])) for s, u in zip(starts, blocks))
+        scan = [(s, len(u), [plan(0, drift(u)[0])]) for s, u in zip(starts, blocks)]
     else:
-        x_plans = [_axis_plan(geo, 0, post(0, drift(u, 0.0)[0])) for u in rows]
-        y_plans = [_axis_plan(geo, 1, post(1, drift(0.0, u)[1])) for u in blocks]
+        x_plans = [plan(0, drift(u, 0.0)[0]) for u in rows]
+        y_plans = [plan(1, drift(0.0, u)[1]) for u in blocks]
 
-        def scan(mean, objective):
+        def scan_qubit():
             for i, (u_plus, x_plan) in enumerate(zip(rows, x_plans)):
                 for s, u_minus, y_plan in zip(starts, blocks, y_plans):
-                    z_plan = _axis_plan(geo, 2, post(2, drift(u_plus, u_minus)[2]))
-                    effort = (u_plus**2 + u_minus**2) * delta
-                    yield i * len(grid) + s, effort + mean([x_plan, y_plan, z_plan])
+                    z_plan = plan(2, drift(u_plus, u_minus)[2])
+                    yield i * len(grid) + s, len(u_minus), [x_plan, y_plan, z_plan]
 
     def step(v):
+        cost = reader(v)
         best = np.full(m, np.inf)
         best_k = np.zeros(m, dtype=int)
         better = np.empty(m, dtype=bool)
-        # the scan yields blocks of candidates in meshgrid order; the strict <
-        # keeps the first of equal values
-        for start, vals in scan(*at(v)):
-            for k, val in enumerate(vals, start):
+        # the strict < keeps the first of equal values in meshgrid order
+        for start, n, plans in scan if geo.periodic else scan_qubit():
+            for k, val in enumerate(cost(effort[start : start + n], plans), start):
                 np.less(val, best, out=better)
                 np.copyto(best, val, where=better)
                 np.copyto(best_k, k, where=better)
@@ -966,8 +953,9 @@ def _dp_step(spec: GridSpec, params: ModelParams, geo: _Geometry, mode: str):
 
 def solve_dp(spec: GridSpec, params: ModelParams, mode: str = CLOSED_FORM) -> ValueGrid:
     """Full backward dynamic-programming sweep (see dp_recursion_step): the
-    backward loop of `solve_backward`, with each step's control stored on the
-    slice it wrote and the terminal slice's read off its own gather."""
+    backward loop of `solve_backward` over the step `_dp_step` builds once, with
+    each step's control stored on the slice it wrote and the terminal slice's
+    read off its own gather."""
     _check_spec_params(spec, params)
     return _sweep(spec, params, mode, _dp_step(spec, params, spec._geometry, mode), lag=1)
 
@@ -996,7 +984,7 @@ def extract_policy(vg: ValueGrid):
 
     def slice_index(t: float) -> int:
         t = float(t)
-        if t < -tol or t > horizon + tol:
+        if not -tol <= t <= horizon + tol:
             raise ValueError(f"policy query at t={t!r} outside [0, {horizon}]")
         if n_steps == 0:
             return 0

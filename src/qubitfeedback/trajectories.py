@@ -695,13 +695,14 @@ def ensemble_means(
     n_steps, start = _validated_start(model, x0, params, dt, seed, n_paths)
 
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    idx = np.rint(times / dt).astype(int)
+    # checked as floats, so a NaN or infinite time is refused before any cast
+    idx = np.rint(times / dt)
     if (
-        np.any(idx < 0)
-        or np.any(idx > n_steps)
+        not np.all((idx >= 0) & (idx <= n_steps))
         or np.any(np.abs(idx * dt - times) > 1e-9 * max(params.horizon_T, 1.0))
     ):
         raise ValueError("every checkpoint must lie on the time grid in [0, T]")
+    idx = idx.astype(int)
     if np.unique(idx).size != idx.size:
         raise ValueError("checkpoints must be distinct time nodes")
 

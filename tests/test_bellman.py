@@ -937,7 +937,7 @@ def test_angle_neighbour_table_wraps():
 
 def test_exhaustive_angle_dp_step_scans_candidates_in_blocks(monkeypatch):
     # the angle keeps the blocked control scan: each block of DP_BLOCK
-    # candidates is one objective call, i.e. one read of both Wiener kicks
+    # candidates is one cost read, i.e. one read of both Wiener kicks
     calls = []
     read = bm._interp_box
 
@@ -952,6 +952,22 @@ def test_exhaustive_angle_dp_step_scans_candidates_in_blocks(monkeypatch):
     bm.dp_recursion_step(theta**2, spec, ANGLE, bm.EXHAUSTIVE)
     assert len(calls) == -(-9 // bm.DP_BLOCK) == 3
     assert calls == [(2, bm.DP_BLOCK, 33)] * 3
+
+
+def test_exhaustive_angle_solve_dp_builds_its_plans_once(monkeypatch):
+    # the post-step angle reads the control alone, so the blocks' plans are
+    # built once per solve: the count does not grow with the steps
+    calls = []
+    axis_plan = bm._axis_plan
+    monkeypatch.setattr(bm, "_axis_plan", lambda *a: calls.append(1) or axis_plan(*a))
+    counts = []
+    for n_steps in (2, 8):
+        spec = bm.GridSpec(model="angle", n_nodes=(33,), n_steps=n_steps, horizon_T=1.0,
+                           control_box=2.0, control_resolution=9)
+        calls.clear()
+        bm.solve_dp(spec, ANGLE, bm.EXHAUSTIVE)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_exhaustive_dp_step_memory_stays_near_the_slice():
@@ -972,11 +988,9 @@ def test_exhaustive_dp_step_memory_stays_near_the_slice():
     assert peak < 128 * terminal.nbytes
 
 
-def _reference_exhaustive_step(v, spec, params):
-    # the blocked control scan as it stood before the separable one: each
-    # block of DP_BLOCK candidates in meshgrid order reads all three axes of
-    # every query afresh
-    geo = spec._geometry
+def _reference_objective(v, spec, params, geo):
+    # the DP step's cost at controls (..., 2) on geometry geo's nodes, read
+    # from slice v: all three axes of every query afresh
     axes = geo.axes
     px, py, pz = geo.flat.T.copy()
     delta = spec.delta
@@ -1012,6 +1026,14 @@ def _reference_exhaustive_step(v, spec, params):
     def objective(u):
         return np.sum(u**2, axis=-1) * delta + mean_next(u[..., 0], u[..., 1])
 
+    return objective
+
+
+def _reference_exhaustive_step(v, spec, params):
+    # the blocked control scan as it stood before the separable one: each
+    # block of DP_BLOCK candidates in meshgrid order is one objective call
+    geo = spec._geometry
+    objective = _reference_objective(v, spec, params, geo)
     grid = spec.control_values()
     cands = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
     m = len(geo.flat)
@@ -1153,13 +1175,13 @@ def test_cell_solves_match_the_full_grid_loop(model, solver, shape):
     if solver != bm.EXHAUSTIVE:
         assert np.nanmax(np.abs(vg.controls - controls)) <= 1e-13
         return
-    at = bm._dp_reads(spec, params, _full_grid_geometry(spec))[2]
+    full = _full_grid_geometry(spec)
     ties = 0
     for k in range(spec.n_steps):
         got, want = vg.controls[k][:, mask].T, controls[k][:, mask].T
         differ = np.any(got != want, axis=1)
         if differ.any():
-            objective = at(values[k + 1])[1]
+            objective = _reference_objective(values[k + 1], spec, params, full)
             gap = np.abs(objective(got) - objective(want))[differ]
             assert gap.max() <= 1e-15
         ties += np.count_nonzero(got != want)
@@ -1560,6 +1582,17 @@ def test_extract_policy_picks_nearest_slice_and_checks_time():
         policy(-0.01, 0.3)
     with pytest.raises(ValueError, match="outside"):
         policy(1.01, 0.3)
+    with pytest.raises(ValueError, match="outside"):
+        policy(np.nan, 0.3)
+    # with no steps the slice index is never computed from t: NaN must
+    # still be refused
+    spec = bm.GridSpec(model="angle", n_nodes=(9,), n_steps=0, horizon_T=1.0)
+    vg = bm.ValueGrid(spec=spec, kappa_s_sq=1.0, alpha=0.5, control_mode=bm.CLOSED_FORM,
+                      values=values[:1], controls=controls[:1])
+    policy = bm.extract_policy(vg)
+    assert policy(1.0, 0.3) == pytest.approx(0.0)
+    with pytest.raises(ValueError, match="outside"):
+        policy(np.nan, 0.3)
 
 
 def test_extract_policy_angle_is_odd():

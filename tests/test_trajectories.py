@@ -601,6 +601,11 @@ def test_ensemble_means_rejects_off_grid_and_duplicates():
             tj.ANGLE, tj.zero_policy(tj.ANGLE), 1.0, ANGLE, 0.1, 4,
             times=[0.5, 0.5],
         )
+    # refused before the times are cast to step indices
+    with pytest.raises(ValueError, match="time grid"):
+        tj.ensemble_means(
+            tj.ANGLE, tj.zero_policy(tj.ANGLE), 1.0, ANGLE, 0.1, 4, times=[0.5, np.nan]
+        )
 
 
 # ---------------------------------------------------------------------------
