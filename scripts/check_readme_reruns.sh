@@ -11,7 +11,8 @@ set -euo pipefail
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 export PYTHONPATH="$repo/src${PYTHONPATH:+:$PYTHONPATH}"
 
-qf() { python -m qubitfeedback "$@" --no-timings; }
+# a RuntimeWarning (a NaN cast, an overflow) fails the command
+qf() { python -W error::RuntimeWarning -m qubitfeedback "$@" --no-timings; }
 
 readme_commands() {
     cd "$1"

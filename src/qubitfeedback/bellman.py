@@ -973,8 +973,9 @@ def extract_policy(vg: ValueGrid):
     active nodes are read: masked nodes are filled from them by repeated
     neighbor averaging (`_fill_inactive`, one plan per grid, FILL_BLOCK
     slices at a time into one array the size of the controls), so queries
-    near the sphere stay finite.  Queries with t outside [0, T] raise
-    ValueError.  The returned callable accepts batched states.
+    near the sphere stay finite.  Queries with t outside [0, T] or at a
+    non-finite state raise ValueError.  The returned callable accepts
+    batched states.
     """
     spec = vg.spec
     n_steps = spec.n_steps
@@ -1000,8 +1001,12 @@ def extract_policy(vg: ValueGrid):
             out[lo : lo + step] = _fill_inactive(controls[lo : lo + step], geo.fill, stacked=True)
 
     def policy(t, state):
+        k = slice_index(t)
+        # the plan would cast a NaN to an index with a warning and read NaN
+        if not np.isfinite(state).all():
+            raise ValueError(f"policy query at t={t!r} at a non-finite state")
         # one plan serves every component; only the slice read is wrapped
-        u = _interp_apply(_wrapped(geo, filled[slice_index(t)]), _interp_plan(geo, state))
+        u = _interp_apply(_wrapped(geo, filled[k]), _interp_plan(geo, state))
         return u.reshape(u.shape[:-1] + spec.record.control_shape)
 
     return policy

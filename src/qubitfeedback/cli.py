@@ -5,8 +5,14 @@ flags win.  Each setting is declared once, in ``_SETTINGS``, and a value
 goes through the same parser whether it comes from the file or a flag.
 Machine-readable output (a JSON summary, or CSV for ``compare`` and
 ``lq``) goes to stdout or to the requested file; a short human-readable
-report always goes to stderr.  Exit codes: 0 success, 1 runtime failure,
-2 configuration error.
+report always goes to stderr.  A JSON summary's ``wall_time_s`` times the
+whole command and is left out under ``--no-timings``.  Exit codes: 0
+success, 1 runtime failure, 2 configuration error.
+
+One function, `_grid_policy`, turns a solved ``.vgrid`` into a policy for
+``simulate``, ``compare`` and ``evaluate`` alike, and refuses a grid solved
+for another model, ``kappa_s_sq``, ``alpha`` or ``horizon_T`` than the
+run's; ``evaluate`` takes those from its grid unless they are given.
 """
 
 from __future__ import annotations
@@ -67,14 +73,6 @@ def _parse_model(text: str) -> str:
         return model_from_id(text)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-
-def _check_grid_model(vg: ValueGrid, path: str, model: str) -> None:
-    if vg.spec.model != model:
-        raise ConfigError(
-            f"model mismatch: {path} holds {vg.spec.record.model_id}, "
-            f"the run uses {model_record(model).model_id}"
-        )
 
 
 def _choice(options, label):
@@ -206,7 +204,6 @@ def _resolve(args: argparse.Namespace) -> dict:
     cfg = dict(_DEFAULTS)
     cfg.update(given)
     cfg["_given"] = frozenset(given)
-    cfg["timings"] = not args.no_timings
     return cfg
 
 
@@ -288,13 +285,29 @@ def _make_policy(policy_text: str, model: str, params: ModelParams):
         return constant_policy(model, np.reshape(numbers, rec.control_shape))
     if text.startswith("grid:"):
         path = text[len("grid:"):]
-        vg = ValueGrid.load(path)
-        _check_grid_model(vg, path, model)
-        return extract_policy(vg)
+        return _grid_policy(ValueGrid.load(path), path, model, params)
     raise ConfigError(
         f"unknown policy {policy_text!r}; expected zero, constant:<values>, "
         "lq-closed-form, or grid:<path>"
     )
+
+
+def _grid_policy(vg: ValueGrid, path: str, model: str, params: ModelParams):
+    """The feedback a solved grid stores, refused unless the grid was solved
+    for the run's model and parameters: it is optimal only for those."""
+    if vg.spec.model != model:
+        raise ConfigError(
+            f"model mismatch: {path} holds {vg.spec.record.model_id}, "
+            f"the run uses {model_record(model).model_id}"
+        )
+    for key, stored in (("kappa_s_sq", vg.kappa_s_sq), ("alpha", vg.alpha),
+                        ("horizon_T", vg.spec.horizon_T)):
+        value = getattr(params, key)
+        if not abs(value - stored) <= 1e-12:
+            raise ConfigError(
+                f"{key} mismatch: config says {value!r}, {path} was solved with {stored!r}"
+            )
+    return extract_policy(vg)
 
 
 # ---------------------------------------------------------------------------
@@ -318,15 +331,19 @@ def _emit_table(rows) -> None:
         sys.stderr.write(line.rstrip() + "\n")
 
 
-def _emit_stats(rows, stats) -> None:
-    _emit_table(rows + [
-        ("mean_cost", f"{stats.mean:.6g}"),
-        ("stderr", f"{stats.stderr:.3g}"),
-        ("n_paths", stats.n),
-    ])
+# ---------------------------------------------------------------------------
+# subcommands
 
 
-def _stat_summary(command: str, cfg: dict, model: str, x0, stats, extra) -> dict:
+def _run_policy(command: str, cfg: dict, build, label: dict) -> dict:
+    """Cost of the policy ``build(model, params)`` over the seeded batch:
+    `simulate` and `evaluate` differ only in how they build it.  Reports on
+    stderr and returns the JSON summary, which carries ``label``."""
+    model = _require(cfg, "model", command)
+    params = _model_params(cfg)
+    policy = build(model, params)
+    x0 = _parse_x0(cfg, model)
+    stats = run_batch(model, policy, x0, params, cfg["dt"], cfg["n_paths"], cfg["seed"])
     summary = {
         "command": command,
         "model": model_record(model).model_id,
@@ -337,33 +354,22 @@ def _stat_summary(command: str, cfg: dict, model: str, x0, stats, extra) -> dict
         "seed": cfg["seed"],
         "dt": cfg["dt"],
         "horizon_T": cfg["horizon_T"],
+        **label,
     }
-    summary.update(extra)
+    # evaluate takes no --csv, though a shared INI file may name one
+    if cfg.get("csv") and "csv" in _COMMANDS[command][1]:
+        traj = simulate(model, policy, x0, params, cfg["dt"], seed=cfg["seed"])
+        traj.to_csv(cfg["csv"])
+        summary["csv"] = cfg["csv"]
+    _emit_table([("model", summary["model"]), *label.items(),
+                 ("mean_cost", f"{stats.mean:.6g}"), ("stderr", f"{stats.stderr:.3g}"),
+                 ("n_paths", stats.n)])
     return summary
-
-
-# ---------------------------------------------------------------------------
-# subcommands
 
 
 def cmd_simulate(cfg: dict) -> dict:
-    model = _require(cfg, "model", "simulate")
-    params = _model_params(cfg)
-    x0 = _parse_x0(cfg, model)
-    policy_text = cfg.get("policy", "zero")
-    policy = _make_policy(policy_text, model, params)
-    t0 = time.perf_counter()
-    stats = run_batch(model, policy, x0, params, cfg["dt"], cfg["n_paths"], cfg["seed"])
-    extra = {"policy": policy_text}
-    if cfg.get("csv"):
-        traj = simulate(model, policy, x0, params, cfg["dt"], seed=cfg["seed"])
-        traj.to_csv(cfg["csv"])
-        extra["csv"] = cfg["csv"]
-    summary = _stat_summary("simulate", cfg, model, x0, stats, extra)
-    if cfg["timings"]:
-        summary["wall_time_s"] = time.perf_counter() - t0
-    _emit_stats([("model", summary["model"]), ("policy", policy_text)], stats)
-    return summary
+    text = cfg.get("policy", "zero")
+    return _run_policy("simulate", cfg, functools.partial(_make_policy, text), {"policy": text})
 
 
 def cmd_solve(cfg: dict) -> dict:
@@ -391,12 +397,10 @@ def cmd_solve(cfg: dict) -> dict:
     if cfg["method"] == "dp" and ratio > 1.0 + 1e-9:
         sys.stderr.write(f"warning: h^2/delta = {ratio:.3g} > 1 with the smallest spacing h; "
                          "the DP's interpolation error grows with it: use fewer steps or more nodes\n")
-    t0 = time.perf_counter()
     if cfg["method"] == "fd":
         vg = solve_backward(spec, params)
     else:
         vg = solve_dp(spec, params, mode=cfg["mode"])
-    wall = time.perf_counter() - t0
     vg.save(grid_path)
     summary = {
         "command": "solve",
@@ -413,8 +417,6 @@ def cmd_solve(cfg: dict) -> dict:
     }
     if model == ANGLE:
         summary["j0_at_theta_1"] = float(_interp_slice(spec._geometry, vg.values[0], 1.0))
-    if cfg["timings"]:
-        summary["wall_time_s"] = wall
     _emit_table([
         ("model", summary["model"]),
         ("grid", grid_path),
@@ -427,29 +429,13 @@ def cmd_solve(cfg: dict) -> dict:
 def cmd_evaluate(cfg: dict) -> dict:
     grid_path = _require(cfg, "grid", "evaluate")
     vg = ValueGrid.load(grid_path)
-    model = vg.spec.model
-    given = cfg["_given"]
-    if "model" in given:
-        _check_grid_model(vg, grid_path, cfg["model"])
-    for key, stored in (("kappa_s_sq", vg.kappa_s_sq), ("alpha", vg.alpha),
-                        ("horizon_T", vg.spec.horizon_T)):
-        if key in given and not abs(cfg[key] - stored) <= 1e-12:
-            raise ConfigError(
-                f"{key} mismatch: config says {cfg[key]!r}, "
-                f"{grid_path} was solved with {stored!r}"
-            )
-    cfg = dict(cfg, kappa_s_sq=vg.kappa_s_sq, alpha=vg.alpha,
-               horizon_T=vg.spec.horizon_T)
-    params = _model_params(cfg)
-    x0 = _parse_x0(cfg, model)
-    policy = extract_policy(vg)
-    t0 = time.perf_counter()
-    stats = run_batch(model, policy, x0, params, cfg["dt"], cfg["n_paths"], cfg["seed"])
-    summary = _stat_summary("evaluate", cfg, model, x0, stats, {"grid": grid_path})
-    if cfg["timings"]:
-        summary["wall_time_s"] = time.perf_counter() - t0
-    _emit_stats([("grid", grid_path), ("model", summary["model"])], stats)
-    return summary
+    # the grid's model and parameters, unless given: `_grid_policy` then
+    # refuses a given one that differs
+    stored = {"model": vg.spec.model, "kappa_s_sq": vg.kappa_s_sq, "alpha": vg.alpha,
+              "horizon_T": vg.spec.horizon_T}
+    cfg = {**cfg, **{k: v for k, v in stored.items() if k not in cfg["_given"]}}
+    return _run_policy("evaluate", cfg, functools.partial(_grid_policy, vg, grid_path),
+                       {"grid": grid_path})
 
 
 def cmd_compare(cfg: dict) -> dict | None:
@@ -459,7 +445,6 @@ def cmd_compare(cfg: dict) -> dict | None:
     texts = [p.strip() for p in cfg.get("policies", "").split(";") if p.strip()]
     if len(texts) < 2:
         raise ConfigError("compare needs at least two --policy entries")
-    t0 = time.perf_counter()
     policies = [_make_policy(text, model, params) for text in texts]
     # common random numbers: every policy runs on the same noise draw
     stats = run_batches(model, policies, x0, params, cfg["dt"], cfg["n_paths"], cfg["seed"])
@@ -488,8 +473,6 @@ def cmd_compare(cfg: dict) -> dict | None:
         "n_paths": cfg["n_paths"],
         "seed": cfg["seed"],
     }
-    if cfg["timings"]:
-        summary["wall_time_s"] = time.perf_counter() - t0
     return summary
 
 
@@ -569,8 +552,11 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve(args)
         _check_output_dirs(cfg, args.command)
+        t0 = time.perf_counter()
         summary = globals()[f"cmd_{args.command}"](cfg)
         if summary is not None:
+            if not args.no_timings:
+                summary["wall_time_s"] = time.perf_counter() - t0
             _emit_json(summary, cfg)
     except (ConfigError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

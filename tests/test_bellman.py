@@ -6,6 +6,7 @@ import json
 import os
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -1593,6 +1594,24 @@ def test_extract_policy_picks_nearest_slice_and_checks_time():
     assert policy(1.0, 0.3) == pytest.approx(0.0)
     with pytest.raises(ValueError, match="outside"):
         policy(np.nan, 0.3)
+
+
+@pytest.mark.parametrize("model, n_nodes, params, state", [
+    ("diffusive", 5, QUBIT, [np.nan, 0.0, 0.2]),
+    ("diffusive", 5, QUBIT, [[0.1, 0.0, 0.2], [0.0, np.inf, 0.0]]),
+    ("angle", 9, ANGLE, np.nan),
+    ("angle", 9, ANGLE, [0.3, -np.inf]),
+], ids=["box-nan", "box-inf-row", "circle-nan", "circle-inf-row"])
+def test_extract_policy_refuses_a_non_finite_state(model, n_nodes, params, state):
+    # the plan casts its coordinates to node indices: a NaN would warn there
+    # and read a NaN control, so the query is refused before the cast
+    spec = bm.GridSpec(model=model, n_nodes=n_nodes, n_steps=0, horizon_T=1.0)
+    policy = bm.extract_policy(bm.solve_backward(spec, params))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite state"):
+            policy(0.0, state)
+        assert np.isfinite(policy(0.0, np.nan_to_num(state, posinf=0.5, neginf=-0.5))).all()
 
 
 def test_extract_policy_angle_is_odd():

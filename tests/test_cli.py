@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from qubitfeedback import cli, lq
-from qubitfeedback.bellman import ValueGrid
+from qubitfeedback.bellman import GridSpec, ValueGrid, solve_backward
 from qubitfeedback.cli import main
+from qubitfeedback.filters import ModelParams
 
 
 def run_cli(capsys, *argv):
@@ -518,6 +519,76 @@ def test_compare_rejects_a_bad_policy_before_any_simulation(capsys, monkeypatch,
         "--policy", bad, "--n-paths", "50", "--dt", "0.01", "--no-timings",
     )
     assert (got, out, err) == (code, "", message)
+
+
+@pytest.fixture(scope="module")
+def angle_grid(tmp_path_factory):
+    """An angle grid solved at the CLI's defaults: kappa_s_sq 0.5, alpha 0.5, T 1."""
+    path = tmp_path_factory.mktemp("grids") / "angle.vgrid"
+    spec = GridSpec(model="angle", n_nodes=51, n_steps=200, horizon_T=1.0)
+    solve_backward(spec, ModelParams(kappa_s_sq=0.5, alpha=0.5, horizon_T=1.0)).save(path)
+    return path
+
+
+GRID_RUNS = {
+    "simulate": ("simulate", "--model", "angle-lq", "--policy", "grid:{grid}"),
+    "compare": ("compare", "--model", "angle-lq", "--policy", "grid:{grid}",
+                "--policy", "zero"),
+    "evaluate": ("evaluate", "--grid", "{grid}"),
+}
+
+
+@pytest.mark.parametrize("key, flag, value, stored", [
+    ("model", "--model", "diffusive-qubit", None),
+    ("kappa_s_sq", "--kappa-s-sq", "0.9", 0.5),
+    ("alpha", "--alpha", "0.25", 0.5),
+    ("horizon_T", "--horizon-t", "0.5", 1.0),
+], ids=["model", "kappa_s_sq", "alpha", "horizon_T"])
+@pytest.mark.parametrize("command", sorted(GRID_RUNS))
+def test_a_grid_solved_for_other_settings_is_refused_before_any_run(
+        capsys, monkeypatch, angle_grid, command, key, flag, value, stored):
+    monkeypatch.setattr(cli, "run_batches", _no_work)
+    monkeypatch.setattr(cli, "run_batch", _no_work)
+    argv = [a.format(grid=angle_grid) for a in GRID_RUNS[command]]
+    # a repeated flag takes its last value, so the override wins over the base run
+    code, out, err = run_cli(capsys, *argv, flag, value, "--n-paths", "2", "--no-timings")
+    if key == "model":
+        want = f"{angle_grid} holds angle-lq, the run uses diffusive-qubit"
+    else:
+        want = f"config says {float(value)!r}, {angle_grid} was solved with {stored!r}"
+    assert (code, out, err) == (2, "", f"error: {key} mismatch: {want}\n")
+
+
+SUMMARY_KEYS = {
+    "simulate": {"command", "model", "x0", "mean_cost", "stderr", "n_paths", "seed", "dt",
+                 "horizon_T", "policy"},
+    "solve": {"command", "model", "method", "control_mode", "grid", "n_nodes", "n_steps",
+              "delta", "slices", "value_min", "value_max", "j0_at_theta_1"},
+    "evaluate": {"command", "model", "x0", "mean_cost", "stderr", "n_paths", "seed", "dt",
+                 "horizon_T", "grid"},
+    "compare": {"command", "model", "table", "policies", "best", "n_paths", "seed"},
+}
+
+
+@pytest.mark.parametrize("timings", [True, False], ids=["timings", "no-timings"])
+@pytest.mark.parametrize("command", sorted(SUMMARY_KEYS))
+def test_each_summary_has_its_keys_and_wall_time_exactly_with_timings(
+        tmp_path, capsys, angle_grid, command, timings):
+    run = ("--n-paths", "2", "--dt", "0.1")
+    argv = {
+        "simulate": ("simulate", "--model", "angle-lq", *run),
+        "solve": ("solve", "--model", "angle-lq", "--n-nodes", "11", "--n-steps", "20",
+                  "--grid", str(tmp_path / "s.vgrid")),
+        "evaluate": ("evaluate", "--grid", str(angle_grid), *run),
+        "compare": ("compare", "--model", "angle-lq", "--policy", "zero",
+                    "--policy", "lq-closed-form", "--output", str(tmp_path / "c.json"), *run),
+    }[command]
+    code, out, err = run_cli(capsys, *argv, *(() if timings else ("--no-timings",)))
+    assert code == 0, err
+    summary = json.loads((tmp_path / "c.json").read_text() if command == "compare" else out)
+    assert set(summary) == SUMMARY_KEYS[command] | ({"wall_time_s"} if timings else set())
+    if timings:
+        assert summary["wall_time_s"] > 0.0
 
 
 @pytest.mark.parametrize("argv, message", [
