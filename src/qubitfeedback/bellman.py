@@ -14,10 +14,10 @@ increment and a Bernoulli branch pair for the detection events, and the
 minimization runs either over an explicit control grid or through the same
 completed-squares formula.  Each solver builds its step once per solve.  Every
 interpolated read goes through one per-axis plan (a box axis clamps, the
-circle wraps onto a slice padded with its first node).  The scan's post-step
-coordinates that read one control alone (the circle's angle, a qubit's x from
-u_plus and y from u_minus) have their plans built once per solve and control
-value; a qubit's z has its built per step and candidate block.
+circle wraps onto a slice padded with its first node).  The exhaustive scan
+builds every post-step plan once per solve: the circle's angle, a qubit's x and
+y per value of the one control each reads, a qubit's z per u_plus and u_minus
+block, the last axis kept as its lower-node offsets and fractions.
 
 Qubit grids are uniform over the cube [-1, 1]^3, node i of n at
 (2i - (n - 1)) / (n - 1), with nodes outside the closed unit ball masked out
@@ -871,10 +871,9 @@ def _dp_step(spec: GridSpec, params: ModelParams, geo: _Geometry, mode: str):
     and ``cost(effort, plans)`` is effort * delta plus the mean over the kicks, or
     over the Bernoulli pair, of what the plans read: at the limited
     completed-squares control, or minimized over the control grid, DP_BLOCK
-    candidates a read.  The circle's post-step angle reads its control alone, a
-    qubit's x u_plus alone and y u_minus alone, so their plans are built here;
-    z's are built per step, as holding all of them would cost more memory than
-    they save time."""
+    candidates a read.  The scan's plans do not depend on the slice, so all are
+    built here, the last axis's (z on a qubit) as (offset, 1, frac) with offsets
+    in the narrowest type indexing every node; each read re-forms its weights."""
     if mode not in CONTROL_MODES:
         raise ValueError(f"mode must be one of {CONTROL_MODES}")
     grid = spec.control_values()
@@ -923,17 +922,19 @@ def _dp_step(spec: GridSpec, params: ModelParams, geo: _Geometry, mode: str):
     # (B, 1) against the (m,) nodes
     rows, starts = grid[:, None, None], range(0, len(grid), DP_BLOCK)
     blocks = [grid[s : s + DP_BLOCK, None] for s in starts]
+
+    def last(b):
+        base, stride, (_, frac) = plan(len(geo.axes) - 1, b)
+        return base.astype(np.min_scalar_type(geo.axes[-1].size - 1)), stride, frac
+
     if geo.periodic:
-        scan = [(s, len(u), [plan(0, drift(u)[0])]) for s, u in zip(starts, blocks)]
+        scan = [(s, len(u), [last(drift(u)[0])]) for s, u in zip(starts, blocks)]
     else:
         x_plans = [plan(0, drift(u, 0.0)[0]) for u in rows]
         y_plans = [plan(1, drift(0.0, u)[1]) for u in blocks]
-
-        def scan_qubit():
-            for i, (u_plus, x_plan) in enumerate(zip(rows, x_plans)):
-                for s, u_minus, y_plan in zip(starts, blocks, y_plans):
-                    z_plan = plan(2, drift(u_plus, u_minus)[2])
-                    yield i * len(grid) + s, len(u_minus), [x_plan, y_plan, z_plan]
+        scan = [(i * len(grid) + s, len(um), [xp, yp, last(drift(up, um)[2])])
+                for i, (up, xp) in enumerate(zip(rows, x_plans))
+                for s, um, yp in zip(starts, blocks, y_plans)]
 
     def step(v):
         cost = reader(v)
@@ -941,7 +942,8 @@ def _dp_step(spec: GridSpec, params: ModelParams, geo: _Geometry, mode: str):
         best_k = np.zeros(m, dtype=int)
         better = np.empty(m, dtype=bool)
         # the strict < keeps the first of equal values in meshgrid order
-        for start, n, plans in scan if geo.periodic else scan_qubit():
+        for start, n, (*head, (base, stride, frac)) in scan:
+            plans = [*head, (base, stride, (1.0 - frac, frac))]
             for k, val in enumerate(cost(effort[start : start + n], plans), start):
                 np.less(val, best, out=better)
                 np.copyto(best, val, where=better)

@@ -195,16 +195,14 @@ def _read_ini(path: str) -> dict:
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    """Merge defaults, INI file, and flags; record which keys were given."""
-    given = _read_ini(args.config) if args.config else {}
-    for key in _COMMANDS[args.command][1]:
+    """Merge defaults, the INI keys the command takes, and flags; record which were given."""
+    keys = _COMMANDS[args.command][1]
+    given = {k: v for k, v in (_read_ini(args.config) if args.config else {}).items() if k in keys}
+    for key in keys:
         text = getattr(args, key)
         if text is not None:
             given[key] = _parse_setting(key, ";".join(text) if key == "policies" else text)
-    cfg = dict(_DEFAULTS)
-    cfg.update(given)
-    cfg["_given"] = frozenset(given)
-    return cfg
+    return {**_DEFAULTS, **given, "_given": frozenset(given)}
 
 
 def _check_output_dirs(cfg: dict, command: str) -> None:
@@ -356,8 +354,7 @@ def _run_policy(command: str, cfg: dict, build, label: dict) -> dict:
         "horizon_T": cfg["horizon_T"],
         **label,
     }
-    # evaluate takes no --csv, though a shared INI file may name one
-    if cfg.get("csv") and "csv" in _COMMANDS[command][1]:
+    if cfg.get("csv"):
         traj = simulate(model, policy, x0, params, cfg["dt"], seed=cfg["seed"])
         traj.to_csv(cfg["csv"])
         summary["csv"] = cfg["csv"]

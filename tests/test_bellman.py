@@ -971,6 +971,58 @@ def test_exhaustive_angle_solve_dp_builds_its_plans_once(monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
+@pytest.mark.parametrize("model", ["diffusive", "counting"])
+def test_exhaustive_qubit_solve_dp_builds_its_plans_once(monkeypatch, model):
+    # a candidate's post-step queries do not depend on the slice, so the
+    # scan builds every plan, z's included, once per solve; closed-form mode
+    # reads at each slice's own feedback, so its plans stay per step
+    calls = []
+    axis_plan = bm._axis_plan
+    monkeypatch.setattr(bm, "_axis_plan", lambda *a: calls.append(1) or axis_plan(*a))
+    params = ModelParams(kappa_s_sq=0.5, horizon_T=0.2)
+    counts = {bm.EXHAUSTIVE: [], bm.CLOSED_FORM: []}
+    for mode in counts:
+        for n_steps in (2, 8):
+            spec = bm.GridSpec(model=model, n_nodes=9, n_steps=n_steps, horizon_T=0.2,
+                               control_box=2.0, control_resolution=9)
+            calls.clear()
+            bm.solve_dp(spec, params, mode)
+            counts[mode].append(len(calls))
+    assert counts[bm.EXHAUSTIVE][0] == counts[bm.EXHAUSTIVE][1] > 0
+    # six more steps, one plan per axis each
+    assert counts[bm.CLOSED_FORM][1] - counts[bm.CLOSED_FORM][0] == 6 * 3
+
+
+@pytest.mark.parametrize("model", ["diffusive", "counting"])
+def test_exhaustive_solve_dp_z_offsets_hold_past_int8(monkeypatch, model):
+    # 131 z nodes put the scan's lower z nodes up to index 129, past int8,
+    # and at this delta the reads there win: the compactly held z plans must
+    # read bit for bit what full plans read
+    tops = []
+    axis_plan = bm._axis_plan
+
+    def recorded(geo, ax, q):
+        plan = axis_plan(geo, ax, q)
+        if ax == 2:
+            tops.append(int(plan[0].max()))
+        return plan
+
+    monkeypatch.setattr(bm, "_axis_plan", recorded)
+    params = ModelParams(kappa_s_sq=0.5, horizon_T=0.02)
+    spec = bm.GridSpec(model=model, n_nodes=(3, 3, 131), n_steps=2, horizon_T=0.02,
+                       control_box=2.0, control_resolution=3)
+    geo = spec._geometry
+    vg = bm.solve_dp(spec, params, bm.EXHAUSTIVE)
+    assert max(tops) > np.iinfo(np.int8).max
+    v = vg.values[2]
+    for k in (1, 0):
+        value, u = _reference_exhaustive_step(v, spec, params)
+        v = bm._place(np.full(spec.shape, np.nan), geo, value)
+        assert np.array_equal(_bits(vg.values[k]), _bits(v))
+        want_u = bm._place(np.full((2,) + spec.shape, np.nan), geo, u)
+        assert np.array_equal(_bits(vg.controls[k]), _bits(want_u))
+
+
 def test_exhaustive_dp_step_memory_stays_near_the_slice():
     # candidates are scanned a few at a time: neither a per-solve table of
     # corner indices and weights (~290 slices here) nor all 81 candidates

@@ -112,6 +112,22 @@ def test_ini_rejects_unknown_keys(tmp_path, capsys):
         assert key in err
 
 
+def test_ini_keys_the_command_does_not_take_are_left_out(tmp_path, capsys):
+    # one INI file shared between commands: lq takes no kappa_s_sq, so the
+    # file's out-of-range value is checked as a number but never applied,
+    # while a key lq does take still applies
+    ini = tmp_path / "k.ini"
+    ini.write_text("[model]\nkappa_s_sq = 2\n")
+    argv = ("lq", "--t", "0", "--theta", "0", "--no-timings")
+    plain = run_cli(capsys, *argv)
+    assert plain[0] == 0
+    assert run_cli(capsys, *argv, "--config", str(ini)) == plain
+    ini.write_text("[model]\nkappa_s_sq = 2\nalpha = 0.25\n")
+    shared = run_cli(capsys, *argv, "--config", str(ini))
+    assert shared == run_cli(capsys, *argv, "--alpha", "0.25")
+    assert shared[0] == 0 and shared != plain
+
+
 @pytest.mark.parametrize("command, key, flag, section, value, message", [
     ("simulate", "alpha", "--alpha", "model", "x",
      "error: invalid number for model.alpha: 'x'\n"),
