@@ -54,6 +54,8 @@ import numpy as np
 from .filters import (
     GROUND_STATE,
     ModelParams,
+    _angle_drift,
+    _angle_gain,
     _counting_drift_xyz,
     _diffusive_diffusion_xyz,
     _diffusive_drift_xyz,
@@ -725,7 +727,7 @@ def _dynamics(spec: GridSpec, params: ModelParams, geo: _Geometry):
     solvers' controls are valid by construction."""
     nodes = geo.flat.reshape(len(geo.flat), -1).T.copy()
     if geo.periodic:
-        return nodes, lambda b: (2.0 * b,), (2.0 * params.alpha,), None
+        return nodes, lambda b: (_angle_drift(b),), (_angle_gain(params.alpha),), None
     if spec.model == COUNTING:
         lam = _jump_intensity_z(nodes[2], params.kappa_s_sq)
         return nodes, lambda up, um: _counting_drift_xyz(*nodes, up, um, lam), None, lam

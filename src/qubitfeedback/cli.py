@@ -4,15 +4,20 @@ Configuration comes from an INI file (``--config``) overridden by flags;
 flags win.  Each setting is declared once, in ``_SETTINGS``, and a value
 goes through the same parser whether it comes from the file or a flag.
 Machine-readable output (a JSON summary, or CSV for ``compare`` and
-``lq``) goes to stdout or to the requested file; a short human-readable
-report always goes to stderr.  A JSON summary's ``wall_time_s`` times the
-whole command and is left out under ``--no-timings``.  Exit codes: 0
-success, 1 runtime failure, 2 configuration error.
+``lq``) goes through one writer, `_emit`, to stdout or atomically to the
+requested file; a short human-readable report always goes to stderr.  A
+JSON summary's ``wall_time_s`` times the whole command and is left out
+under ``--no-timings``.  Exit codes: 0 success, 1 runtime failure, 2
+configuration error.
 
-One function, `_grid_policy`, turns a solved ``.vgrid`` into a policy for
-``simulate``, ``compare`` and ``evaluate`` alike, and refuses a grid solved
-for another model, ``kappa_s_sq``, ``alpha`` or ``horizon_T`` than the
-run's; ``evaluate`` takes those from its grid unless they are given.
+The start state is read against the model's state shape before any
+policy is built, so a bad ``--x0`` exits 2 before a grid is loaded.  Each
+``--policy`` flag of ``compare`` is one policy; only the INI ``policies``
+value is split, on ``;``.  One function, `_grid_policy`, turns a solved
+``.vgrid`` into a policy for ``simulate``, ``compare`` and ``evaluate``
+alike, and refuses a grid solved for another model, ``kappa_s_sq``,
+``alpha`` or ``horizon_T`` than the run's; ``evaluate`` takes those from
+its grid unless they are given.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import functools
-import io
 import json
 import os
 import sys
@@ -94,21 +98,26 @@ def _typed(caster, label):
     return parse
 
 
+def _policy_list(text: str) -> list:
+    return [p.strip() for p in text.split(";") if p.strip()]
+
+
 # key -> (INI section, or None for a flag only, parser, flag, help); every
-# value, from the INI file or a flag, goes through `_parse_setting`, and the
-# merged config is flat on the keys
+# value, from the INI file or a flag, goes through `_parse_setting` (but for
+# compare's repeated --policy), and the merged config is flat on the keys
 _SETTINGS = {
     "model": ("model", _parse_model, "--model",
               " | ".join(rec.model_id for rec in MODEL_RECORDS.values())),
     "kappa_s_sq": ("model", float, "--kappa-s-sq", "observed-channel decay rate squared"),
     "alpha": ("model", float, "--alpha", "angle-model noise gain"),
     "horizon_T": ("model", float, "--horizon-t", "control horizon T"),
-    "x0": ("run", str, "--x0", "initial state: 'px,py,pz' or a single angle"),
+    "x0": ("run", _typed(lambda text: [float(v) for v in text.split(",")], "numbers for run.x0"),
+           "--x0", "initial state: 'px,py,pz' or a single angle"),
     "dt": ("run", float, "--dt", "Euler time step"),
     "n_paths": ("run", int, "--n-paths", "Monte Carlo sample size"),
     "seed": ("run", int, "--seed", "RNG seed"),
     "policy": ("run", str, "--policy", "zero | constant:<v> | lq-closed-form | grid:<path>"),
-    "policies": ("run", str, "--policy", "policy to include (repeat; at least two)"),
+    "policies": ("run", _policy_list, "--policy", "policy to include (repeat; at least two)"),
     "n_nodes": ("grid", str, "--n-nodes", "nodes per axis, e.g. 21 or 21,21,21"),
     "n_steps": ("grid", int, "--n-steps", "backward time steps"),
     "control_box": ("grid", float, "--control-box", "clamp controls to [-box, box]"),
@@ -200,8 +209,9 @@ def _resolve(args: argparse.Namespace) -> dict:
     given = {k: v for k, v in (_read_ini(args.config) if args.config else {}).items() if k in keys}
     for key in keys:
         text = getattr(args, key)
-        if text is not None:
-            given[key] = _parse_setting(key, ";".join(text) if key == "policies" else text)
+        if text is not None:  # compare's --policy flags come as a list, one policy each
+            given[key] = ([p.strip() for p in text] if key == "policies"
+                          else _parse_setting(key, text))
     return {**_DEFAULTS, **given, "_given": frozenset(given)}
 
 
@@ -223,31 +233,18 @@ def _require(cfg: dict, key: str, where: str):
 
 
 def _model_params(cfg: dict) -> ModelParams:
-    return ModelParams(
-        kappa_s_sq=cfg["kappa_s_sq"],
-        alpha=cfg["alpha"],
-        horizon_T=cfg["horizon_T"],
-    )
+    return ModelParams(**{key: cfg[key] for key in _MODEL_KEYS[1:]})
 
 
-def _parse_x0(cfg: dict, model: str):
-    text = cfg.get("x0")
-    if model == ANGLE:
-        if text is None:
-            return 1.0
-        try:
-            return float(text)
-        except ValueError as exc:
-            raise ConfigError(f"x0 for the angle model is one number, got {text!r}") from exc
-    if text is None:
-        return np.array([1.0, 0.0, 0.0])
-    try:
-        vals = [float(v) for v in text.split(",")]
-    except ValueError:
-        vals = []
-    if len(vals) != 3:
-        raise ConfigError(f"x0 for qubit models is 'px,py,pz', got {text!r}")
-    return np.array(vals)
+def _parse_x0(cfg: dict, model: str) -> np.ndarray:
+    """The start state in the model's state shape; by default 1 in the first
+    coordinate and 0 elsewhere (theta = 1, or p = (1, 0, 0))."""
+    rec = model_record(model)
+    size = np.prod(rec.state_shape, dtype=int)
+    vals = cfg.get("x0", [1.0] + [0.0] * (size - 1))
+    if len(vals) != size:
+        raise ConfigError(f"x0 for the {rec.model_id} model takes {size} value(s), got {len(vals)}")
+    return np.reshape(vals, rec.state_shape)
 
 
 def _parse_n_nodes(text: str):
@@ -312,13 +309,12 @@ def _grid_policy(vg: ValueGrid, path: str, model: str, params: ModelParams):
 # output plumbing
 
 
-def _emit_json(summary: dict, cfg: dict) -> None:
-    blob = json.dumps(summary, sort_keys=True, indent=2) + "\n"
-    path = cfg.get("json")
+def _emit(text: str, path) -> None:
+    """A command's machine-readable output: atomically to ``path``, else to stdout."""
     if path:
-        atomic_write_text(path, blob)
+        atomic_write_text(path, text)
     else:
-        sys.stdout.write(blob)
+        sys.stdout.write(text)
 
 
 def _emit_table(rows) -> None:
@@ -339,13 +335,13 @@ def _run_policy(command: str, cfg: dict, build, label: dict) -> dict:
     stderr and returns the JSON summary, which carries ``label``."""
     model = _require(cfg, "model", command)
     params = _model_params(cfg)
-    policy = build(model, params)
     x0 = _parse_x0(cfg, model)
+    policy = build(model, params)
     stats = run_batch(model, policy, x0, params, cfg["dt"], cfg["n_paths"], cfg["seed"])
     summary = {
         "command": command,
         "model": model_record(model).model_id,
-        "x0": list(np.atleast_1d(np.asarray(x0, dtype=float))),
+        "x0": x0.ravel().tolist(),
         "mean_cost": stats.mean,
         "stderr": stats.stderr,
         "n_paths": stats.n,
@@ -439,7 +435,7 @@ def cmd_compare(cfg: dict) -> dict | None:
     model = _require(cfg, "model", "compare")
     params = _model_params(cfg)
     x0 = _parse_x0(cfg, model)
-    texts = [p.strip() for p in cfg.get("policies", "").split(";") if p.strip()]
+    texts = cfg.get("policies", [])
     if len(texts) < 2:
         raise ConfigError("compare needs at least two --policy entries")
     policies = [_make_policy(text, model, params) for text in texts]
@@ -447,21 +443,15 @@ def cmd_compare(cfg: dict) -> dict | None:
     stats = run_batches(model, policies, x0, params, cfg["dt"], cfg["n_paths"], cfg["seed"])
     rows = [(text, s.mean, s.stderr, s.n) for text, s in zip(texts, stats)]
     rows.sort(key=lambda r: r[1])
-    buf = io.StringIO()
-    buf.write("policy,mean,stderr,n\n")
-    for text, mean, stderr, n in rows:
-        buf.write(f"{text},{FLOAT_FMT % mean},{FLOAT_FMT % stderr},{n:d}\n")
-    csv_blob = buf.getvalue()
     _emit_table([("policy", "mean", "stderr")] + [
         (text, f"{mean:.6g}", f"{stderr:.3g}") for text, mean, stderr, _ in rows
     ])
-    if cfg.get("table"):
-        atomic_write_text(cfg["table"], csv_blob)
-    else:
-        sys.stdout.write(csv_blob)
+    lines = [f"{text},{FLOAT_FMT % mean},{FLOAT_FMT % stderr},{n:d}\n"
+             for text, mean, stderr, n in rows]
+    _emit("policy,mean,stderr,n\n" + "".join(lines), cfg.get("table"))
     if not (cfg.get("table") or cfg.get("json")):
         return None  # the CSV on stdout is the whole output
-    summary = {
+    return {
         "command": "compare",
         "model": model_record(model).model_id,
         "table": cfg.get("table"),
@@ -470,7 +460,6 @@ def cmd_compare(cfg: dict) -> dict | None:
         "n_paths": cfg["n_paths"],
         "seed": cfg["seed"],
     }
-    return summary
 
 
 def _parse_mesh(text: str, label: str) -> np.ndarray:
@@ -501,20 +490,13 @@ def cmd_lq(cfg: dict) -> None:
     thetas = _parse_mesh(cfg["theta"], "theta")
     if (ts > T).any() or (ts < 0.0).any():
         raise ConfigError(f"t mesh must lie inside [0, {T}]")
-    buf = io.StringIO()
-    buf.write("t,theta,value,control\n")
-    for t in ts:
-        vals = lq.value(t, thetas, T, params.alpha)
-        ctrls = lq.optimal_B(t, thetas, T)
-        for theta, v, b in zip(thetas, vals, ctrls):
-            buf.write(
-                f"{FLOAT_FMT % t},{FLOAT_FMT % theta},{FLOAT_FMT % v},{FLOAT_FMT % b}\n"
-            )
+    rows = [f"{FLOAT_FMT % t},{FLOAT_FMT % theta},{FLOAT_FMT % v},{FLOAT_FMT % b}\n"
+            for t in ts
+            for theta, v, b in zip(thetas, lq.value(t, thetas, T, params.alpha),
+                                   lq.optimal_B(t, thetas, T))]
+    _emit("t,theta,value,control\n" + "".join(rows), cfg.get("csv"))
     if cfg.get("csv"):
-        atomic_write_text(cfg["csv"], buf.getvalue())
-        sys.stderr.write(f"wrote {ts.size * thetas.size} rows to {cfg['csv']}\n")
-    else:
-        sys.stdout.write(buf.getvalue())
+        sys.stderr.write(f"wrote {len(rows)} rows to {cfg['csv']}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +536,7 @@ def main(argv=None) -> int:
         if summary is not None:
             if not args.no_timings:
                 summary["wall_time_s"] = time.perf_counter() - t0
-            _emit_json(summary, cfg)
+            _emit(json.dumps(summary, sort_keys=True, indent=2) + "\n", cfg.get("json"))
     except (ConfigError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

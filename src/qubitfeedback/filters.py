@@ -24,8 +24,9 @@ master equation, which `lindblad` evaluates in the density-matrix picture.
 A third, exactly solvable model is included for benchmarking: a qubit under
 a dephasing-type measurement of strength alpha and a z-rotation control B.
 There the radius and pz are conserved and the dynamics reduce to the phase
-angle on a circle, d(theta) = 2*B*dt + 2*alpha*dW; its Euler step is
-`trajectories.step_angle` and its closed-form solution lives in `lq`.
+angle on a circle, d(theta) = 2*B*dt + 2*alpha*dW, whose drift and noise
+gain (`_angle_drift`, `_angle_gain`) the Euler step `trajectories.step_angle`
+and the grid solvers read; its closed-form solution lives in `lq`.
 
 All coefficient functions are vectorized over leading axes: states may be
 arrays of shape (..., 3) and controls arrays of shape (..., 2).
@@ -230,6 +231,16 @@ def _counting_drift_xyz(px, py, pz, u_plus, u_minus, lam, out=None, work=None):
     base = _diffusive_drift_xyz(px, py, pz, u_plus, u_minus, out, _rows(work)[0])
     pull = _jump_pull_xyz(px, py, pz, lam, work)
     return tuple(np.add(b, j, o) for b, j, o in zip(base, pull, _rows(out)))
+
+
+def _angle_drift(B):
+    """The angle model's drift 2B, of d(theta) = 2B dt + 2 alpha dW."""
+    return 2.0 * B
+
+
+def _angle_gain(alpha: float) -> float:
+    """The angle model's noise gain 2 alpha, of d(theta) = 2B dt + 2 alpha dW."""
+    return 2.0 * alpha
 
 
 def bloch_to_density(p) -> np.ndarray:

@@ -65,6 +65,8 @@ from .filters import (
     BALL_TOL,
     GROUND_STATE,
     ModelParams,
+    _angle_drift,
+    _angle_gain,
     _counting_drift_xyz,
     _diffusive_diffusion_xyz,
     _diffusive_drift_xyz,
@@ -149,7 +151,7 @@ def step_angle(theta, B, dt, dW, params: ModelParams, out=None):
     theta = np.asarray(theta, dtype=float)
     B = np.asarray(B, dtype=float)
     dW = np.asarray(dW, dtype=float)
-    return wrap_angle(theta + 2.0 * B * dt + 2.0 * params.alpha * dW, out)
+    return wrap_angle(theta + _angle_drift(B) * dt + _angle_gain(params.alpha) * dW, out)
 
 
 def _thinned(lam, uniforms, dt, out=None):
@@ -436,7 +438,8 @@ def _validated_start(model: str, x0, params: ModelParams, dt: float, seed, n_pat
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     if seed is not None and seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed!r}")
-    if model == COUNTING and dt * params.kappa_s_sq >= 1.0:
+    # the jump intensity peaks over the ball at pz = 1
+    if model == COUNTING and dt * _jump_intensity_z(1.0, params.kappa_s_sq) >= 1.0:
         raise ValueError(
             "dt * max jump intensity >= 1; Bernoulli thinning needs a "
             "smaller step"

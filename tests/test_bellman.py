@@ -1023,6 +1023,30 @@ def test_exhaustive_solve_dp_z_offsets_hold_past_int8(monkeypatch, model):
         assert np.array_equal(_bits(vg.controls[k]), _bits(want_u))
 
 
+@pytest.mark.parametrize("model", ["diffusive", "counting"])
+def test_solve_dp_hands_the_reader_only_nonnegative_plan_offsets(monkeypatch, model):
+    # `_interp_apply` reads flat[off:].take(lin), and take wraps a negative
+    # index onto the wrong node without an error; 131 z nodes put offsets
+    # past int8, so a narrowing that wraps them fails here at any horizon
+    lows, highs = [], []
+    interp_box = bm._interp_box
+
+    def recorded(filled, plan):
+        lows.extend(int(np.min(base)) for base, _, _ in plan)
+        highs.append(int(np.max(plan[-1][0])))
+        return interp_box(filled, plan)
+
+    monkeypatch.setattr(bm, "_interp_box", recorded)
+    for horizon in (0.02, 1.0):
+        params = ModelParams(kappa_s_sq=0.5, horizon_T=horizon)
+        spec = bm.GridSpec(model=model, n_nodes=(3, 3, 131), n_steps=2, horizon_T=horizon,
+                           control_box=2.0, control_resolution=3)
+        for mode in (bm.CLOSED_FORM, bm.EXHAUSTIVE):
+            bm.solve_dp(spec, params, mode)
+    assert min(lows) >= 0
+    assert max(highs) > np.iinfo(np.int8).max
+
+
 def test_exhaustive_dp_step_memory_stays_near_the_slice():
     # candidates are scanned a few at a time: neither a per-solve table of
     # corner indices and weights (~290 slices here) nor all 81 candidates

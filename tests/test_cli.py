@@ -133,11 +133,13 @@ def test_ini_keys_the_command_does_not_take_are_left_out(tmp_path, capsys):
      "error: invalid number for model.alpha: 'x'\n"),
     ("simulate", "n_paths", "--n-paths", "run", "1.5",
      "error: invalid integer for run.n_paths: '1.5'\n"),
+    ("simulate", "x0", "--x0", "run", "1,a",
+     "error: invalid numbers for run.x0: '1,a'\n"),
     ("solve", "method", "--method", "grid", "xx",
      "error: method must be one of ('fd', 'dp'), got 'xx'\n"),
     ("solve", "mode", "--mode", "grid", "xx",
      "error: mode must be one of ('closed-form', 'exhaustive'), got 'xx'\n"),
-], ids=["alpha", "n_paths", "method", "mode"])
+], ids=["alpha", "n_paths", "x0", "method", "mode"])
 def test_flag_and_ini_share_one_parser(tmp_path, capsys, command, key, flag, section,
                                        value, message):
     ini = tmp_path / "bad.ini"
@@ -516,8 +518,36 @@ def test_compare_grid_policy_spec(tmp_path, capsys):
     assert out.splitlines()[1].split(",")[0].startswith("grid:")
 
 
+def test_each_compare_policy_flag_is_one_policy(tmp_path, capsys):
+    # only the INI policies value is split on ';': a flag's ';' is part of
+    # its one policy, here of the grid's directory name
+    grid = tmp_path / "semi;colon" / "angle.vgrid"
+    grid.parent.mkdir()
+    assert run_cli(capsys, "solve", "--model", "angle-lq", "--n-nodes", "51",
+                   "--n-steps", "200", "--grid", str(grid), "--no-timings")[0] == 0
+    code, out, err = run_cli(
+        capsys, "compare", "--model", "angle-lq", "--policy", "zero",
+        "--policy", f"grid:{grid}", "--n-paths", "50", "--dt", "0.02", "--no-timings",
+    )
+    assert code == 0, err
+    ranked = [line.split(",")[0] for line in out.splitlines()[1:]]
+    assert sorted(ranked) == sorted(["zero", f"grid:{grid}"])
+
+
 def _no_work(*args, **kwargs):
     raise AssertionError("a simulation or solve ran before the settings were checked")
+
+
+@pytest.mark.parametrize("model, size", [("diffusive-qubit", 3), ("angle-lq", 1)])
+def test_a_bad_x0_is_refused_before_any_policy_is_built(capsys, monkeypatch, model, size):
+    # the start state is checked against the model's shape first: the
+    # missing grid is never opened
+    monkeypatch.setattr(cli.ValueGrid, "load", _no_work)
+    monkeypatch.setattr(cli, "run_batch", _no_work)
+    assert run_cli(
+        capsys, "simulate", "--model", model, "--policy", "grid:/nonexistent/x.vgrid",
+        "--x0", "1,2", "--no-timings",
+    ) == (2, "", f"error: x0 for the {model} model takes {size} value(s), got 2\n")
 
 
 @pytest.mark.parametrize("bad, code, message", [
